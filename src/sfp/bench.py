@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .linalg import LinearMap, norm
-from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
+from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
     Ball,
@@ -45,6 +45,7 @@ __all__ = [
     "generate_random_sfp",
     "PRESETS",
     "preset_schedule",
+    "schedule_from_config",
     "parse_config",
     "normalize_config",
     "canonical_text",
@@ -189,95 +190,67 @@ def generate_random_sfp(dim1: int, dim2: int, family: str, seed: int,
 # --- schedule presets --------------------------------------------------------
 
 
-def _preset_paper_s4():
-    schedule = ParameterSchedule(
-        alpha=Seq.power_law(0.0, 0.1, 1.0),
-        beta=Seq.power_law(0.5, -0.05, 1.0),
-        gamma=None,
-        delta=Seq.constant(0.5),
-        rho=Seq.constant(2.0),
-        epsilon=Seq.power_law(0.0, 0.1, 2.0),
-        theta=0.5,
-        lam=0.5,
-    )
-    return schedule, {"mode": "proof", "step_rule": "adaptive"}
+def _power_law(const: float, coeff: float, power: float) -> dict:
+    return {"rule": "power-law", "const": const, "coeff": coeff, "power": power}
 
 
-def _preset_table_1():
-    schedule = ParameterSchedule(
-        alpha=Seq.power_law(0.0, 0.1, 1.0),
-        beta=Seq.constant(0.0),
-        gamma=None,
-        delta=Seq.constant(1.0),
-        rho=Seq.constant(2.0),
-        epsilon=Seq.constant(0.0),
-        theta=0.0,
-        lam=0.5,
-    )
-    return schedule, {"mode": "proof", "step_rule": "adaptive"}
-
-
-def _preset_cq():
-    schedule = ParameterSchedule(
-        alpha=Seq.constant(0.0),
-        beta=Seq.constant(0.0),
-        gamma=None,
-        delta=Seq.constant(0.0),
-        rho=Seq.constant(2.0),
-        epsilon=Seq.constant(0.0),
-        theta=0.0,
-        lam=0.5,
-    )
-    return schedule, {"mode": "proof", "step_rule": "adaptive"}
-
-
-def _preset_fast():
+# Each preset is a schedule section in the config format plus the composition
+# mode it runs in; keys it leaves out take the values of _SCHEDULE_DEFAULTS.
+PRESETS = {
+    "paper-s4": ({"alpha": _power_law(0.0, 0.1, 1.0), "beta": _power_law(0.5, -0.05, 1.0),
+                  "gamma": "complement", "delta": 0.5, "epsilon": _power_law(0.0, 0.1, 2.0),
+                  "theta": 0.5}, "proof"),
+    "table-1": ({"alpha": _power_law(0.0, 0.1, 1.0), "beta": 0.0, "gamma": "complement",
+                 "delta": 1.0}, "proof"),
+    "cq": ({"alpha": 0.0, "beta": 0.0, "gamma": "complement", "delta": 0.0}, "proof"),
     # cubically decaying viscosity weight: the damping toward g's fixed point
     # fades fast enough for linear convergence while keeping every term of the
     # hybrid scheme (inertia, averaged map, adaptive gradient) active.
-    schedule = ParameterSchedule(
-        alpha=Seq.power_law(0.0, 0.1, 3.0),
-        beta=Seq.power_law(0.5, -0.05, 3.0),
-        gamma=None,
-        delta=Seq.constant(0.5),
-        rho=Seq.constant(2.0),
-        epsilon=Seq.power_law(0.0, 0.1, 4.0),
-        theta=0.5,
-        lam=0.5,
-    )
-    return schedule, {"mode": "proof", "step_rule": "adaptive"}
-
-
-def _preset_viscosity():
-    schedule = ParameterSchedule(
-        alpha=Seq.power_law(0.0, 0.1, 1.0),
-        beta=Seq.power_law(0.5, -0.05, 1.0),
-        gamma=None,
-        delta=Seq.constant(0.5),
-        rho=Seq.constant(2.0),
-        epsilon=Seq.constant(0.0),
-        theta=0.0,
-        lam=1.0,
-    )
-    return schedule, {"mode": "statement", "step_rule": "adaptive"}
-
-
-PRESETS = {
-    "paper-s4": _preset_paper_s4,
-    "table-1": _preset_table_1,
-    "cq": _preset_cq,
-    "fast": _preset_fast,
-    "viscosity": _preset_viscosity,
+    "fast": ({"alpha": _power_law(0.0, 0.1, 3.0), "beta": _power_law(0.5, -0.05, 3.0),
+              "gamma": "complement", "delta": 0.5, "epsilon": _power_law(0.0, 0.1, 4.0),
+              "theta": 0.5}, "proof"),
+    "viscosity": ({"alpha": _power_law(0.0, 0.1, 1.0), "beta": _power_law(0.5, -0.05, 1.0),
+                   "gamma": "complement", "delta": 0.5, "lambda": 1.0}, "statement"),
 }
+_SCHEDULE_DEFAULTS = {"rho": 2.0, "epsilon": 0.0, "theta": 0.0, "lambda": 0.5}
+_SEQUENCE_KEYS = ("alpha", "beta", "gamma", "delta", "rho", "epsilon")
+
+
+def _preset(name: str) -> tuple[dict, str]:
+    try:
+        return PRESETS[name]
+    except KeyError:
+        raise ConfigError(f"schedule.preset: unknown preset {name!r} (have {sorted(PRESETS)})") from None
+
+
+def schedule_from_config(section: dict) -> ParameterSchedule:
+    """Build a schedule from its config section: defaults < preset < explicit keys.
+
+    ``gamma: complement`` stands for gamma = 1 - alpha - beta.
+    """
+    merged = dict(_SCHEDULE_DEFAULTS)
+    if "preset" in section:
+        merged.update(_preset(section["preset"])[0])
+    merged.update(section)
+    unknown = set(merged) - {*_SEQUENCE_KEYS, "theta", "lambda", "preset"}
+    try:
+        seqs = {
+            key: None if key == "gamma" and merged[key] == "complement" else Seq.from_config(merged[key])
+            for key in _SEQUENCE_KEYS
+        }
+        schedule = ParameterSchedule(**seqs, theta=float(merged["theta"]), lam=float(merged["lambda"]))
+    except KeyError as exc:
+        raise ConfigError(f"schedule.{exc.args[0]}: sequence is required") from None
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
+    if unknown:
+        raise ConfigError(f"schedule: unknown key(s) {sorted(unknown)}")
+    return schedule
 
 
 def preset_schedule(name: str):
     """Return (ParameterSchedule, stepper keyword defaults) for a named preset."""
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"schedule.preset: unknown preset {name!r} (have {sorted(PRESETS)})") from None
-    return builder()
+    return schedule_from_config({"preset": name}), {"mode": _preset(name)[1], "step_rule": "adaptive"}
 
 
 # --- config parsing ----------------------------------------------------------
@@ -365,8 +338,7 @@ def normalize_config(raw: dict) -> dict:
     # < preset stepper hints < the user's explicit stepper section
     stepper = dict(_DEFAULT_STEPPER)
     if "preset" in schedule:
-        _, preset_kwargs = preset_schedule(schedule["preset"])
-        stepper.update(preset_kwargs)
+        stepper["mode"] = _preset(schedule["preset"])[1]
     stepper.update(raw.get("stepper") or {})
     start = dict(raw.get("start") or {})
     output = dict(raw.get("output") or {})
@@ -448,46 +420,7 @@ def build_from_config(raw: dict) -> BuiltConfig:
             raise ConfigError(f"problem: {exc}") from exc
         default_start = [0.0] * problem.dim
 
-    sc = cfg["schedule"]
-    if "preset" in sc:
-        schedule, _ = preset_schedule(sc["preset"])
-        overrides = {k: v for k, v in sc.items() if k != "preset"}
-    else:
-        schedule, overrides = None, dict(sc)
-    try:
-        if schedule is None:
-            schedule = ParameterSchedule(
-                alpha=Seq.from_config(overrides.pop("alpha")),
-                beta=Seq.from_config(overrides.pop("beta")),
-                gamma=(None if overrides.get("gamma") == "complement"
-                       else Seq.from_config(overrides.pop("gamma"))),
-                delta=Seq.from_config(overrides.pop("delta")),
-                rho=Seq.from_config(overrides.pop("rho", 2.0)),
-                epsilon=Seq.from_config(overrides.pop("epsilon", 0.0)),
-                theta=float(overrides.pop("theta", 0.0)),
-                lam=float(overrides.pop("lambda", 0.5)),
-            )
-            overrides.pop("gamma", None)
-        else:
-            fields = {}
-            for key in ("alpha", "beta", "delta", "rho", "epsilon"):
-                if key in overrides:
-                    fields[key] = Seq.from_config(overrides.pop(key))
-            if "gamma" in overrides:
-                g_val = overrides.pop("gamma")
-                fields["gamma"] = None if g_val == "complement" else Seq.from_config(g_val)
-            if "theta" in overrides:
-                fields["theta"] = float(overrides.pop("theta"))
-            if "lambda" in overrides:
-                fields["lam"] = float(overrides.pop("lambda"))
-            if fields:
-                schedule = ParameterSchedule(**{**schedule.__dict__, **fields})
-    except KeyError as exc:
-        raise ConfigError(f"schedule.{exc.args[0]}: sequence is required") from None
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-    if overrides:
-        raise ConfigError(f"schedule: unknown key(s) {sorted(overrides)}")
+    schedule = schedule_from_config(cfg["schedule"])
 
     st = cfg["stepper"]
     try:
@@ -511,10 +444,11 @@ def build_from_config(raw: dict) -> BuiltConfig:
     if x1.size != problem.dim or x0.size != problem.dim:
         raise ConfigError(f"start: vectors must have dimension {problem.dim}")
 
-    csv_name = cfg["output"].get("csv") or f"run_{config_fingerprint(raw)}.csv"
+    fingerprint = config_fingerprint(raw)
+    csv_name = cfg["output"].get("csv") or f"run_{fingerprint}.csv"
     return BuiltConfig(
         problem=problem, schedule=schedule, stepper=stepper,
-        x0=x0, x1=x1, csv_name=str(csv_name), fingerprint=config_fingerprint(raw),
+        x0=x0, x1=x1, csv_name=str(csv_name), fingerprint=fingerprint,
     )
 
 
@@ -542,13 +476,12 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     xs = problem.known_solution
     rows = []
     for k, x in enumerate(history.iterates):
-        ax = problem.A.apply(x)
-        d = ax - problem.Q.project(ax)
+        d = problem.residual(x)
         f_x = 0.5 * float(np.dot(d, d))
         grad_n = norm(problem.A.apply_adjoint(d))
         res_c = membership_residual(problem.C, x)
         res_q = norm(d)
-        res_fix = norm(t_lam(x) - x) if problem.S is not None else 0.0
+        res_fix = fixed_point_residual(t_lam, x) if problem.S is not None else 0.0
         err = float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
         theta_n = history.records[k - 1].theta if k >= 1 else 0.0
         tau_n = history.records[k - 1].tau if k >= 1 else 0.0
@@ -628,15 +561,12 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     header, rows = _history_rows(built.problem, built.schedule, history)
     xs = built.problem.known_solution
     final_error = float(np.max(np.abs(history.final - xs))) if xs is not None else float("nan")
-    csv_path = None
-    if out_dir is not None:
-        csv_path = Path(out_dir) / built.csv_name
-        result_tmp = ExperimentResult(history, rows, header, final_error,
-                                      history.termination_reason, wall, built.fingerprint, csv_path)
-        emit_csv(result_tmp, csv_path)
-        return result_tmp
-    return ExperimentResult(history, rows, header, final_error,
-                            history.termination_reason, wall, built.fingerprint, None)
+    csv_path = Path(out_dir) / built.csv_name if out_dir is not None else None
+    result = ExperimentResult(history, rows, header, final_error,
+                              history.termination_reason, wall, built.fingerprint, csv_path)
+    if csv_path is not None:
+        emit_csv(result, csv_path)
+    return result
 
 
 # --- reference-table comparison -------------------------------------------------

@@ -109,8 +109,10 @@ class LinearMap:
     def operator_norm(self, tol: float = 1e-12, max_iter: int = 10_000) -> float:
         """Estimate the largest singular value by power iteration on M^T M.
 
-        The start vector is the normalized all-ones vector, so repeated calls
-        are reproducible.  Convergence means two consecutive Rayleigh-quotient
+        The start vector is a random unit vector drawn from a fixed seed, so
+        repeated calls are reproducible and the start is not orthogonal to the
+        top singular vector (as the all-ones vector is for ``[[1, -1]]``).
+        Convergence means two consecutive Rayleigh-quotient
         estimates agree to relative tolerance ``tol``; otherwise
         :class:`PowerIterationError` is raised carrying the last estimate.
         """
@@ -119,7 +121,8 @@ class LinearMap:
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         gram = self.matrix.T @ self.matrix
-        v = np.ones(self.cols) / math.sqrt(self.cols)
+        v = np.random.default_rng(0).standard_normal(self.cols)
+        v /= norm(v)
         estimate_prev = None
         for _ in range(max_iter):
             w = gram @ v

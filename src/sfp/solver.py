@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import DimensionMismatch, LinearMap, as_vector, norm
-from .mappings import Mapping, fixed_point_residual, identity_map, zero_map
+from .mappings import AveragedMapping, Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
 __all__ = [
@@ -105,37 +105,29 @@ class SfpProblem:
     def dim(self) -> int:
         return self.A.cols
 
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """The Q-residual A x - P_Q(A x)."""
+        ax = self.A.apply(np.asarray(x, dtype=float))
+        return ax - self.Q.project(ax)
+
     def f_value(self, x: np.ndarray) -> float:
         """Half the squared distance of A x from Q: 0.5 ||Ax - P_Q(Ax)||^2."""
-        ax = self.A.apply(np.asarray(x, dtype=float))
-        d = ax - self.Q.project(ax)
-        return 0.5 * float(np.dot(d, d))
+        r = self.residual(x)
+        return 0.5 * float(np.dot(r, r))
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         """Gradient A^T (Ax - P_Q(Ax)) of :meth:`f_value`."""
-        ax = self.A.apply(np.asarray(x, dtype=float))
-        return self.A.apply_adjoint(ax - self.Q.project(ax))
+        return self.A.apply_adjoint(self.residual(x))
 
-    def averaged_map(self, lam: float) -> Callable[[np.ndarray], np.ndarray]:
+    def averaged_map(self, lam: float) -> AveragedMapping:
         """The relaxation (1 - lam) I + lam S (identity when S is absent)."""
-        s = self.S if self.S is not None else identity_map(self.dim)
-
-        def t_lam(u: np.ndarray) -> np.ndarray:
-            return (1.0 - lam) * u + lam * s(u)
-
-        return t_lam
+        return average(self.S if self.S is not None else identity_map(self.dim), lam)
 
     def combined_residual(self, x: np.ndarray, lam: float) -> float:
         """max of the C-, Q- and fixed-point residuals at x."""
         x = np.asarray(x, dtype=float)
-        res_c = membership_residual(self.C, x)
-        ax = self.A.apply(x)
-        res_q = norm(ax - self.Q.project(ax))
-        res_fix = 0.0
-        if self.S is not None:
-            t = self.averaged_map(lam)
-            res_fix = norm(t(x) - x)
-        return max(res_c, res_q, res_fix)
+        res_fix = fixed_point_residual(self.averaged_map(lam), x) if self.S is not None else 0.0
+        return max(membership_residual(self.C, x), norm(self.residual(x)), res_fix)
 
 
 # --- schedules ------------------------------------------------------------
@@ -339,17 +331,23 @@ def inertial_theta(theta: float, epsilon_n: float, x_n: np.ndarray, x_prev: np.n
     return min(theta, epsilon_n / dx)
 
 
+def _objective(problem: SfpProblem, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """f(u), grad f(u) and ||grad f(u)||^2 from one Q-residual."""
+    r = problem.residual(u)
+    gvec = problem.A.apply_adjoint(r)
+    return 0.5 * float(np.dot(r, r)), gvec, float(np.dot(gvec, gvec))
+
+
 def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float, guard: float = GRAD_GUARD_DEFAULT) -> float:
     """Self-adaptive step size rho f(u) / ||grad f(u)||^2, 0 on a vanishing gradient."""
     if not (0.0 < rho < 4.0):
         raise ValueError("rho must lie in (0, 4)")
     if guard <= 0:
         raise ValueError("guard must be > 0")
-    g = problem.grad_f(u)
-    gg = float(np.dot(g, g))
+    f_u, _, gg = _objective(problem, u)
     if gg <= guard:
         return 0.0
-    return rho * problem.f_value(u) / gg
+    return rho * f_u / gg
 
 
 # --- stepping ---------------------------------------------------------------
@@ -399,11 +397,16 @@ class _Advance(NamedTuple):
 
 
 def _compose_y(mode: str, project, u, tau, gvec, delta, t_u):
+    """Return (y, w - P_C(w)), where w is the proof-mode blend."""
+    w_blend = (1.0 - delta) * (u - tau * gvec) + delta * t_u
     if mode == "proof":
-        return project((1.0 - delta) * (u - tau * gvec) + delta * t_u)
+        y = project(w_blend)
+        return y, w_blend - y
     if mode == "statement":
-        return project((1.0 - delta) * u - tau * gvec) + delta * t_u
-    return project((1.0 - delta) * u + delta * t_u - tau * gvec)
+        y = project((1.0 - delta) * u - tau * gvec) + delta * t_u
+    else:
+        y = project((1.0 - delta) * u + delta * t_u - tau * gvec)
+    return y, w_blend - project(w_blend)
 
 
 def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -415,11 +418,7 @@ def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     theta_n = inertial_theta(schedule.theta, p.epsilon, x_n, x_prev)
     u = x_n + theta_n * (x_n - x_prev)
 
-    au = problem.A.apply(u)
-    r_u = au - problem.Q.project(au)
-    f_u = 0.5 * float(np.dot(r_u, r_u))
-    gvec = problem.A.apply_adjoint(r_u)
-    gg = float(np.dot(gvec, gvec))
+    f_u, gvec, gg = _objective(problem, u)
     grad_norm_u = math.sqrt(gg)
 
     if config.step_rule == "fixed":
@@ -433,13 +432,7 @@ def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     if t_lam is None:
         t_lam = problem.averaged_map(schedule.lam)
     t_u = t_lam(u)
-    w_blend = (1.0 - p.delta) * (u - tau * gvec) + p.delta * t_u
-    if config.mode == "proof":
-        y = problem.C.project(w_blend)
-        blend_residual = w_blend - y
-    else:
-        y = _compose_y(config.mode, problem.C.project, u, tau, gvec, p.delta, t_u)
-        blend_residual = w_blend - problem.C.project(w_blend)
+    y, blend_residual = _compose_y(config.mode, problem.C.project, u, tau, gvec, p.delta, t_u)
     x_next = p.alpha * problem.g(x_n) + p.beta * u + p.gamma * y
 
     v = None
@@ -496,14 +489,9 @@ def psi_diagnostic(problem: SfpProblem, schedule: ParameterSchedule, n: int,
     """
     p = schedule.at(n)
     u = as_vector(u, problem.dim)
-    au = problem.A.apply(u)
-    r_u = au - problem.Q.project(au)
-    f_u = 0.5 * float(np.dot(r_u, r_u))
-    gvec = problem.A.apply_adjoint(r_u)
-    gg = float(np.dot(gvec, gvec))
+    f_u, gvec, gg = _objective(problem, u)
     t_u = problem.averaged_map(schedule.lam)(u)
-    w_blend = (1.0 - p.delta) * (u - tau * gvec) + p.delta * t_u
-    blend_residual = w_blend - problem.C.project(w_blend)
+    _, blend_residual = _compose_y("proof", problem.C.project, u, tau, gvec, p.delta, t_u)
     return _psi_scalar(p, f_u, gg, guard, t_u, u, tau, gvec, blend_residual)
 
 
@@ -520,18 +508,16 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
     return adv.x_next, adv.record
 
 
-def _warn_lambda_vs_modulus(problem: SfpProblem, schedule: ParameterSchedule) -> None:
+def _warn_lambda_vs_modulus(problem: SfpProblem, t_lam: AveragedMapping) -> None:
     s = problem.S
-    if s is not None and s.class_tag == "demicontractive" and s.modulus is not None:
-        bound = 1.0 - s.modulus
-        if not (0.0 < schedule.lam < bound):
-            warnings.warn(
-                f"averaging weight {schedule.lam} is outside (0, {bound:.6g}) for the declared "
-                f"demicontractive modulus {s.modulus}; quasi-nonexpansiveness of the averaged "
-                "map is not guaranteed",
-                UserWarning,
-                stacklevel=3,
-            )
+    if s is not None and s.class_tag == "demicontractive" and t_lam.class_tag != "quasi_nonexpansive":
+        warnings.warn(
+            f"averaging weight {t_lam.lam} is outside (0, {1.0 - s.modulus:.6g}) for the declared "
+            f"demicontractive modulus {s.modulus}; quasi-nonexpansiveness of the averaged "
+            "map is not guaranteed",
+            UserWarning,
+            stacklevel=3,
+        )
 
 
 def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -557,10 +543,10 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             raise ValueError(
                 f"fixed step {config.fixed_step} outside (0, 2/||A||^2) = (0, {limit:.6g})"
             )
-    _warn_lambda_vs_modulus(problem, schedule)
+    t_lam = problem.averaged_map(schedule.lam)
+    _warn_lambda_vs_modulus(problem, t_lam)
 
     stopping = config.stopping
-    t_lam = problem.averaged_map(schedule.lam)
     iterates = [np.array(x_cur)]
     records: list[StepRecord] = []
     reason = "max_iter"

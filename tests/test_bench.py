@@ -24,7 +24,7 @@ from sfp.bench import (
 )
 from sfp.linalg import norm
 from sfp.sets import membership_residual
-from sfp.solver import StepperConfig, step
+from sfp.solver import Seq, StepperConfig, step
 
 
 class TestExampleProblem:
@@ -128,6 +128,8 @@ stepper:
   max_iter: 1000
 """
 
+EXPLICIT_SCHEDULE = {"alpha": 0.1, "beta": 0.2, "gamma": "complement", "delta": 0.5}
+
 
 class TestConfig:
     def test_parse_and_build(self):
@@ -218,6 +220,32 @@ class TestConfig:
     def test_unknown_schedule_key(self):
         cfg = {"problem": {"example": "s4"}, "schedule": {"preset": "cq", "omega": 1.0}}
         with pytest.raises(ConfigError, match="omega"):
+            build_from_config(cfg)
+
+    @pytest.mark.parametrize("missing", ["alpha", "beta", "gamma", "delta"])
+    def test_explicit_schedule_requires_sequences(self, missing):
+        section = {k: v for k, v in EXPLICIT_SCHEDULE.items() if k != missing}
+        with pytest.raises(ConfigError, match=rf"schedule\.{missing}: sequence is required"):
+            build_from_config({"problem": {"example": "s4"}, "schedule": section})
+
+    def test_explicit_schedule_defaults(self):
+        schedule = build_from_config({"problem": {"example": "s4"}, "schedule": EXPLICIT_SCHEDULE}).schedule
+        assert (schedule.rho, schedule.epsilon) == (Seq.constant(2.0), Seq.constant(0.0))
+        assert (schedule.theta, schedule.lam) == (0.0, 0.5)
+
+    @pytest.mark.parametrize("preset, gamma, expected", [
+        ("paper-s4", "complement", None),
+        ("cq", [1.0, 1.0], Seq.explicit([1.0, 1.0])),
+    ])
+    def test_preset_gamma_override(self, preset, gamma, expected):
+        cfg = {"problem": {"example": "s4"}, "schedule": {"preset": preset, "gamma": gamma}}
+        schedule = build_from_config(cfg).schedule
+        assert schedule.gamma == expected
+        assert schedule.alpha == preset_schedule(preset)[0].alpha
+
+    def test_unknown_schedule_key_without_preset(self):
+        cfg = {"problem": {"example": "s4"}, "schedule": {**EXPLICIT_SCHEDULE, "omega": 1.0}}
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['omega'\]"):
             build_from_config(cfg)
 
     def test_start_dimension_checked(self):

@@ -171,6 +171,10 @@ class TestOperatorNorm:
             m.operator_norm(tol=1e-16, max_iter=1)
         assert exc.value.estimate > 0
 
+    def test_start_not_orthogonal_to_top_singular_vector(self):
+        # the all-ones vector lies in the null space of [[1, -1]]
+        assert LinearMap(np.array([[1.0, -1.0]])).operator_norm() == pytest.approx(math.sqrt(2.0), rel=1e-10)
+
     def test_zero_matrix(self):
         assert LinearMap(np.zeros((3, 3))).operator_norm() == 0.0
 

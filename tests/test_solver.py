@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -379,18 +380,31 @@ class TestRun:
         with pytest.raises(ValueError, match="fixed step"):
             run(s4, schedule, config, np.ones(5))
 
-    def test_lambda_warning_for_declared_modulus(self):
-        jump = unit_interval_jump_map()  # demicontractive, modulus 2/3
+    def test_fixed_step_bound_sees_all_singular_directions(self):
+        problem = SfpProblem(A=LinearMap(np.array([[1.0, -1.0]])), C=WholeSpace(2), Q=Singleton(np.zeros(1)))
+        config = StepperConfig(step_rule="fixed", fixed_step=5.0, stopping=StoppingRule(max_iter=20))
+        with pytest.raises(ValueError, match="fixed step"):  # the limit is 2 / ||A||^2 = 1
+            run(problem, constant_schedule(), config, np.array([1.0, 0.0]))
+
+    @staticmethod
+    def _run_jump_map(lam):
         problem = SfpProblem(
             A=LinearMap(np.eye(1)),
             C=Box(np.zeros(1), np.ones(1)),
             Q=WholeSpace(1),
-            S=jump,
+            S=unit_interval_jump_map(),  # demicontractive, modulus 2/3
         )
-        schedule = constant_schedule(delta=0.5, lam=0.5)  # 0.5 >= 1 - 2/3
+        run(problem, constant_schedule(delta=0.5, lam=lam),
+            StepperConfig(stopping=StoppingRule(max_iter=2)), np.array([0.4]))
+
+    def test_lambda_warning_for_declared_modulus(self):
         with pytest.warns(UserWarning, match="averaging weight"):
-            run(problem, schedule, StepperConfig(stopping=StoppingRule(max_iter=2)),
-                np.array([0.4]))
+            self._run_jump_map(0.5)  # 0.5 >= 1 - 2/3
+
+    def test_no_lambda_warning_inside_modulus_bound(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            self._run_jump_map(0.25)  # 0.25 < 1 - 2/3
 
 
 S4_NORM_SQ = 10.591820151285528**2
