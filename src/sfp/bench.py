@@ -7,7 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +232,6 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
     if "preset" in section:
         merged.update(_preset(section["preset"])[0])
     merged.update(section)
-    unknown = set(merged) - {*_SEQUENCE_KEYS, "theta", "lambda", "preset"}
     try:
         seqs = {
             key: None if key == "gamma" and merged[key] == "complement" else Seq.from_config(merged[key])
@@ -243,9 +242,14 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
         raise ConfigError(f"schedule.{exc.args[0]}: sequence is required") from None
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
-    if unknown:
-        raise ConfigError(f"schedule: unknown key(s) {sorted(unknown)}")
+    _reject_unknown_keys("schedule", merged, {*_SEQUENCE_KEYS, "theta", "lambda", "preset"})
     return schedule
+
+
+def _reject_unknown_keys(path: str, section: dict, known) -> None:
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
 def preset_schedule(name: str):
@@ -309,15 +313,11 @@ def parse_config(text: str) -> dict:
     return raw
 
 
-_DEFAULT_STEPPER = {
-    "mode": "proof",
-    "step_rule": "adaptive",
-    "fixed_step": None,
-    "tau_numerator": "u",
-    "grad_tol": 1e-12,
-    "residual_tol": 1e-9,
-    "max_iter": 100_000,
-}
+# The stepper section is flat: StepperConfig's fields with StoppingRule's in
+# place of ``stopping``.  Its defaults are the two dataclasses' own.
+_STEPPER_FIELDS = [f.name for f in fields(StepperConfig) if f.name != "stopping"]
+_DEFAULT_STEPPER = {f.name: f.default for cls in (StepperConfig, StoppingRule)
+                    for f in fields(cls) if f.name != "stopping"}
 
 
 def normalize_config(raw: dict) -> dict:
@@ -342,6 +342,9 @@ def normalize_config(raw: dict) -> dict:
     stepper.update(raw.get("stepper") or {})
     start = dict(raw.get("start") or {})
     output = dict(raw.get("output") or {})
+    _reject_unknown_keys("stepper", stepper, _DEFAULT_STEPPER)
+    _reject_unknown_keys("start", start, ("x0", "x1"))
+    _reject_unknown_keys("output", output, ("csv",))
 
     def plain(obj):
         if isinstance(obj, dict):
@@ -361,13 +364,21 @@ def normalize_config(raw: dict) -> dict:
     })
 
 
+def _canonical_json(normalized: dict) -> str:
+    return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_text(config: dict) -> str:
     """Canonical serialization (sorted-key JSON of the normalized config)."""
-    return json.dumps(normalize_config(config), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(normalize_config(config))
+
+
+def _fingerprint(normalized: dict) -> str:
+    return hashlib.sha256(_canonical_json(normalized).encode()).hexdigest()[:16]
 
 
 def config_fingerprint(config: dict) -> str:
-    return hashlib.sha256(canonical_text(config).encode()).hexdigest()[:16]
+    return _fingerprint(normalize_config(config))
 
 
 @dataclass
@@ -393,6 +404,7 @@ def build_from_config(raw: dict) -> BuiltConfig:
         default_start = list(np.ones(5))
     elif "random" in pr:
         spec = pr["random"]
+        _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
         try:
             problem = generate_random_sfp(
                 int(spec["dim1"]), int(spec["dim2"]), spec.get("family", "box"),
@@ -424,17 +436,9 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     st = cfg["stepper"]
     try:
-        stepper = StepperConfig(
-            mode=st["mode"],
-            step_rule=st["step_rule"],
-            fixed_step=st["fixed_step"],
-            tau_numerator=st["tau_numerator"],
-            stopping=StoppingRule(
-                grad_tol=float(st["grad_tol"]),
-                residual_tol=float(st["residual_tol"]),
-                max_iter=int(st["max_iter"]),
-            ),
-        )
+        # each stopping value takes its default's type (YAML reads 1e-12 as a string)
+        stopping = StoppingRule(**{f.name: type(f.default)(st[f.name]) for f in fields(StoppingRule)})
+        stepper = StepperConfig(**{name: st[name] for name in _STEPPER_FIELDS}, stopping=stopping)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"stepper: {exc}") from exc
 
@@ -444,7 +448,7 @@ def build_from_config(raw: dict) -> BuiltConfig:
     if x1.size != problem.dim or x0.size != problem.dim:
         raise ConfigError(f"start: vectors must have dimension {problem.dim}")
 
-    fingerprint = config_fingerprint(raw)
+    fingerprint = _fingerprint(cfg)
     csv_name = cfg["output"].get("csv") or f"run_{fingerprint}.csv"
     return BuiltConfig(
         problem=problem, schedule=schedule, stepper=stepper,
@@ -460,11 +464,18 @@ class ExperimentResult:
     history: RunHistory
     rows: list
     header: list
-    final_error: float
-    termination_reason: str
     wall_time: float
     fingerprint: str
     csv_path: Path | None
+
+    @property
+    def termination_reason(self) -> str:
+        return self.history.termination_reason
+
+    @property
+    def final_error(self) -> float:
+        """Max-norm error of the last iterate (NaN without a known solution)."""
+        return self.rows[-1][self.header.index("err_to_solution")]
 
 
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
@@ -559,11 +570,8 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
         history = exc.history
     wall = time.perf_counter() - t0
     header, rows = _history_rows(built.problem, built.schedule, history)
-    xs = built.problem.known_solution
-    final_error = float(np.max(np.abs(history.final - xs))) if xs is not None else float("nan")
     csv_path = Path(out_dir) / built.csv_name if out_dir is not None else None
-    result = ExperimentResult(history, rows, header, final_error,
-                              history.termination_reason, wall, built.fingerprint, csv_path)
+    result = ExperimentResult(history, rows, header, wall, built.fingerprint, csv_path)
     if csv_path is not None:
         emit_csv(result, csv_path)
     return result
@@ -660,7 +668,6 @@ class SuiteResult:
     name: str
     max_violation: float
     tolerance: float
-    detail: str = ""
 
     @property
     def passed(self) -> bool:

@@ -26,25 +26,23 @@ def _out_dir(arg) -> Path:
     return path
 
 
-def _print_result(label: str, result: bench.ExperimentResult) -> None:
+def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> bench.ExperimentResult:
+    """Run one experiment into ``out_dir``, print its summary line and,
+    if asked, write the convergence SVG next to its CSV."""
+    result = bench.run_experiment(raw, out_dir=out_dir)
     print(f"{label}: reason={result.termination_reason} steps={result.history.steps} "
           f"final_error={result.final_error:.3e} wall={result.wall_time:.3f}s "
-          f"fingerprint={result.fingerprint}"
-          + (f" csv={result.csv_path}" if result.csv_path else ""))
-
-
-def _maybe_svg(result: bench.ExperimentResult, wanted: bool) -> None:
-    if wanted and result.csv_path is not None:
+          f"fingerprint={result.fingerprint} csv={result.csv_path}")
+    if svg:
         svg_path = result.csv_path.with_suffix(".svg")
         bench.emit_convergence_svg(result, svg_path)
         print(f"convergence curve: {svg_path}")
+    return result
 
 
 def _cmd_run(args) -> int:
     raw = bench.parse_config(Path(args.config).read_text())
-    result = bench.run_experiment(raw, out_dir=_out_dir(args.out))
-    _print_result(Path(args.config).name, result)
-    _maybe_svg(result, args.svg)
+    result = _run_and_report(Path(args.config).name, raw, _out_dir(args.out), args.svg)
     return EXIT_BY_REASON[result.termination_reason]
 
 
@@ -66,9 +64,8 @@ def _cmd_example_s4(args) -> int:
             "stepper": {"mode": mode, "max_iter": args.max_iter},
             "output": {"csv": f"example_s4_{args.preset}_{mode}.csv"},
         }
-        result = bench.run_experiment(cfg, out_dir=_out_dir(args.out))
-        _print_result(f"example-s4 preset={args.preset} mode={mode}", result)
-        _maybe_svg(result, args.svg)
+        result = _run_and_report(f"example-s4 preset={args.preset} mode={mode}", cfg,
+                                 _out_dir(args.out), args.svg)
         if args.preset == "table-1":
             report = bench.compare_to_table1(result.history.iterates)
             print(report.text())
@@ -99,9 +96,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     worst = 0
     for path in paths:
-        raw = bench.parse_config(path.read_text())
-        result = bench.run_experiment(raw, out_dir=out)
-        _print_result(path.name, result)
+        result = _run_and_report(path.name, bench.parse_config(path.read_text()), out)
         worst = max(worst, EXIT_BY_REASON[result.termination_reason])
     return worst
 

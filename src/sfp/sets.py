@@ -25,7 +25,6 @@ __all__ = [
     "membership_residual",
     "check_projection_characterization",
     "CharacterizationReport",
-    "sample_point",
 ]
 
 
@@ -225,11 +224,6 @@ class CharacterizationReport:
         return self.max_violation <= 1e-10
 
 
-def sample_point(cset: ConvexSet, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Draw a member of the set by projecting an ambient Gaussian sample."""
-    return cset.project(rng.standard_normal(cset.dim) * scale)
-
-
 def check_projection_characterization(
     cset: ConvexSet, x: np.ndarray, samples: int = 100, seed: int = 0
 ) -> CharacterizationReport:
@@ -247,6 +241,6 @@ def check_projection_characterization(
     scale = 1.0 + norm(x)
     worst = -np.inf
     for _ in range(samples):
-        y = sample_point(cset, rng, scale)
+        y = cset.project(rng.standard_normal(cset.dim) * scale)
         worst = max(worst, inner(x - z, y - z))
     return CharacterizationReport(max_violation=float(worst), samples=samples, seed=seed)

@@ -41,7 +41,7 @@ __all__ = [
     "ScheduleReport",
 ]
 
-GRAD_GUARD_DEFAULT = 1e-24
+GRAD_GUARD = 1e-24  # a squared gradient norm at or below this counts as zero
 DIVERGENCE_LIMIT = 1e12
 
 MODES = ("proof", "statement", "explore")
@@ -177,13 +177,6 @@ class Seq:
             raise ScheduleViolation(f"explicit sequence exhausted at n = {n} (length {len(self.values)})")
         return self.values[n - 1]
 
-    def to_config(self):
-        if self.rule == "constant":
-            return self.value
-        if self.rule == "explicit":
-            return list(self.values)
-        return {"rule": "power-law", "const": self.const, "coeff": self.coeff, "power": self.power}
-
     @classmethod
     def from_config(cls, obj) -> "Seq":
         if isinstance(obj, (int, float)):
@@ -286,17 +279,18 @@ class StepperConfig:
     * ``statement``: y = P_C((1-d) u - tau grad) + d T u
     * ``explore``:   y = P_C((1-d) u + d T u - tau grad)
 
-    ``step_rule`` is ``adaptive`` (tau = rho f / ||grad f||^2) or ``fixed``
-    (tau = fixed_step, which must lie in (0, 2/||A||^2)).  ``tau_numerator``
-    evaluates the adaptive numerator at the extrapolated point (``u``, the
-    default) or at the current iterate (``x``).
+    ``step_rule`` is ``adaptive`` (tau = rho f / ||grad f||^2, and 0 when
+    ||grad f||^2 <= GRAD_GUARD) or ``fixed`` (tau = fixed_step, which must lie
+    in (0, 2/||A||^2)).  ``tau_numerator`` evaluates the adaptive numerator at
+    the extrapolated point (``u``, the default) or at the current iterate
+    (``x``).  These field defaults are also the defaults of a config's
+    ``stepper`` section.
     """
 
     mode: str = "proof"
     step_rule: str = "adaptive"
     fixed_step: float | None = None
     tau_numerator: str = "u"
-    grad_guard: float = GRAD_GUARD_DEFAULT
     stopping: StoppingRule = StoppingRule()
 
     def __post_init__(self):
@@ -308,8 +302,6 @@ class StepperConfig:
             raise ValueError("fixed step rule needs fixed_step > 0")
         if self.tau_numerator not in ("u", "x"):
             raise ValueError("tau_numerator must be 'u' or 'x'")
-        if self.grad_guard <= 0:
-            raise ValueError("grad_guard must be > 0")
 
 
 # --- elementary ops ---------------------------------------------------------
@@ -338,16 +330,18 @@ def _objective(problem: SfpProblem, u: np.ndarray) -> tuple[float, np.ndarray, f
     return 0.5 * float(np.dot(r, r)), gvec, float(np.dot(gvec, gvec))
 
 
-def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float, guard: float = GRAD_GUARD_DEFAULT) -> float:
+def _guarded_tau(rho: float, gg: float, numerator) -> float:
+    """rho f / ||grad f||^2, or 0 when ||grad f||^2 <= GRAD_GUARD; the
+    zero-argument callable ``numerator`` gives f and runs only past the guard."""
+    return 0.0 if gg <= GRAD_GUARD else rho * numerator() / gg
+
+
+def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float) -> float:
     """Self-adaptive step size rho f(u) / ||grad f(u)||^2, 0 on a vanishing gradient."""
     if not (0.0 < rho < 4.0):
         raise ValueError("rho must lie in (0, 4)")
-    if guard <= 0:
-        raise ValueError("guard must be > 0")
     f_u, _, gg = _objective(problem, u)
-    if gg <= guard:
-        return 0.0
-    return rho * f_u / gg
+    return _guarded_tau(rho, gg, lambda: f_u)
 
 
 # --- stepping ---------------------------------------------------------------
@@ -355,15 +349,19 @@ def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float, guard: float = 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Scalar diagnostics of one step (NaN where a quantity is undefined)."""
+    """Scalar diagnostics of step n (NaN where a quantity is undefined).
+
+    ``f_u`` and ``grad_norm_u`` are taken at the extrapolated point u, so the
+    Q-residual there is sqrt(2 f_u); the distance of x_n from C is the CSV's
+    ``res_C`` column.  The Fejer gaps and the quasi-nonexpansive slack need
+    the problem's ``known_solution``.
+    """
 
     n: int
     theta: float
     tau: float
     f_u: float
     grad_norm_u: float
-    res_c_x: float
-    res_q_u: float
     fejer_gap_y: float
     fejer_gap_v: float
     quasi_ne_slack: float
@@ -387,15 +385,6 @@ class RunHistory:
         return self.iterates[-1]
 
 
-class _Advance(NamedTuple):
-    x_next: np.ndarray
-    record: StepRecord
-    u: np.ndarray
-    y: np.ndarray
-    v: np.ndarray | None
-    grad_norm_u: float
-
-
 def _compose_y(mode: str, project, u, tau, gvec, delta, t_u):
     """Return (y, w - P_C(w)), where w is the proof-mode blend."""
     w_blend = (1.0 - delta) * (u - tau * gvec) + delta * t_u
@@ -411,7 +400,7 @@ def _compose_y(mode: str, project, u, tau, gvec, delta, t_u):
 
 def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
              n: int, x_n: np.ndarray, x_prev: np.ndarray,
-             t_lam=None) -> _Advance:
+             t_lam: AveragedMapping) -> tuple[np.ndarray, StepRecord]:
     p = schedule.at(n)
     _check_step_params(p, n, need_rho=config.step_rule == "adaptive")
 
@@ -419,25 +408,17 @@ def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     u = x_n + theta_n * (x_n - x_prev)
 
     f_u, gvec, gg = _objective(problem, u)
-    grad_norm_u = math.sqrt(gg)
 
     if config.step_rule == "fixed":
         tau = config.fixed_step
-    elif gg <= config.grad_guard:
-        tau = 0.0
+    elif config.tau_numerator == "x":
+        tau = _guarded_tau(p.rho, gg, lambda: problem.f_value(x_n))
     else:
-        f_num = f_u if config.tau_numerator == "u" else problem.f_value(x_n)
-        tau = p.rho * f_num / gg
+        tau = _guarded_tau(p.rho, gg, lambda: f_u)
 
-    if t_lam is None:
-        t_lam = problem.averaged_map(schedule.lam)
     t_u = t_lam(u)
     y, blend_residual = _compose_y(config.mode, problem.C.project, u, tau, gvec, p.delta, t_u)
     x_next = p.alpha * problem.g(x_n) + p.beta * u + p.gamma * y
-
-    v = None
-    if 1.0 - p.alpha > 1e-300:
-        v = (p.beta * u + p.gamma * y) / (1.0 - p.alpha)
 
     # distance monitors against the declared solution
     gap_y = gap_v = qne_slack = float("nan")
@@ -445,33 +426,31 @@ def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     if xs is not None:
         du = norm(u - xs)
         gap_y = norm(y - xs) - du
-        gap_v = (norm(v - xs) - du) if v is not None else float("nan")
+        if 1.0 - p.alpha > 1e-300:
+            v = (p.beta * u + p.gamma * y) / (1.0 - p.alpha)
+            gap_v = norm(v - xs) - du
         qne_slack = norm(t_u - xs) - du
-
-    psi = _psi_scalar(p, f_u, gg, config.grad_guard, t_u, u, tau, gvec, blend_residual)
 
     record = StepRecord(
         n=n,
         theta=theta_n,
         tau=tau,
         f_u=f_u,
-        grad_norm_u=grad_norm_u,
-        res_c_x=membership_residual(problem.C, x_n),
-        res_q_u=math.sqrt(2.0 * f_u),
+        grad_norm_u=math.sqrt(gg),
         fejer_gap_y=gap_y,
         fejer_gap_v=gap_v,
         quasi_ne_slack=qne_slack,
-        psi=psi,
+        psi=_psi_scalar(p, f_u, gg, t_u, u, tau, gvec, blend_residual),
     )
-    return _Advance(x_next=x_next, record=record, u=u, y=y, v=v, grad_norm_u=grad_norm_u)
+    return x_next, record
 
 
-def _psi_scalar(p: StepParams, f_u: float, gg: float, guard: float,
+def _psi_scalar(p: StepParams, f_u: float, gg: float,
                 t_u: np.ndarray, u: np.ndarray, tau: float, gvec: np.ndarray,
                 blend_residual: np.ndarray) -> float:
     coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
     term1 = 0.0
-    if gg > guard:
+    if gg > GRAD_GUARD:
         term1 = (1.0 - p.delta) * coef * p.rho * (4.0 - p.rho) * f_u * f_u / gg
     drift = t_u - u + tau * gvec
     term2 = p.delta * (1.0 - p.delta) * coef * float(np.dot(drift, drift))
@@ -480,7 +459,7 @@ def _psi_scalar(p: StepParams, f_u: float, gg: float, guard: float,
 
 
 def psi_diagnostic(problem: SfpProblem, schedule: ParameterSchedule, n: int,
-                   u: np.ndarray, tau: float, guard: float = GRAD_GUARD_DEFAULT) -> float:
+                   u: np.ndarray, tau: float) -> float:
     """The nonnegative per-step decrease certificate of the analysis.
 
     Three terms: the adaptive-gradient gain, the averaged-map drift and the
@@ -492,7 +471,7 @@ def psi_diagnostic(problem: SfpProblem, schedule: ParameterSchedule, n: int,
     f_u, gvec, gg = _objective(problem, u)
     t_u = problem.averaged_map(schedule.lam)(u)
     _, blend_residual = _compose_y("proof", problem.C.project, u, tau, gvec, p.delta, t_u)
-    return _psi_scalar(p, f_u, gg, guard, t_u, u, tau, gvec, blend_residual)
+    return _psi_scalar(p, f_u, gg, t_u, u, tau, gvec, blend_residual)
 
 
 def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -504,8 +483,7 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
     """
     x_n = as_vector(x_n, problem.dim)
     x_prev = as_vector(x_prev, problem.dim)
-    adv = _advance(problem, schedule, config, n, x_n, x_prev)
-    return adv.x_next, adv.record
+    return _advance(problem, schedule, config, n, x_n, x_prev, problem.averaged_map(schedule.lam))
 
 
 def _warn_lambda_vs_modulus(problem: SfpProblem, t_lam: AveragedMapping) -> None:
@@ -551,16 +529,15 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     records: list[StepRecord] = []
     reason = "max_iter"
     for n in range(1, stopping.max_iter + 1):
-        adv = _advance(problem, schedule, config, n, x_cur, x_prev, t_lam=t_lam)
-        if adv.grad_norm_u <= stopping.grad_tol:
+        x_next, record = _advance(problem, schedule, config, n, x_cur, x_prev, t_lam)
+        if record.grad_norm_u <= stopping.grad_tol:
             res = problem.combined_residual(x_cur, schedule.lam)
             reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
             break
-        x_next = adv.x_next
         if not np.isfinite(x_next).all() or norm(x_next) > DIVERGENCE_LIMIT:
             history = RunHistory(iterates=iterates, records=records, termination_reason="divergence")
             raise DivergenceError(f"iterates diverged at step {n}", history)
-        records.append(adv.record)
+        records.append(record)
         iterates.append(x_next)
         x_prev, x_cur = x_cur, x_next
     return RunHistory(iterates=iterates, records=records, termination_reason=reason)

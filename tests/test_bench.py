@@ -24,7 +24,9 @@ from sfp.bench import (
 )
 from sfp.linalg import norm
 from sfp.sets import membership_residual
-from sfp.solver import Seq, StepperConfig, step
+from sfp.solver import Seq, StepperConfig, StoppingRule, step
+
+from test_cli import DIVERGE_CONFIG
 
 
 class TestExampleProblem:
@@ -248,10 +250,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown key\(s\) \['omega'\]"):
             build_from_config(cfg)
 
+    @pytest.mark.parametrize("section, cfg, key", [
+        ("stepper", {"problem": {"example": "s4"}, "stepper": {"max_iters": 10}}, "max_iters"),
+        ("start", {"problem": {"example": "s4"}, "start": {"x_1": [0.0] * 5}}, "x_1"),
+        ("output", {"problem": {"example": "s4"}, "output": {"csv_file": "a.csv"}}, "csv_file"),
+        ("problem.random", {"problem": {"random": {"dim1": 4, "dim2": 3, "include_fixed_point": True}}},
+         "include_fixed_point"),
+    ], ids=["stepper", "start", "output", "problem.random"])
+    def test_unknown_section_key(self, section, cfg, key):
+        with pytest.raises(ConfigError, match=rf"^{section}: unknown key\(s\) \['{key}'\]$"):
+            build_from_config(cfg)
+
     def test_start_dimension_checked(self):
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
             build_from_config(cfg)
+
+
+class TestSingleSources:
+    """Values pinned so that stepper defaults and run results keep one home."""
+
+    def test_fingerprints(self):
+        assert config_fingerprint({"problem": {"example": "s4"}}) == "b0ba8dba8583572e"
+        assert config_fingerprint(parse_config(BASE_CONFIG)) == "ad709091c3ab6922"
+
+    def test_config_stepper_is_library_default(self):
+        built = build_from_config(parse_config(BASE_CONFIG))
+        assert built.stepper == StepperConfig(stopping=StoppingRule(max_iter=1000))
+        assert built.fingerprint == config_fingerprint(parse_config(BASE_CONFIG))
+
+    @pytest.mark.parametrize("cfg, reason", [
+        (parse_config(BASE_CONFIG), "residual_met"),
+        (DIVERGE_CONFIG, "divergence"),
+    ])
+    def test_result_read_from_history(self, cfg, reason):
+        result = run_experiment(cfg)
+        history = result.history
+        assert result.termination_reason == history.termination_reason == reason
+        xs = build_from_config(cfg).problem.known_solution
+        if xs is None:
+            assert np.isnan(result.final_error)
+        else:
+            assert result.final_error == float(np.max(np.abs(history.final - xs)))
 
 
 class TestExperimentAndCsv:

@@ -61,6 +61,13 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    def test_unknown_stepper_key_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path / "typo.yaml", dict(CQ_CONFIG, stepper={"max_iters": 3}))
+        proc = cli("run", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "config error: stepper: unknown key(s) ['max_iters']" in proc.stderr
+        assert not (tmp_path / "cq.csv").exists()
+
     def test_divergence_exits_three_with_partial_csv(self, tmp_path):
         cfg = write_config(tmp_path / "div.yaml", DIVERGE_CONFIG)
         proc = cli("run", cfg, "--out", str(tmp_path))

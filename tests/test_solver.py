@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sfp.bench import build_example_s4, generate_random_sfp, preset_schedule
+from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule
 from sfp.linalg import LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import Box, Singleton, WholeSpace
@@ -111,8 +112,6 @@ class TestAdaptiveTau:
             adaptive_tau(s4, np.ones(5), rho=4.0)
         with pytest.raises(ValueError):
             adaptive_tau(s4, np.ones(5), rho=0.0)
-        with pytest.raises(ValueError):
-            adaptive_tau(s4, np.ones(5), rho=2.0, guard=0.0)
 
 
 class TestInertialTheta:
@@ -408,6 +407,41 @@ class TestRun:
 
 
 S4_NORM_SQ = 10.591820151285528**2
+
+
+def assert_run_is_step_loop(problem, schedule, config, x0):
+    """run() and a hand-driven step() loop give bit-identical iterates and records."""
+    history = run(problem, schedule, config, x0)
+    assert history.steps >= 1
+    x_prev = x_n = np.asarray(x0, dtype=float)
+    for n, record in enumerate(history.records, start=1):
+        x_next, expected = step(problem, schedule, config, n, x_n, x_prev)
+        assert history.iterates[n].tobytes() == x_next.tobytes()
+        assert [float(v).hex() for v in dataclasses.astuple(record)] == \
+            [float(v).hex() for v in dataclasses.astuple(expected)]
+        x_prev, x_n = x_n, x_next
+    if history.termination_reason != "max_iter":
+        # the loop stopped because the next step's gradient passed the test
+        _, next_record = step(problem, schedule, config, history.steps + 1, x_n, x_prev)
+        assert next_record.grad_norm_u <= config.stopping.grad_tol
+
+
+class TestRunIsStepLoop:
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reference_problem(self, s4, preset, mode, numerator):
+        schedule, _ = preset_schedule(preset)
+        config = StepperConfig(mode=mode, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        assert_run_is_step_loop(s4, schedule, config, np.ones(5))
+
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    def test_random_problem_with_fixed_point_map(self, numerator):
+        problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = StepperConfig(**kwargs, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        x0 = np.random.default_rng(9).standard_normal(6)
+        assert_run_is_step_loop(problem, schedule, config, x0)
 
 
 class TestPsiDiagnostic:
