@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -320,6 +322,14 @@ _DEFAULT_STEPPER = {f.name: f.default for cls in (StepperConfig, StoppingRule)
                     for f in fields(cls) if f.name != "stopping"}
 
 
+def _section(raw: dict, name: str, default: dict | None = None) -> dict:
+    """A copy of an optional top-level section; empty or missing gives ``default``."""
+    section = raw.get(name) or default or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be a mapping")
+    return dict(section)
+
+
 def normalize_config(raw: dict) -> dict:
     """Fill defaults and canonicalize a parsed config (used for fingerprints).
 
@@ -333,15 +343,15 @@ def normalize_config(raw: dict) -> dict:
     problem = raw.get("problem")
     if not isinstance(problem, dict):
         raise ConfigError("problem: section is required")
-    schedule = dict(raw.get("schedule") or {"preset": "paper-s4"})
+    schedule = _section(raw, "schedule", {"preset": "paper-s4"})
     # presets resolve here so the canonical form is self-contained: defaults
     # < preset stepper hints < the user's explicit stepper section
     stepper = dict(_DEFAULT_STEPPER)
     if "preset" in schedule:
         stepper["mode"] = _preset(schedule["preset"])[1]
-    stepper.update(raw.get("stepper") or {})
-    start = dict(raw.get("start") or {})
-    output = dict(raw.get("output") or {})
+    stepper.update(_section(raw, "stepper"))
+    start = _section(raw, "start")
+    output = _section(raw, "output")
     _reject_unknown_keys("stepper", stepper, _DEFAULT_STEPPER)
     _reject_unknown_keys("start", start, ("x0", "x1"))
     _reject_unknown_keys("output", output, ("csv",))
@@ -392,6 +402,13 @@ class BuiltConfig:
     fingerprint: str
 
 
+def _start_vector(start: dict, key: str, default) -> np.ndarray:
+    try:
+        return np.array(start.get(key, default), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"start.{key}: {exc}") from exc
+
+
 def build_from_config(raw: dict) -> BuiltConfig:
     """Turn a config dict into runnable objects, reporting errors by field path."""
     cfg = normalize_config(raw)
@@ -438,13 +455,15 @@ def build_from_config(raw: dict) -> BuiltConfig:
     try:
         # each stopping value takes its default's type (YAML reads 1e-12 as a string)
         stopping = StoppingRule(**{f.name: type(f.default)(st[f.name]) for f in fields(StoppingRule)})
-        stepper = StepperConfig(**{name: st[name] for name in _STEPPER_FIELDS}, stopping=stopping)
-    except (KeyError, ValueError) as exc:
+        values = {name: st[name] for name in _STEPPER_FIELDS}
+        if values["fixed_step"] is not None:
+            values["fixed_step"] = float(values["fixed_step"])
+        stepper = StepperConfig(**values, stopping=stopping)
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"stepper: {exc}") from exc
 
-    start = cfg["start"]
-    x1 = np.array(start.get("x1", default_start), dtype=float)
-    x0 = np.array(start.get("x0", x1), dtype=float)
+    x1 = _start_vector(cfg["start"], "x1", default_start)
+    x0 = _start_vector(cfg["start"], "x0", x1)
     if x1.size != problem.dim or x0.size != problem.dim:
         raise ConfigError(f"start: vectors must have dimension {problem.dim}")
 
@@ -479,40 +498,45 @@ class ExperimentResult:
 
 
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
-    """One row per iterate (row 0 is the start point)."""
+    """One row per iterate (row 0 is the start point).
+
+    A step that ran with theta_n = 0 extrapolated to u = x_n, so its record
+    already holds f and ||grad f|| at the row's iterate.  The Q-residual norm
+    is sqrt(2 f) exactly only while halving its square was exact, i.e. for
+    f above the smallest normal float; below that it is evaluated again.
+    """
     dim = problem.dim
     header = (["n"] + [f"x{i + 1}" for i in range(dim)]
               + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
     t_lam = problem.averaged_map(schedule.lam)
     xs = problem.known_solution
+    records = history.records
     rows = []
     for k, x in enumerate(history.iterates):
-        d = problem.residual(x)
-        f_x = 0.5 * float(np.dot(d, d))
-        grad_n = norm(problem.A.apply_adjoint(d))
+        if k < len(records) and records[k].theta == 0.0:
+            f_x, grad_n = records[k].f_u, records[k].grad_norm_u
+            res_q = math.sqrt(2.0 * f_x) if f_x > sys.float_info.min else norm(problem.residual(x))
+        else:
+            d = problem.residual(x)
+            f_x = 0.5 * float(np.dot(d, d))
+            grad_n = norm(problem.A.apply_adjoint(d))
+            res_q = norm(d)
         res_c = membership_residual(problem.C, x)
-        res_q = norm(d)
         res_fix = fixed_point_residual(t_lam, x) if problem.S is not None else 0.0
         err = float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
-        theta_n = history.records[k - 1].theta if k >= 1 else 0.0
-        tau_n = history.records[k - 1].tau if k >= 1 else 0.0
+        theta_n = records[k - 1].theta if k >= 1 else 0.0
+        tau_n = records[k - 1].tau if k >= 1 else 0.0
         rows.append([k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, err])
     return header, rows
 
 
-def _fmt(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
-
-
 def emit_csv(result: ExperimentResult, path) -> None:
-    """Write the per-iterate rows with 17 significant digits."""
-    path = Path(path)
-    lines = [",".join(result.header)]
-    for row in result.rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    """Write the per-iterate rows: ``n`` as an integer, every other value
+    with 17 significant digits."""
+    row_format = ",".join(["%d"] + ["%.17g"] * (len(result.header) - 1)) + "\n"
+    with open(path, "w", newline="\n") as out:
+        out.write(",".join(result.header) + "\n")
+        out.writelines(row_format % tuple(row) for row in result.rows)
 
 
 def emit_convergence_svg(result: ExperimentResult, path) -> None:

@@ -1,3 +1,6 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
 import yaml
@@ -6,6 +9,7 @@ from sfp.bench import (
     TABLE1_ROWS,
     TABLE1_TOLERANCE,
     ConfigError,
+    ExperimentResult,
     PRESETS,
     build_example_s4,
     build_from_config,
@@ -23,8 +27,9 @@ from sfp.bench import (
     table1_mode_reports,
 )
 from sfp.linalg import norm
+from sfp.mappings import fixed_point_residual
 from sfp.sets import membership_residual
-from sfp.solver import Seq, StepperConfig, StoppingRule, step
+from sfp.solver import RunHistory, Seq, StepperConfig, StoppingRule, step
 
 from test_cli import DIVERGE_CONFIG
 
@@ -261,6 +266,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{section}: unknown key\(s\) \['{key}'\]$"):
             build_from_config(cfg)
 
+    def test_fixed_step_coerced_to_float(self):
+        # PyYAML reads 1e-2 (no dot) as the string "1e-2"
+        cfg = parse_config("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n")
+        assert build_from_config(cfg).stepper.fixed_step == 0.01
+
+    @pytest.mark.parametrize("stepper", [{"max_iter": None}, {"step_rule": "fixed", "fixed_step": [1]}],
+                             ids=["max_iter", "fixed_step"])
+    def test_wrongly_typed_stepper_value(self, stepper):
+        with pytest.raises(ConfigError, match="^stepper: "):
+            build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
+
+    @pytest.mark.parametrize("section, value", [
+        ("schedule", "cq"), ("stepper", [1]), ("start", [1.0] * 5), ("output", "a.csv"),
+    ], ids=["schedule", "stepper", "start", "output"])
+    def test_section_must_be_a_mapping(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section}: must be a mapping$"):
+            normalize_config({"problem": {"example": "s4"}, section: value})
+
+    @pytest.mark.parametrize("key", ["x0", "x1"])
+    def test_bad_start_vector_names_its_field(self, key):
+        cfg = {"problem": {"example": "s4"}, "start": {key: [1, 2, 3, 4, "x"]}}
+        with pytest.raises(ConfigError, match=rf"^start\.{key}: could not convert"):
+            build_from_config(cfg)
+
     def test_start_dimension_checked(self):
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
@@ -366,6 +395,109 @@ class TestExperimentAndCsv:
         text = svg_path.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+
+def _reference_rows(problem, schedule, history):
+    """The CSV rows evaluated afresh at every iterate."""
+    t_lam = problem.averaged_map(schedule.lam)
+    xs = problem.known_solution
+    rows = []
+    for k, x in enumerate(history.iterates):
+        d = problem.residual(x)
+        f_x = 0.5 * float(np.dot(d, d))
+        grad_n = norm(problem.A.apply_adjoint(d))
+        res_c = membership_residual(problem.C, x)
+        res_q = norm(d)
+        res_fix = fixed_point_residual(t_lam, x) if problem.S is not None else 0.0
+        err = float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
+        theta_n = history.records[k - 1].theta if k >= 1 else 0.0
+        tau_n = history.records[k - 1].tau if k >= 1 else 0.0
+        rows.append([k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, err])
+    return rows
+
+
+def _bits(rows):
+    return [[type(v).__name__ + struct.pack("<d", v).hex() for v in row] for row in rows]
+
+
+_SCALED = 2.0**500
+
+
+def _tiny_residual_config(scale, x1):
+    """cq on A = scale * I with Q = {0}: the residual A x is tiny but the gradient is not."""
+    dim = len(x1)
+    return {
+        "problem": {"A": (scale * np.eye(dim)).tolist(), "C": {"kind": "whole_space", "dim": dim},
+                    "Q": {"kind": "singleton", "point": [0.0] * dim}},
+        "schedule": {"preset": "cq"},
+        "stepper": {"max_iter": 5},
+        "start": {"x1": x1},
+    }
+
+
+_BOX_WITH_S = {"random": {"dim1": 8, "dim2": 6, "family": "box", "seed": 3, "include_fixed_point_map": True}}
+_ROW_CASES = {
+    **{f"s4-{preset}": {"problem": {"example": "s4"}, "schedule": {"preset": preset},
+                        "stepper": {"max_iter": 60}}
+       for preset in ("cq", "table-1", "paper-s4", "fast")},
+    **{f"box-{preset}": {"problem": _BOX_WITH_S, "schedule": {"preset": preset}, "stepper": {"max_iter": 60}}
+       for preset in ("cq", "table-1", "paper-s4", "fast")},
+    "residual-met": parse_config(BASE_CONFIG),
+    "divergence": DIVERGE_CONFIG,
+    # ||A x||^2 is subnormal, so 2 (||A x||^2 / 2) differs from it
+    "subnormal": _tiny_residual_config(1e150, [1e-305]),
+    # ||A x||^2 is the least subnormal, which halves to f = 0
+    "halved-to-zero": _tiny_residual_config(_SCALED, [2e-162 / _SCALED]),
+    # ||A x||^2 = 2 min - 2^-1074, which halves (ties to even) to f = min
+    "halved-to-min": _tiny_residual_config(_SCALED, [2.1095373229725996e-154 / _SCALED, 2.0**-537 / _SCALED]),
+}
+
+
+class TestRowsFromRecords:
+    @pytest.mark.parametrize("cfg", _ROW_CASES.values(), ids=_ROW_CASES.keys())
+    def test_rows_equal_fresh_evaluation(self, cfg):
+        built = build_from_config(cfg)
+        result = run_experiment(cfg)
+        reference = _reference_rows(built.problem, built.schedule, result.history)
+        assert _bits(result.rows) == _bits(reference)
+
+    def test_cases_reach_the_reuse_branches(self):
+        thetas = {name: {r.theta == 0.0 for r in run_experiment(cfg).history.records}
+                  for name, cfg in _ROW_CASES.items()}
+        assert thetas["s4-cq"] == thetas["box-table-1"] == {True}
+        assert thetas["s4-paper-s4"] == thetas["box-fast"] == {False}
+        f_first = {name: run_experiment(_ROW_CASES[name]).history.records[0].f_u
+                   for name in ("subnormal", "halved-to-zero", "halved-to-min")}
+        assert 0.0 < f_first["subnormal"] < sys.float_info.min
+        assert f_first["halved-to-zero"] == 0.0
+        assert f_first["halved-to-min"] == sys.float_info.min
+
+
+def _joined_csv(result) -> bytes:
+    """The CSV as one string: ints with str, every other value with format(v, ".17g")."""
+    lines = [",".join(result.header)]
+    for row in result.rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvBytes:
+    def test_streamed_csv_equals_joined_format(self, tmp_path):
+        header = ["n", "x1", "f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"]
+        rows = [
+            [0, 1.0, 0.5, 2.0**-1074, 0.0, 0.0, -0.0, 1e308, 0.0, float("nan")],
+            [1, -0.0, float("inf"), 0.1, 0.5, 1.0 / 3.0, 5e-324, float("-inf"), 1e-300, float("nan")],
+            [123456, 2.5e-17, 1e16, 123456789.123, 1e-5, 7.0, 1.7976931348623157e308, 0.0, -1e308, float("nan")],
+        ]
+        result = ExperimentResult(RunHistory([], [], "max_iter"), rows, header, 0.0, "0" * 16, None)
+        path = tmp_path / "rows.csv"
+        emit_csv(result, path)
+        assert path.read_bytes() == _joined_csv(result)
+        assert b",nan\n" in path.read_bytes() and b",-0," in path.read_bytes()
+
+    def test_experiment_csv_equals_joined_format(self, tmp_path):
+        result = run_experiment(_ROW_CASES["box-paper-s4"], out_dir=tmp_path)
+        assert result.csv_path.read_bytes() == _joined_csv(result)
 
 
 class TestTable1Comparison:

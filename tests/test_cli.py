@@ -68,6 +68,19 @@ class TestRunCommand:
         assert "config error: stepper: unknown key(s) ['max_iters']" in proc.stderr
         assert not (tmp_path / "cq.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("stepper: {max_iter: null}\n", "config error: stepper: "),
+        ("start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
+        ("output: a.csv\n", "config error: output: must be a mapping"),
+    ], ids=["stepper", "start", "output"])
+    def test_malformed_value_exits_two(self, tmp_path, text, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text("problem: {example: s4}\nschedule: {preset: cq}\n" + text)
+        proc = cli("run", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_divergence_exits_three_with_partial_csv(self, tmp_path):
         cfg = write_config(tmp_path / "div.yaml", DIVERGE_CONFIG)
         proc = cli("run", cfg, "--out", str(tmp_path))
