@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from sfp import bench
+from sfp.solver import MODES
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default="cq", choices=sorted(bench.PRESETS))
-    parser.add_argument("--mode", default="proof", choices=["proof", "statement", "explore"])
+    parser.add_argument("--mode", default="proof", choices=MODES)
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument("--out", default="results")
     parser.add_argument("--print-rows", type=int, default=12, help="trajectory rows to print")

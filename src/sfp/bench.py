@@ -30,8 +30,10 @@ from .sets import (
 )
 from .solver import (
     DivergenceError,
+    MODES,
     ParameterSchedule,
     RunHistory,
+    ScheduleViolation,
     Seq,
     SfpProblem,
     StepperConfig,
@@ -221,7 +223,7 @@ _SEQUENCE_KEYS = ("alpha", "beta", "gamma", "delta", "rho", "epsilon")
 def _preset(name: str) -> tuple[dict, str]:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"schedule.preset: unknown preset {name!r} (have {sorted(PRESETS)})") from None
 
 
@@ -234,18 +236,24 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
     if "preset" in section:
         merged.update(_preset(section["preset"])[0])
     merged.update(section)
+    _reject_unknown_keys("schedule", merged, {*_SEQUENCE_KEYS, "theta", "lambda", "preset"})
+    values = {}
+    for key in (*_SEQUENCE_KEYS, "theta", "lambda"):
+        if key not in merged:
+            raise ConfigError(f"schedule.{key}: sequence is required")
+        value = merged[key]
+        try:
+            if key in ("theta", "lambda"):
+                values[key] = float(value)
+            else:
+                values[key] = None if key == "gamma" and value == "complement" else Seq.from_config(value)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"schedule.{key}: {exc}") from exc
+    lam = values.pop("lambda")
     try:
-        seqs = {
-            key: None if key == "gamma" and merged[key] == "complement" else Seq.from_config(merged[key])
-            for key in _SEQUENCE_KEYS
-        }
-        schedule = ParameterSchedule(**seqs, theta=float(merged["theta"]), lam=float(merged["lambda"]))
-    except KeyError as exc:
-        raise ConfigError(f"schedule.{exc.args[0]}: sequence is required") from None
+        return ParameterSchedule(**values, lam=lam)
     except ValueError as exc:
         raise ConfigError(f"schedule: {exc}") from exc
-    _reject_unknown_keys("schedule", merged, {*_SEQUENCE_KEYS, "theta", "lambda", "preset"})
-    return schedule
 
 
 def _reject_unknown_keys(path: str, section: dict, known) -> None:
@@ -486,6 +494,7 @@ class ExperimentResult:
     wall_time: float
     fingerprint: str
     csv_path: Path | None
+    error: str | None = None  # why a divergence or schedule violation cut the run short
 
     @property
     def termination_reason(self) -> str:
@@ -583,19 +592,21 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     """Build, run, time and persist one experiment.
 
-    On divergence the partial trajectory is still written and the result's
-    ``termination_reason`` is ``divergence``.
+    On divergence or a schedule violation the partial trajectory is still
+    written, the result's ``termination_reason`` is ``divergence`` or
+    ``schedule_violation`` and its ``error`` holds the exception's message.
     """
     built = build_from_config(raw_config)
     t0 = time.perf_counter()
+    error = None
     try:
         history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1)
-    except DivergenceError as exc:
-        history = exc.history
+    except (DivergenceError, ScheduleViolation) as exc:
+        history, error = exc.history, str(exc)
     wall = time.perf_counter() - t0
     header, rows = _history_rows(built.problem, built.schedule, history)
     csv_path = Path(out_dir) / built.csv_name if out_dir is not None else None
-    result = ExperimentResult(history, rows, header, wall, built.fingerprint, csv_path)
+    result = ExperimentResult(history, rows, header, wall, built.fingerprint, csv_path, error)
     if csv_path is not None:
         emit_csv(result, csv_path)
     return result
@@ -657,7 +668,7 @@ def compare_to_table1(iterates) -> Table1Report:
 def table1_mode_reports(max_rows: int = 34) -> dict[str, Table1Report]:
     """Run the table-1 preset in every composition mode and compare each."""
     reports = {}
-    for mode in ("proof", "statement", "explore"):
+    for mode in MODES:
         cfg = {
             "problem": {"example": "s4"},
             "schedule": {"preset": "table-1"},

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes for experiment commands: 0 converged (feasibility residual or the
-gradient stop rule), 1 iteration budget exhausted, 2 config error,
-3 divergence, 4 I/O error.
+gradient stop rule), 1 iteration budget exhausted, 2 config error or schedule
+violation, 3 divergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from pathlib import Path
 
 from . import bench
 from .bench import ConfigError
-from .solver import validate_schedule
+from .solver import MODES, validate_schedule
 
-EXIT_BY_REASON = {"residual_met": 0, "grad_zero": 0, "max_iter": 1, "divergence": 3}
+EXIT_BY_REASON = {"residual_met": 0, "grad_zero": 0, "max_iter": 1, "schedule_violation": 2, "divergence": 3}
 OUTPUT_ENV = "SFP_OUTPUT_DIR"
 
 
@@ -33,6 +33,8 @@ def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> 
     print(f"{label}: reason={result.termination_reason} steps={result.history.steps} "
           f"final_error={result.final_error:.3e} wall={result.wall_time:.3f}s "
           f"fingerprint={result.fingerprint} csv={result.csv_path}")
+    if result.error is not None:
+        print(f"error: {result.error}", file=sys.stderr)
     if svg:
         svg_path = result.csv_path.with_suffix(".svg")
         bench.emit_convergence_svg(result, svg_path)
@@ -55,7 +57,7 @@ def _cmd_validate_schedule(args) -> int:
 
 
 def _cmd_example_s4(args) -> int:
-    modes = ["proof", "statement", "explore"] if args.mode == "all" else [args.mode]
+    modes = MODES if args.mode == "all" else [args.mode]
     code = 0
     for mode in modes:
         cfg = {
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-s4", help="run the built-in 5-variable linear-system experiment")
     p.add_argument("--preset", default="paper-s4", choices=sorted(bench.PRESETS))
-    p.add_argument("--mode", default="proof", choices=["proof", "statement", "explore", "all"])
+    p.add_argument("--mode", default="proof", choices=[*MODES, "all"])
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", action="store_true", help="also write a convergence-curve SVG")

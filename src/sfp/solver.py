@@ -48,7 +48,10 @@ MODES = ("proof", "statement", "explore")
 
 
 class ScheduleViolation(ValueError):
-    """A parameter sequence breaks a hard constraint at some index."""
+    """A parameter sequence breaks a hard constraint at some index.  Raised
+    by :func:`run`, it keeps the steps taken before it on ``history``."""
+
+    history: "RunHistory | None" = None
 
 
 class DivergenceError(RuntimeError):
@@ -133,6 +136,11 @@ class SfpProblem:
 # --- schedules ------------------------------------------------------------
 
 
+# the keys a sequence's config mapping takes besides ``rule``: those of
+# ``power-law`` default to its field defaults, the others are required
+_RULE_KEYS = {"constant": ("value",), "power-law": ("const", "coeff", "power"), "explicit": ("values",)}
+
+
 @dataclass(frozen=True)
 class Seq:
     """A scalar sequence indexed from n = 1: a named closed-form rule or a list.
@@ -149,7 +157,7 @@ class Seq:
     values: tuple = ()
 
     def __post_init__(self):
-        if self.rule not in ("constant", "power-law", "explicit"):
+        if self.rule not in _RULE_KEYS:
             raise ValueError(f"unknown sequence rule {self.rule!r}")
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
@@ -179,20 +187,26 @@ class Seq:
 
     @classmethod
     def from_config(cls, obj) -> "Seq":
+        """A number is a constant, a list is explicit, and a mapping names its
+        ``rule`` and takes only that rule's keys."""
         if isinstance(obj, (int, float)):
             return cls.constant(float(obj))
         if isinstance(obj, (list, tuple)):
             return cls.explicit(obj)
-        if isinstance(obj, dict):
-            rule = obj.get("rule")
-            if rule == "constant":
-                return cls.constant(obj["value"])
-            if rule == "power-law":
-                return cls.power_law(obj.get("const", 0.0), obj.get("coeff", 0.0), obj.get("power", 1.0))
-            if rule == "explicit":
-                return cls.explicit(obj["values"])
+        if not isinstance(obj, dict):
+            raise ValueError(f"cannot build a sequence from {obj!r}")
+        rule = obj.get("rule")
+        if rule not in _RULE_KEYS:
             raise ValueError(f"unknown sequence rule {rule!r}")
-        raise ValueError(f"cannot build a sequence from {obj!r}")
+        unknown = set(obj) - {"rule", *_RULE_KEYS[rule]}
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown)} for rule {rule!r}")
+        if rule == "power-law":
+            return cls.power_law(obj.get("const", 0.0), obj.get("coeff", 0.0), obj.get("power", 1.0))
+        (key,) = _RULE_KEYS[rule]
+        if key not in obj:
+            raise ValueError(f"rule {rule!r} needs {key!r}")
+        return cls.constant(obj[key]) if rule == "constant" else cls.explicit(obj[key])
 
 
 class StepParams(NamedTuple):
@@ -238,18 +252,20 @@ class ParameterSchedule:
         )
 
 
-def _check_step_params(p: StepParams, n: int, need_rho: bool) -> None:
-    for name, val in (("alpha", p.alpha), ("beta", p.beta), ("gamma", p.gamma), ("delta", p.delta)):
-        if not np.isfinite(val) or val < 0.0 or val > 1.0:
-            raise ScheduleViolation(f"(range) {name}({n}) = {val} outside [0, 1]")
-    if abs(p.alpha + p.beta + p.gamma - 1.0) > 1e-12:
-        raise ScheduleViolation(
-            f"(c5) alpha({n}) + beta({n}) + gamma({n}) = {p.alpha + p.beta + p.gamma!r} != 1"
-        )
-    if p.epsilon < 0.0 or not np.isfinite(p.epsilon):
-        raise ScheduleViolation(f"(range) epsilon({n}) = {p.epsilon} must be >= 0")
-    if need_rho and not (0.0 < p.rho < 4.0):
-        raise ScheduleViolation(f"(range) rho({n}) = {p.rho} outside (0, 4)")
+def _violations(p: StepParams, n: int, need_rho: bool):
+    """Yield (sequence, condition, message) for each hard constraint that the
+    step-n values break, in the order ``step`` checks them.  Every test fails
+    on nan, and on +-inf where its bound is finite."""
+    for name, val in zip(("alpha", "beta", "gamma", "delta"), p):
+        if not 0.0 <= val <= 1.0:
+            yield name, "(range)", f"{name}({n}) = {val} outside [0, 1]"
+    total = p.alpha + p.beta + p.gamma
+    if not abs(total - 1.0) <= 1e-12:
+        yield "sum", "(c5)", f"alpha({n}) + beta({n}) + gamma({n}) = {total!r} != 1"
+    if not 0.0 <= p.epsilon < math.inf:
+        yield "epsilon", "(range)", f"epsilon({n}) = {p.epsilon} must be >= 0"
+    if need_rho and not 0.0 < p.rho < 4.0:
+        yield "rho", "(range)", f"rho({n}) = {p.rho} outside (0, 4)"
 
 
 # --- stepper configuration -------------------------------------------------
@@ -402,7 +418,8 @@ def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
              n: int, x_n: np.ndarray, x_prev: np.ndarray,
              t_lam: AveragedMapping) -> tuple[np.ndarray, StepRecord]:
     p = schedule.at(n)
-    _check_step_params(p, n, need_rho=config.step_rule == "adaptive")
+    for _, condition, message in _violations(p, n, config.step_rule == "adaptive"):
+        raise ScheduleViolation(f"{condition} {message}")
 
     theta_n = inertial_theta(schedule.theta, p.epsilon, x_n, x_prev)
     u = x_n + theta_n * (x_n - x_prev)
@@ -507,7 +524,9 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     ``grad_zero`` when only the gradient test fires (the scheme's own stop
     rule), or with ``max_iter``.  The stop test runs before the step, so a
     start at the solution performs zero steps.  Iterates above 1e12 in norm
-    raise :class:`DivergenceError` carrying the partial history.
+    raise :class:`DivergenceError` and a schedule that breaks a hard
+    constraint raises :class:`ScheduleViolation`, each carrying the partial
+    history.
 
     ``x1`` defaults to ``x0`` (two seeds are needed by the inertial term).
     """
@@ -529,7 +548,11 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     records: list[StepRecord] = []
     reason = "max_iter"
     for n in range(1, stopping.max_iter + 1):
-        x_next, record = _advance(problem, schedule, config, n, x_cur, x_prev, t_lam)
+        try:
+            x_next, record = _advance(problem, schedule, config, n, x_cur, x_prev, t_lam)
+        except ScheduleViolation as exc:
+            exc.history = RunHistory(iterates=iterates, records=records, termination_reason="schedule_violation")
+            raise
         if record.grad_norm_u <= stopping.grad_tol:
             res = problem.combined_residual(x_cur, schedule.lam)
             reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
@@ -583,41 +606,28 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     entries: list[CheckEntry] = []
-    ns = range(1, horizon + 1)
-    params = [schedule.at(n) for n in ns]
-    alpha = np.array([p.alpha for p in params])
-    beta = np.array([p.beta for p in params])
-    gamma = np.array([p.gamma for p in params])
-    delta = np.array([p.delta for p in params])
-    rho = np.array([p.rho for p in params])
-    eps = np.array([p.epsilon for p in params])
+    params = [schedule.at(n) for n in range(1, horizon + 1)]
+    alpha, beta, gamma, delta, _, eps = np.array(params).T
+    first: dict[str, str] = {}  # the message of each constraint's first violation
+    for n, p in enumerate(params, start=1):
+        for sequence, _, message in _violations(p, n, need_rho=True):
+            first.setdefault(sequence, message)
 
-    def first_bad(mask) -> int:
-        return int(np.argmax(mask)) + 1
-
-    # hard range + (c5)
+    # hard ranges + (c5); rho's range only warns, as the step rule is not known here
     for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
-        bad = ~np.isfinite(arr) | (arr < 0.0) | (arr > 1.0)
-        if bad.any():
-            entries.append(CheckEntry("range", "fail",
-                                      f"{name}({first_bad(bad)}) = {arr[first_bad(bad) - 1]} outside [0, 1]"))
+        if name in first:
+            entries.append(CheckEntry("range", "fail", first[name]))
         else:
-            at_boundary = (arr == 0.0) | (arr == 1.0)
-            if at_boundary.any():
+            at_boundary = np.flatnonzero((arr == 0.0) | (arr == 1.0))
+            if at_boundary.size:
                 entries.append(CheckEntry("range", "warn",
-                                          f"{name} touches the boundary of (0, 1) (first at n = {first_bad(at_boundary)})"))
-    if (eps < 0.0).any():
-        entries.append(CheckEntry("range", "fail", f"epsilon({first_bad(eps < 0)}) < 0"))
-    rho_bad = (rho <= 0.0) | (rho >= 4.0)
-    if rho_bad.any():
-        entries.append(CheckEntry("range", "warn",
-                                  f"rho({first_bad(rho_bad)}) = {rho[first_bad(rho_bad) - 1]} outside (0, 4)"))
-    csum = alpha + beta + gamma
-    c5_bad = np.abs(csum - 1.0) > 1e-12
-    if c5_bad.any():
-        n_bad = first_bad(c5_bad)
-        entries.append(CheckEntry("(c5)", "fail",
-                                  f"alpha + beta + gamma = {csum[n_bad - 1]!r} != 1 at n = {n_bad}"))
+                                          f"{name} touches the boundary of (0, 1) (first at n = {at_boundary[0] + 1})"))
+    if "epsilon" in first:
+        entries.append(CheckEntry("range", "fail", first["epsilon"]))
+    if "rho" in first:
+        entries.append(CheckEntry("range", "warn", first["rho"]))
+    if "sum" in first:
+        entries.append(CheckEntry("(c5)", "fail", first["sum"]))
     else:
         entries.append(CheckEntry("(c5)", "pass", "alpha + beta + gamma = 1 at every evaluated n"))
 

@@ -31,7 +31,7 @@ from sfp.mappings import fixed_point_residual
 from sfp.sets import membership_residual
 from sfp.solver import RunHistory, Seq, StepperConfig, StoppingRule, step
 
-from test_cli import DIVERGE_CONFIG
+from test_cli import DIVERGE_CONFIG, SHORT_SCHEDULE_CONFIG
 
 
 class TestExampleProblem:
@@ -290,6 +290,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^start\.{key}: could not convert"):
             build_from_config(cfg)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("theta", None, ""),
+        ("alpha", {"rule": "constant"}, "rule 'constant' needs 'value'"),
+        ("alpha", {"rule": "power-law", "coef": 0.1}, r"unknown key\(s\) \['coef'\] for rule 'power-law'"),
+        ("gamma", {"rule": "linear"}, "unknown sequence rule 'linear'"),
+        ("preset", ["cq"], "unknown preset"),
+    ], ids=["theta=null", "constant-without-value", "misspelled-power-law-key", "unknown-rule", "unhashable-preset"])
+    def test_malformed_schedule_value_names_its_key(self, key, value, message):
+        with pytest.raises(ConfigError, match=rf"^schedule\.{key}: {message}"):
+            build_from_config({"problem": {"example": "s4"}, "schedule": {"preset": "cq", key: value}})
+
     def test_start_dimension_checked(self):
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
@@ -311,6 +322,7 @@ class TestSingleSources:
     @pytest.mark.parametrize("cfg, reason", [
         (parse_config(BASE_CONFIG), "residual_met"),
         (DIVERGE_CONFIG, "divergence"),
+        (SHORT_SCHEDULE_CONFIG, "schedule_violation"),
     ])
     def test_result_read_from_history(self, cfg, reason):
         result = run_experiment(cfg)

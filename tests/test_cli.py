@@ -29,6 +29,13 @@ DIVERGE_CONFIG = {
     "output": {"csv": "diverge.csv"},
 }
 
+# the README's example list is shorter than the run, which stops at n = 4
+SHORT_SCHEDULE_CONFIG = {
+    "problem": {"example": "s4"},
+    "schedule": {"preset": "paper-s4", "epsilon": [0.1, 0.05, 0.025]},
+    "output": {"csv": "short_schedule.csv"},
+}
+
 
 def cli(*args, env=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
@@ -72,10 +79,11 @@ class TestRunCommand:
         ("stepper: {max_iter: null}\n", "config error: stepper: "),
         ("start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
         ("output: a.csv\n", "config error: output: must be a mapping"),
-    ], ids=["stepper", "start", "output"])
+        ("schedule: {preset: cq, theta: null}\n", "config error: schedule.theta: "),
+    ], ids=["stepper", "start", "output", "schedule"])
     def test_malformed_value_exits_two(self, tmp_path, text, message):
         path = tmp_path / "bad.yaml"
-        path.write_text("problem: {example: s4}\nschedule: {preset: cq}\n" + text)
+        path.write_text("problem: {example: s4}\n" + text)
         proc = cli("run", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert message in proc.stderr
@@ -88,6 +96,14 @@ class TestRunCommand:
         assert (tmp_path / "diverge.csv").exists()
         rows = (tmp_path / "diverge.csv").read_text().strip().splitlines()
         assert len(rows) >= 2  # header plus the surviving iterates
+
+    def test_schedule_violation_exits_two_with_partial_csv(self, tmp_path):
+        cfg = write_config(tmp_path / "short.yaml", SHORT_SCHEDULE_CONFIG)
+        proc = cli("run", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "reason=schedule_violation steps=3 " in proc.stdout
+        assert "error: explicit sequence exhausted at n = 4 (length 3)" in proc.stderr
+        assert len((tmp_path / "short_schedule.csv").read_text().splitlines()) == 1 + 4
 
     def test_io_error_exits_four(self, tmp_path):
         cfg = write_config(tmp_path / "cq.yaml", CQ_CONFIG)

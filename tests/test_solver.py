@@ -339,6 +339,17 @@ class TestRun:
         assert history.steps > 0
         assert norm(history.final) <= 1e12
 
+    def test_schedule_violation_keeps_partial_history(self, s4):
+        schedule = dataclasses.replace(constant_schedule(), epsilon=Seq.explicit([0.1, 0.05, 0.025]))
+        with pytest.raises(ScheduleViolation, match=r"^explicit sequence exhausted at n = 4 \(length 3\)$") as exc:
+            run(s4, schedule, StepperConfig(), np.ones(5))
+        history = exc.value.history
+        assert history.termination_reason == "schedule_violation"
+        assert history.steps == 3 and len(history.iterates) == 4
+        with pytest.raises(ScheduleViolation) as exc:
+            step(s4, schedule, StepperConfig(), 4, np.ones(5), np.ones(5))
+        assert exc.value.history is None
+
     def test_grad_zero_reason(self):
         # Q is the whole space, so the gradient vanishes identically while the
         # start point is far from C: the scheme's own stop rule fires
@@ -497,6 +508,28 @@ class TestValidateSchedule:
         assert not report.ok
         failed = [e for e in report.entries if e.level == "fail"]
         assert any(e.condition == "(c5)" for e in failed)
+
+    @pytest.mark.parametrize("values", [
+        {}, {"alpha": 1.5}, {"alpha": math.nan}, {"beta": -0.1}, {"alpha": 0.5, "beta": 0.2, "gamma": 0.2},
+        {"epsilon": -1.0}, {"epsilon": math.inf}, {"epsilon": math.nan}, {"rho": 4.0}, {"rho": math.nan},
+    ], ids=["admissible", "alpha=1.5", "alpha=nan", "beta=-0.1", "sum=0.9", "epsilon=-1", "epsilon=inf",
+            "epsilon=nan", "rho=4", "rho=nan"])
+    def test_run_and_validation_agree(self, s4, values):
+        schedule = dataclasses.replace(constant_schedule(), **{k: Seq.constant(v) for k, v in values.items()})
+        try:
+            run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=3)), np.ones(5))
+            raised = ""
+        except ScheduleViolation as exc:
+            raised = str(exc)
+        report = validate_schedule(schedule, horizon=3)
+        flagged = [e for e in report.entries if e.level == "fail"]
+        if "rho" in values:  # the step rule is unknown to the validator
+            assert not flagged
+            flagged = [e for e in report.warnings if e.message.startswith("rho(")]
+        assert bool(raised) == bool(flagged) == bool(values), report.text()
+        if raised:
+            assert raised.endswith(" " + flagged[0].message), report.text()
+        assert "np.float64" not in report.text()
 
     def test_cq_schedule_warns_on_vanishing_alpha(self):
         schedule, _ = preset_schedule("cq")
