@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .linalg import LinearMap, norm
-from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name, zero_map
+from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
     Ball,
@@ -252,8 +252,8 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
     lam = values.pop("lambda")
     try:
         return ParameterSchedule(**values, lam=lam)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+    except ValueError as exc:  # its message starts with the offending key
+        raise ConfigError(f"schedule.{exc}") from exc
 
 
 def _reject_unknown_keys(path: str, section: dict, known) -> None:
@@ -517,7 +517,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     dim = problem.dim
     header = (["n"] + [f"x{i + 1}" for i in range(dim)]
               + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
-    t_lam = problem.averaged_map(schedule.lam)
+    t_fn = problem.averaged_map(schedule.lam).plain()
     xs = problem.known_solution
     records = history.records
     rows = []
@@ -531,7 +531,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
             grad_n = norm(problem.A.apply_adjoint(d))
             res_q = norm(d)
         res_c = membership_residual(problem.C, x)
-        res_fix = fixed_point_residual(t_lam, x) if problem.S is not None else 0.0
+        res_fix = norm(t_fn(x) - x) if problem.S is not None else 0.0
         err = float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
         theta_n = records[k - 1].theta if k >= 1 else 0.0
         tau_n = records[k - 1].tau if k >= 1 else 0.0

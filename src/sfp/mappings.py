@@ -51,9 +51,11 @@ _TAGS_WITH_MODULUS = frozenset({"contraction", "strictly_pseudocontractive", "de
 class Mapping:
     """A self-map on R^dim with a declared class tag.
 
-    ``known_fixed_points`` entries are validated at construction (residual
-    <= 1e-10).  ``demiclosed_assumed`` records the analytic demiclosedness
-    assumption; it is user-supplied and never verified numerically.
+    ``fn`` maps a float64 vector of size ``dim`` to one; the solver's step
+    calls it directly.  ``known_fixed_points`` entries are validated at
+    construction (residual <= 1e-10).  ``demiclosed_assumed`` records the
+    analytic demiclosedness assumption; it is user-supplied and never
+    verified numerically.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -119,6 +121,13 @@ class AveragedMapping:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return (1.0 - self.lam) * x + self.lam * self.base(x)
+
+    def plain(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The same map as a plain function of a float64 vector of size
+        ``dim``: the base's ``fn`` is called directly, without the size check
+        and conversions of ``__call__``, and the arithmetic is the same."""
+        keep, lam, fn = 1.0 - self.lam, self.lam, self.base.fn
+        return lambda x: keep * x + lam * fn(x)
 
 
 def average(base: Mapping, lam: float) -> AveragedMapping:

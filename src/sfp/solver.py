@@ -146,7 +146,8 @@ class Seq:
     """A scalar sequence indexed from n = 1: a named closed-form rule or a list.
 
     Rules: ``constant`` (value), ``power-law`` (const + coeff / n**power) and
-    ``explicit`` (finite list of values).
+    ``explicit`` (finite list of values).  ``at(n)`` gives the value at
+    n >= 1; the rule is resolved once, when the sequence is made.
     """
 
     rule: str
@@ -161,6 +162,11 @@ class Seq:
             raise ValueError(f"unknown sequence rule {self.rule!r}")
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
+        object.__setattr__(self, "at", _value_at(self))
+
+    def __reduce__(self):
+        # rebuilt from its fields, as the resolved ``at`` cannot be pickled
+        return type(self), (self.rule, self.value, self.const, self.coeff, self.power, self.values)
 
     @classmethod
     def constant(cls, value: float) -> "Seq":
@@ -173,17 +179,6 @@ class Seq:
     @classmethod
     def explicit(cls, values) -> "Seq":
         return cls(rule="explicit", values=tuple(float(v) for v in values))
-
-    def at(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("sequences are indexed from n = 1")
-        if self.rule == "constant":
-            return self.value
-        if self.rule == "power-law":
-            return self.const + self.coeff / float(n) ** self.power
-        if n > len(self.values):
-            raise ScheduleViolation(f"explicit sequence exhausted at n = {n} (length {len(self.values)})")
-        return self.values[n - 1]
 
     @classmethod
     def from_config(cls, obj) -> "Seq":
@@ -207,6 +202,34 @@ class Seq:
         if key not in obj:
             raise ValueError(f"rule {rule!r} needs {key!r}")
         return cls.constant(obj[key]) if rule == "constant" else cls.explicit(obj[key])
+
+
+def _value_at(seq: Seq):
+    """The function n -> value of ``seq`` at n >= 1, with its rule resolved."""
+    if seq.rule == "constant":
+        value = seq.value
+
+        def at(n: int) -> float:
+            if n < 1:
+                raise ValueError("sequences are indexed from n = 1")
+            return value
+    elif seq.rule == "power-law":
+        const, coeff, power = seq.const, seq.coeff, seq.power
+
+        def at(n: int) -> float:
+            if n < 1:
+                raise ValueError("sequences are indexed from n = 1")
+            return const + coeff / float(n) ** power
+    else:
+        values = seq.values
+
+        def at(n: int) -> float:
+            if n < 1:
+                raise ValueError("sequences are indexed from n = 1")
+            if n > len(values):
+                raise ScheduleViolation(f"explicit sequence exhausted at n = {n} (length {len(values)})")
+            return values[n - 1]
+    return at
 
 
 class StepParams(NamedTuple):
@@ -237,19 +260,17 @@ class ParameterSchedule:
     lam: float = 0.5
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        # each message starts with its config key, as bench.schedule_from_config reports it
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta: must be finite and >= 0, got {self.theta}")
         if not (0.0 < self.lam <= 1.0):
-            raise ValueError("lam must lie in (0, 1]")
+            raise ValueError(f"lambda: must lie in (0, 1], got {self.lam}")
 
     def at(self, n: int) -> StepParams:
         a = self.alpha.at(n)
         b = self.beta.at(n)
         g = 1.0 - a - b if self.gamma is None else self.gamma.at(n)
-        return StepParams(
-            alpha=a, beta=b, gamma=g, delta=self.delta.at(n),
-            rho=self.rho.at(n), epsilon=self.epsilon.at(n),
-        )
+        return StepParams(a, b, g, self.delta.at(n), self.rho.at(n), self.epsilon.at(n))
 
 
 def _violations(p: StepParams, n: int, need_rho: bool):
@@ -329,14 +350,16 @@ def inertial_theta(theta: float, epsilon_n: float, x_n: np.ndarray, x_prev: np.n
     Returns theta itself when the two iterates coincide; either way the
     product theta_n * ||x_n - x_prev|| never exceeds epsilon_n.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    if epsilon_n < 0:
+    if not 0.0 <= theta < math.inf:
+        raise ValueError("theta must be finite and >= 0")
+    if not epsilon_n >= 0.0:
         raise ValueError("epsilon_n must be >= 0")
-    dx = norm(np.asarray(x_n, float) - np.asarray(x_prev, float))
-    if dx == 0.0:
-        return theta
-    return min(theta, epsilon_n / dx)
+    return _capped_theta(theta, epsilon_n, norm(np.asarray(x_n, float) - np.asarray(x_prev, float)))
+
+
+def _capped_theta(theta: float, epsilon_n: float, dx: float) -> float:
+    """min(theta, epsilon_n / dx), or theta when dx = ||x_n - x_prev|| is 0."""
+    return theta if dx == 0.0 else min(theta, epsilon_n / dx)
 
 
 def _objective(problem: SfpProblem, u: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -363,7 +386,7 @@ def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float) -> float:
 # --- stepping ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """Scalar diagnostics of step n (NaN where a quantity is undefined).
 
@@ -401,75 +424,93 @@ class RunHistory:
         return self.iterates[-1]
 
 
-def _compose_y(mode: str, project, u, tau, gvec, delta, t_u):
-    """Return (y, w - P_C(w)), where w is the proof-mode blend."""
-    w_blend = (1.0 - delta) * (u - tau * gvec) + delta * t_u
+def _compose_y(mode: str, project, u, tau_g, delta, t_u):
+    """Return (y, w - P_C(w)), where w is the proof-mode blend and ``tau_g``
+    is tau * grad f(u)."""
+    delta_t = delta * t_u
+    w_blend = (1.0 - delta) * (u - tau_g) + delta_t
     if mode == "proof":
         y = project(w_blend)
         return y, w_blend - y
     if mode == "statement":
-        y = project((1.0 - delta) * u - tau * gvec) + delta * t_u
+        y = project((1.0 - delta) * u - tau_g) + delta_t
     else:
-        y = project((1.0 - delta) * u + delta * t_u - tau * gvec)
+        y = project((1.0 - delta) * u + delta_t - tau_g)
     return y, w_blend - project(w_blend)
 
 
-def _advance(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
-             n: int, x_n: np.ndarray, x_prev: np.ndarray,
-             t_lam: AveragedMapping) -> tuple[np.ndarray, StepRecord]:
-    p = schedule.at(n)
-    for _, condition, message in _violations(p, n, config.step_rule == "adaptive"):
-        raise ScheduleViolation(f"{condition} {message}")
+def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig):
+    """The update (n, x_n, x_prev) -> (x_next, record) that :func:`step` and
+    :func:`run` share.
 
-    theta_n = inertial_theta(schedule.theta, p.epsilon, x_n, x_prev)
-    u = x_n + theta_n * (x_n - x_prev)
-
-    f_u, gvec, gg = _objective(problem, u)
-
-    if config.step_rule == "fixed":
-        tau = config.fixed_step
-    elif config.tau_numerator == "x":
-        tau = _guarded_tau(p.rho, gg, lambda: problem.f_value(x_n))
-    else:
-        tau = _guarded_tau(p.rho, gg, lambda: f_u)
-
-    t_u = t_lam(u)
-    y, blend_residual = _compose_y(config.mode, problem.C.project, u, tau, gvec, p.delta, t_u)
-    x_next = p.alpha * problem.g(x_n) + p.beta * u + p.gamma * y
-
-    # distance monitors against the declared solution
-    gap_y = gap_v = qne_slack = float("nan")
+    What every step would otherwise look up again is bound here once: the
+    operator and projection methods, the plain functions of the averaged map
+    and of ``g`` (the step's vectors are float64 of the right size, so the
+    checks of ``Mapping.__call__`` are not needed), the declared solution and
+    the mode and step-rule branches.  Each product is formed once per step.
+    """
+    schedule_at = schedule.at
+    apply, apply_adjoint = problem.A.apply, problem.A.apply_adjoint
+    project_c, project_q = problem.C.project, problem.Q.project
+    t_fn = problem.averaged_map(schedule.lam).plain()
+    g_fn = problem.g.fn
+    theta = schedule.theta
     xs = problem.known_solution
-    if xs is not None:
-        du = norm(u - xs)
-        gap_y = norm(y - xs) - du
-        if 1.0 - p.alpha > 1e-300:
-            v = (p.beta * u + p.gamma * y) / (1.0 - p.alpha)
-            gap_v = norm(v - xs) - du
-        qne_slack = norm(t_u - xs) - du
+    mode = config.mode
+    adaptive = config.step_rule == "adaptive"
+    fixed_step = config.fixed_step
+    f_value = problem.f_value if config.tau_numerator == "x" else None
 
-    record = StepRecord(
-        n=n,
-        theta=theta_n,
-        tau=tau,
-        f_u=f_u,
-        grad_norm_u=math.sqrt(gg),
-        fejer_gap_y=gap_y,
-        fejer_gap_v=gap_v,
-        quasi_ne_slack=qne_slack,
-        psi=_psi_scalar(p, f_u, gg, t_u, u, tau, gvec, blend_residual),
-    )
-    return x_next, record
+    def advance(n: int, x_n: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, StepRecord]:
+        p = schedule_at(n)
+        for _, condition, message in _violations(p, n, adaptive):
+            raise ScheduleViolation(f"{condition} {message}")
+        alpha, beta, gamma, delta, rho, epsilon = p
+
+        dx = x_n - x_prev
+        theta_n = _capped_theta(theta, epsilon, norm(dx))
+        u = x_n + theta_n * dx
+
+        ax = apply(u)
+        r = ax - project_q(ax)
+        gvec = apply_adjoint(r)
+        f_u, gg = 0.5 * float(np.dot(r, r)), float(np.dot(gvec, gvec))
+
+        if not adaptive:
+            tau = fixed_step
+        elif f_value is not None:
+            tau = _guarded_tau(rho, gg, lambda: f_value(x_n))
+        else:
+            tau = _guarded_tau(rho, gg, lambda: f_u)
+
+        t_u = t_fn(u)
+        tau_g = tau * gvec
+        y, blend_residual = _compose_y(mode, project_c, u, tau_g, delta, t_u)
+        beta_u, gamma_y = beta * u, gamma * y
+        x_next = alpha * g_fn(x_n) + beta_u + gamma_y
+
+        # distance monitors against the declared solution
+        gap_y = gap_v = qne_slack = float("nan")
+        if xs is not None:
+            du = norm(u - xs)
+            gap_y = norm(y - xs) - du
+            if 1.0 - alpha > 1e-300:
+                gap_v = norm((beta_u + gamma_y) / (1.0 - alpha) - xs) - du
+            qne_slack = norm(t_u - xs) - du
+
+        psi = _psi_scalar(p, f_u, gg, t_u, u, tau_g, blend_residual)
+        return x_next, StepRecord(n, theta_n, tau, f_u, math.sqrt(gg), gap_y, gap_v, qne_slack, psi)
+
+    return advance
 
 
-def _psi_scalar(p: StepParams, f_u: float, gg: float,
-                t_u: np.ndarray, u: np.ndarray, tau: float, gvec: np.ndarray,
-                blend_residual: np.ndarray) -> float:
+def _psi_scalar(p: StepParams, f_u: float, gg: float, t_u: np.ndarray, u: np.ndarray,
+                tau_g: np.ndarray, blend_residual: np.ndarray) -> float:
     coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
     term1 = 0.0
     if gg > GRAD_GUARD:
         term1 = (1.0 - p.delta) * coef * p.rho * (4.0 - p.rho) * f_u * f_u / gg
-    drift = t_u - u + tau * gvec
+    drift = t_u - u + tau_g
     term2 = p.delta * (1.0 - p.delta) * coef * float(np.dot(drift, drift))
     term3 = coef * float(np.dot(blend_residual, blend_residual))
     return term1 + term2 + term3
@@ -487,8 +528,9 @@ def psi_diagnostic(problem: SfpProblem, schedule: ParameterSchedule, n: int,
     u = as_vector(u, problem.dim)
     f_u, gvec, gg = _objective(problem, u)
     t_u = problem.averaged_map(schedule.lam)(u)
-    _, blend_residual = _compose_y("proof", problem.C.project, u, tau, gvec, p.delta, t_u)
-    return _psi_scalar(p, f_u, gg, t_u, u, tau, gvec, blend_residual)
+    tau_g = tau * gvec
+    _, blend_residual = _compose_y("proof", problem.C.project, u, tau_g, p.delta, t_u)
+    return _psi_scalar(p, f_u, gg, t_u, u, tau_g, blend_residual)
 
 
 def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -500,7 +542,7 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
     """
     x_n = as_vector(x_n, problem.dim)
     x_prev = as_vector(x_prev, problem.dim)
-    return _advance(problem, schedule, config, n, x_n, x_prev, problem.averaged_map(schedule.lam))
+    return _stepper(problem, schedule, config)(n, x_n, x_prev)
 
 
 def _warn_lambda_vs_modulus(problem: SfpProblem, t_lam: AveragedMapping) -> None:
@@ -523,10 +565,10 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     grad_tol and the combined residual at x_n is <= residual_tol, with
     ``grad_zero`` when only the gradient test fires (the scheme's own stop
     rule), or with ``max_iter``.  The stop test runs before the step, so a
-    start at the solution performs zero steps.  Iterates above 1e12 in norm
-    raise :class:`DivergenceError` and a schedule that breaks a hard
-    constraint raises :class:`ScheduleViolation`, each carrying the partial
-    history.
+    start at the solution performs zero steps.  Iterates that are not finite
+    or exceed 1e12 in norm raise :class:`DivergenceError` and a schedule that
+    breaks a hard constraint raises :class:`ScheduleViolation`, each carrying
+    the partial history.
 
     ``x1`` defaults to ``x0`` (two seeds are needed by the inertial term).
     """
@@ -540,24 +582,25 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             raise ValueError(
                 f"fixed step {config.fixed_step} outside (0, 2/||A||^2) = (0, {limit:.6g})"
             )
-    t_lam = problem.averaged_map(schedule.lam)
-    _warn_lambda_vs_modulus(problem, t_lam)
+    _warn_lambda_vs_modulus(problem, problem.averaged_map(schedule.lam))
+    advance = _stepper(problem, schedule, config)
 
     stopping = config.stopping
+    grad_tol = stopping.grad_tol
     iterates = [np.array(x_cur)]
     records: list[StepRecord] = []
     reason = "max_iter"
     for n in range(1, stopping.max_iter + 1):
         try:
-            x_next, record = _advance(problem, schedule, config, n, x_cur, x_prev, t_lam)
+            x_next, record = advance(n, x_cur, x_prev)
         except ScheduleViolation as exc:
             exc.history = RunHistory(iterates=iterates, records=records, termination_reason="schedule_violation")
             raise
-        if record.grad_norm_u <= stopping.grad_tol:
+        if record.grad_norm_u <= grad_tol:
             res = problem.combined_residual(x_cur, schedule.lam)
             reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
             break
-        if not np.isfinite(x_next).all() or norm(x_next) > DIVERGENCE_LIMIT:
+        if not norm(x_next) <= DIVERGENCE_LIMIT:  # also true for nan and inf entries
             history = RunHistory(iterates=iterates, records=records, termination_reason="divergence")
             raise DivergenceError(f"iterates diverged at step {n}", history)
         records.append(record)

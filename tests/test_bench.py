@@ -296,7 +296,10 @@ class TestConfig:
         ("alpha", {"rule": "power-law", "coef": 0.1}, r"unknown key\(s\) \['coef'\] for rule 'power-law'"),
         ("gamma", {"rule": "linear"}, "unknown sequence rule 'linear'"),
         ("preset", ["cq"], "unknown preset"),
-    ], ids=["theta=null", "constant-without-value", "misspelled-power-law-key", "unknown-rule", "unhashable-preset"])
+        ("theta", float("nan"), "must be finite and >= 0"),
+        ("theta", float("inf"), "must be finite and >= 0"),
+    ], ids=["theta=null", "constant-without-value", "misspelled-power-law-key", "unknown-rule", "unhashable-preset",
+            "theta=nan", "theta=inf"])
     def test_malformed_schedule_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError, match=rf"^schedule\.{key}: {message}"):
             build_from_config({"problem": {"example": "s4"}, "schedule": {"preset": "cq", key: value}})

@@ -80,7 +80,9 @@ class TestRunCommand:
         ("start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
         ("output: a.csv\n", "config error: output: must be a mapping"),
         ("schedule: {preset: cq, theta: null}\n", "config error: schedule.theta: "),
-    ], ids=["stepper", "start", "output", "schedule"])
+        ("schedule: {preset: paper-s4, theta: .nan}\n", "config error: schedule.theta: must be finite and >= 0"),
+        ("schedule: {preset: paper-s4, theta: .inf}\n", "config error: schedule.theta: must be finite and >= 0"),
+    ], ids=["stepper", "start", "output", "schedule", "theta=nan", "theta=inf"])
     def test_malformed_value_exits_two(self, tmp_path, text, message):
         path = tmp_path / "bad.yaml"
         path.write_text("problem: {example: s4}\n" + text)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -135,6 +136,9 @@ class TestInertialTheta:
             inertial_theta(-0.1, 0.0, x, x)
         with pytest.raises(ValueError):
             inertial_theta(0.1, -1.0, x, x)
+        for theta, epsilon in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError):
+                inertial_theta(theta, epsilon, x, x + 1.0)
 
 
 def reference_step(problem, mode, params, theta, lam, x_n, x_prev, tau=None, rho=2.0,
@@ -455,6 +459,86 @@ class TestRunIsStepLoop:
         assert_run_is_step_loop(problem, schedule, config, x0)
 
 
+def written_out_step(problem, schedule, config, n, x_n, x_prev):
+    """One update with every quantity formed in the order of the scheme,
+    through the public operations only; returns (x_next, record fields)."""
+    p = schedule.at(n)
+    dx = norm(x_n - x_prev)
+    theta_n = schedule.theta if dx == 0.0 else min(schedule.theta, p.epsilon / dx)
+    u = x_n + theta_n * (x_n - x_prev)
+    r = problem.residual(u)
+    gvec = problem.A.apply_adjoint(r)
+    f_u, gg = 0.5 * float(np.dot(r, r)), float(np.dot(gvec, gvec))
+    if config.step_rule == "fixed":
+        tau = config.fixed_step
+    elif gg <= 1e-24:
+        tau = 0.0
+    else:
+        tau = p.rho * (problem.f_value(x_n) if config.tau_numerator == "x" else f_u) / gg
+    t_u = problem.averaged_map(schedule.lam)(u)
+    d = p.delta
+    w = (1.0 - d) * (u - tau * gvec) + d * t_u
+    if config.mode == "proof":
+        y = problem.C.project(w)
+    elif config.mode == "statement":
+        y = problem.C.project((1.0 - d) * u - tau * gvec) + d * t_u
+    else:
+        y = problem.C.project((1.0 - d) * u + d * t_u - tau * gvec)
+    x_next = p.alpha * problem.g(x_n) + p.beta * u + p.gamma * y
+
+    gap_y = gap_v = qne_slack = float("nan")
+    xs = problem.known_solution
+    if xs is not None:
+        du = norm(u - xs)
+        gap_y = norm(y - xs) - du
+        if 1.0 - p.alpha > 1e-300:
+            gap_v = norm((p.beta * u + p.gamma * y) / (1.0 - p.alpha) - xs) - du
+        qne_slack = norm(t_u - xs) - du
+
+    coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
+    term1 = (1.0 - d) * coef * p.rho * (4.0 - p.rho) * f_u * f_u / gg if gg > 1e-24 else 0.0
+    drift = t_u - u + tau * gvec
+    blend_residual = w - problem.C.project(w)
+    psi = (term1 + d * (1.0 - d) * coef * float(np.dot(drift, drift))
+           + coef * float(np.dot(blend_residual, blend_residual)))
+    return x_next, (n, theta_n, tau, f_u, math.sqrt(gg), gap_y, gap_v, qne_slack, psi)
+
+
+def assert_run_is_written_out_step(problem, schedule, config, x0):
+    """run() reproduces the written-out update bit for bit, record field by field."""
+    history = run(problem, schedule, config, x0)
+    assert history.steps >= 1
+    x_prev = x_n = np.asarray(x0, dtype=float)
+    for n, record in enumerate(history.records, start=1):
+        x_next, fields = written_out_step(problem, schedule, config, n, x_n, x_prev)
+        assert history.iterates[n].tobytes() == x_next.tobytes()
+        assert [float(v).hex() for v in dataclasses.astuple(record)] == [float(v).hex() for v in fields]
+        x_prev, x_n = x_n, x_next
+
+
+class TestRunMatchesWrittenOutStep:
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reference_problem(self, s4, preset, mode, numerator):
+        schedule, _ = preset_schedule(preset)
+        config = StepperConfig(mode=mode, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    def test_random_problem_with_fixed_point_map(self, numerator):
+        problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = StepperConfig(**kwargs, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(6))
+
+    @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
+    def test_fixed_step_rule(self, s4, mode):
+        schedule, _ = preset_schedule("paper-s4")
+        config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, stopping=StoppingRule(max_iter=50))
+        assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+
+
 class TestPsiDiagnostic:
     def test_zero_at_solution(self, s4, x_star):
         schedule, _ = preset_schedule("paper-s4")
@@ -594,8 +678,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             StoppingRule(max_iter=0)
 
+    def test_schedule_pickles(self):
+        schedule, _ = preset_schedule("paper-s4")
+        schedule = dataclasses.replace(schedule, epsilon=Seq.explicit([0.1, 0.05]))
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy == schedule
+        assert [copy.at(n) for n in (1, 2)] == [schedule.at(n) for n in (1, 2)]
+
     def test_schedule_scalar_validation(self):
         with pytest.raises(ValueError):
             constant_schedule(theta=-1.0)
+        for theta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^theta: must be finite and >= 0"):
+                constant_schedule(theta=theta)
         with pytest.raises(ValueError):
             constant_schedule(lam=0.0)
