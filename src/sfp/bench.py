@@ -312,10 +312,16 @@ def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
     raise ConfigError(f"{path}: expected a mapping name or {{matrix: ...}}")
 
 
+# PyYAML's libyaml-backed safe loader: the same constructor and resolver as
+# ``yaml.safe_load`` (so the same values), with the scanner and parser in C.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def parse_config(text: str) -> dict:
-    """Parse a YAML config document into a plain dict."""
+    """Parse a YAML config document into a plain dict, with the values
+    ``yaml.safe_load`` gives."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -8,6 +8,7 @@ violation, 3 divergence, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -103,7 +104,10 @@ def _cmd_sweep(args) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every ``main`` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="sfp",
         description="Split feasibility / fixed-point solvers with a reproducible benchmark harness.",

@@ -299,7 +299,7 @@ class StoppingRule:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.residual_tol <= 0:
+        if not (self.grad_tol > 0 and self.residual_tol > 0):  # nan fails too
             raise ValueError("stopping tolerances must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -335,7 +335,7 @@ class StepperConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.step_rule not in ("adaptive", "fixed"):
             raise ValueError("step_rule must be 'adaptive' or 'fixed'")
-        if self.step_rule == "fixed" and (self.fixed_step is None or self.fixed_step <= 0):
+        if self.step_rule == "fixed" and (self.fixed_step is None or not self.fixed_step > 0):
             raise ValueError("fixed step rule needs fixed_step > 0")
         if self.tau_numerator not in ("u", "x"):
             raise ValueError("tau_numerator must be 'u' or 'x'")

@@ -1,5 +1,8 @@
+import math
+import runpy
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from sfp.mappings import fixed_point_residual
 from sfp.sets import membership_residual
 from sfp.solver import RunHistory, Seq, StepperConfig, StoppingRule, step
 
-from test_cli import DIVERGE_CONFIG, SHORT_SCHEDULE_CONFIG
+from test_cli import CQ_CONFIG, DIVERGE_CONFIG, MALFORMED_VALUES, MALFORMED_YAML, SHORT_SCHEDULE_CONFIG
 
 
 class TestExampleProblem:
@@ -277,6 +280,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^stepper: "):
             build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
 
+    @pytest.mark.parametrize("stepper, message", [
+        ({"grad_tol": float("nan")}, "stopping tolerances must be > 0"),
+        ({"residual_tol": float("nan")}, "stopping tolerances must be > 0"),
+        ({"step_rule": "fixed", "fixed_step": float("nan")}, "fixed step rule needs fixed_step > 0"),
+    ], ids=["grad_tol", "residual_tol", "fixed_step"])
+    def test_nan_stepper_value_rejected(self, stepper, message):
+        with pytest.raises(ConfigError, match=f"^stepper: {message}$"):
+            build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
+
+    def test_infinite_stepper_values_kept(self):
+        # an infinite tolerance stops at once; an infinite fixed step is left to run's (0, 2/||A||^2) check
+        inf = float("inf")
+        cfg = {"problem": {"example": "s4"}, "stepper": {"grad_tol": inf, "residual_tol": inf}}
+        assert build_from_config(cfg).stepper.stopping.grad_tol == inf
+        cfg = {"problem": {"example": "s4"}, "stepper": {"step_rule": "fixed", "fixed_step": inf}}
+        with pytest.raises(ValueError, match=r"^fixed step inf outside \(0, 2/\|\|A\|\|\^2\)"):
+            run_experiment(cfg)
+
     @pytest.mark.parametrize("section, value", [
         ("schedule", "cq"), ("stepper", [1]), ("start", [1.0] * 5), ("output", "a.csv"),
     ], ids=["schedule", "stepper", "start", "output"])
@@ -308,6 +329,80 @@ class TestConfig:
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
             build_from_config(cfg)
+
+
+def _readme_config() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Config format\n\n```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def _workload_configs() -> list:
+    # each benchmark job as the benchmark writes it
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    return [yaml.safe_dump(job.config, sort_keys=True)
+            for make in workloads["WORKLOADS"].values() for job in make(1).jobs]
+
+
+# YAML features a config may use: non-finite floats, exponents without a dot
+# (strings to YAML 1.1), other number forms, anchors, aliases, merge keys, a
+# directive and an explicit document.
+YAML_FEATURES = """\
+%YAML 1.1
+---
+problem: &p {example: s4}
+again: *p
+schedule: &s
+  preset: cq
+  theta: .nan
+  rho: .inf
+  beta: -.Inf
+merged: {<<: *s, preset: fast}
+stepper: {grad_tol: 1e-12, residual_tol: 1.0e-9, max_iter: 0x1f, mode: ~, fixed_step: 1_000.5}
+start: {x1: [0o17, 017, 0b11, +12, 1:30, true, no, null, 2001-12-14, "1e-3", !!float 1]}
+output: {csv: 'a: b.csv'}
+...
+"""
+
+
+class TestParseConfig:
+    """``parse_config`` gives what ``yaml.safe_load`` gives, faster."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(BASE_CONFIG, id="base"),
+        pytest.param(yaml.safe_dump(normalize_config(parse_config(BASE_CONFIG))), id="base-normalized"),
+        *(pytest.param(yaml.safe_dump(cfg), id=name) for name, cfg in
+          [("cq", CQ_CONFIG), ("diverge", DIVERGE_CONFIG), ("short-schedule", SHORT_SCHEDULE_CONFIG)]),
+        *(pytest.param(param.values[0], id=f"malformed-{param.id}") for param in MALFORMED_VALUES),
+        pytest.param("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n", id="fixed-step"),
+        pytest.param("problem:\n  A: [[1.0]]\n  C: {kind: boxx}\n  Q: {kind: whole_space, dim: 1}\n",
+                     id="bad-set-kind"),
+        pytest.param(_readme_config(), id="readme"),
+        *(pytest.param(text, id=f"workload-{k:02d}") for k, text in enumerate(_workload_configs())),
+        pytest.param(YAML_FEATURES, id="features"),
+    ])
+    def test_same_values_as_safe_load(self, text):
+        parsed, expected = parse_config(text), yaml.safe_load(text)
+        assert isinstance(parsed, dict)
+        assert repr(parsed) == repr(expected)  # repr, not ==, so nan matches nan
+
+    def test_feature_values(self):
+        cfg = parse_config(YAML_FEATURES)
+        assert cfg["again"] is cfg["problem"]
+        assert math.isnan(cfg["schedule"]["theta"]) and cfg["schedule"]["rho"] == math.inf
+        assert cfg["merged"] == {**cfg["schedule"], "preset": "fast"}
+        assert cfg["stepper"]["grad_tol"] == "1e-12" and cfg["stepper"]["max_iter"] == 31
+        assert cfg["start"]["x1"][:8] == ["0o17", 15, 3, 12, 90, True, False, None]
+
+    @pytest.mark.parametrize("text", MALFORMED_YAML, ids=["unclosed", "tab", "nested-value"])
+    def test_malformed_yaml_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="^config is not valid YAML") as exc:
+            parse_config(text)
+        assert isinstance(exc.value.__cause__, yaml.YAMLError)
+
+    @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "just text\n"])
+    def test_top_level_must_be_a_mapping(self, text):
+        with pytest.raises(ConfigError, match="^config must be a mapping at the top level$"):
+            parse_config(text)
 
 
 class TestSingleSources:

@@ -4,6 +4,8 @@ import sys
 import pytest
 import yaml
 
+from sfp import cli as sfp_cli
+
 CLI = [sys.executable, "-m", "sfp"]
 
 CQ_CONFIG = {
@@ -35,6 +37,32 @@ SHORT_SCHEDULE_CONFIG = {
     "schedule": {"preset": "paper-s4", "epsilon": [0.1, 0.05, 0.025]},
     "output": {"csv": "short_schedule.csv"},
 }
+
+
+# Configs with one malformed value, each with the start of its error line.
+MALFORMED_VALUES = [
+    pytest.param("problem: {example: s4}\n" + text, message, id=name)
+    for name, text, message in [
+        ("stepper", "stepper: {max_iter: null}\n", "config error: stepper: "),
+        ("start", "start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
+        ("output", "output: a.csv\n", "config error: output: must be a mapping"),
+        ("schedule", "schedule: {preset: cq, theta: null}\n", "config error: schedule.theta: "),
+        ("theta=nan", "schedule: {preset: paper-s4, theta: .nan}\n",
+         "config error: schedule.theta: must be finite and >= 0"),
+        ("theta=inf", "schedule: {preset: paper-s4, theta: .inf}\n",
+         "config error: schedule.theta: must be finite and >= 0"),
+        ("grad_tol=nan", "stepper: {grad_tol: .nan, max_iter: 50}\n",
+         "config error: stepper: stopping tolerances must be > 0"),
+        ("residual_tol=nan", "stepper: {residual_tol: .nan, max_iter: 50}\n",
+         "config error: stepper: stopping tolerances must be > 0"),
+        ("fixed_step=nan", "stepper: {step_rule: fixed, fixed_step: .nan}\n",
+         "config error: stepper: fixed step rule needs fixed_step > 0"),
+    ]
+]
+
+# Documents that are not YAML: an unclosed flow sequence, a tab indent and a
+# mapping value where none is allowed.
+MALFORMED_YAML = ["problem: [1, 2\n", "problem:\n\texample: s4\n", "a: b: c\n"]
 
 
 def cli(*args, env=None):
@@ -75,20 +103,22 @@ class TestRunCommand:
         assert "config error: stepper: unknown key(s) ['max_iters']" in proc.stderr
         assert not (tmp_path / "cq.csv").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        ("stepper: {max_iter: null}\n", "config error: stepper: "),
-        ("start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
-        ("output: a.csv\n", "config error: output: must be a mapping"),
-        ("schedule: {preset: cq, theta: null}\n", "config error: schedule.theta: "),
-        ("schedule: {preset: paper-s4, theta: .nan}\n", "config error: schedule.theta: must be finite and >= 0"),
-        ("schedule: {preset: paper-s4, theta: .inf}\n", "config error: schedule.theta: must be finite and >= 0"),
-    ], ids=["stepper", "start", "output", "schedule", "theta=nan", "theta=inf"])
+    @pytest.mark.parametrize("text, message", MALFORMED_VALUES)
     def test_malformed_value_exits_two(self, tmp_path, text, message):
         path = tmp_path / "bad.yaml"
-        path.write_text("problem: {example: s4}\n" + text)
+        path.write_text(text)
         proc = cli("run", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", MALFORMED_YAML, ids=["unclosed", "tab", "nested-value"])
+    def test_malformed_yaml_exits_two(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        proc = cli("run", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: config is not valid YAML")
         assert "Traceback" not in proc.stderr
 
     def test_divergence_exits_three_with_partial_csv(self, tmp_path):
@@ -197,3 +227,36 @@ class TestSweepCommand:
     def test_empty_dir_is_config_error(self, tmp_path):
         proc = cli("sweep", str(tmp_path))
         assert proc.returncode == 2
+
+
+class TestMainInProcess:
+    """``main`` reuses one parser per process; no call may see another's
+    arguments."""
+
+    def test_parser_is_built_once(self):
+        assert sfp_cli.build_parser() is sfp_cli.build_parser()
+
+    def test_svg_flag_does_not_carry_over(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cq.yaml", CQ_CONFIG)
+        assert sfp_cli.main(["run", cfg, "--out", str(tmp_path / "a"), "--svg"]) == 0
+        assert sfp_cli.main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "cq.svg").exists()
+        assert (tmp_path / "b" / "cq.csv").exists() and not (tmp_path / "b" / "cq.svg").exists()
+        assert capsys.readouterr().out.count("convergence curve:") == 1
+
+    def test_horizon_falls_back_to_its_default(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "ref.yaml", {"problem": {"example": "s4"},
+                                                   "schedule": {"preset": "cq"}})
+        assert sfp_cli.main(["validate-schedule", cfg, "--horizon", "5"]) == 0
+        assert "schedule check over n = 1..5\n" in capsys.readouterr().out
+        assert sfp_cli.main(["validate-schedule", cfg]) == 0
+        assert "schedule check over n = 1..10000\n" in capsys.readouterr().out
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sfp_cli.main(["run"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: config" in capsys.readouterr().err
+        cfg = write_config(tmp_path / "cq.yaml", CQ_CONFIG)
+        assert sfp_cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
+        assert "reason=residual_met" in capsys.readouterr().out
