@@ -33,7 +33,7 @@ def main() -> int:
         "output": {"csv": f"example_s4_{args.preset}_{args.mode}.csv"},
     }
     result = bench.run_experiment(cfg, out_dir=out)
-    bench.emit_convergence_svg(result, result.csv_path.with_suffix(".svg"))
+    bench.emit_convergence_svg(result.csv_path, result.csv_path.with_suffix(".svg"))
 
     print(f"preset={args.preset} mode={args.mode} reason={result.termination_reason} "
           f"steps={result.history.steps} final_error={result.final_error:.3e} "
@@ -42,15 +42,18 @@ def main() -> int:
     print(f"svg: {result.csv_path.with_suffix('.svg')}")
 
     print("\n   n  " + "  ".join(f"{'x' + str(i + 1):>9s}" for i in range(5)) + "        err")
-    err_col = result.header.index("err_to_solution")
-    for row in result.rows[: args.print_rows]:
-        xs = "  ".join(f"{v:9.6f}" for v in row[1:6])
-        print(f"{row[0]:4d}  {xs}  {row[err_col]:.3e}")
-    if len(result.rows) > args.print_rows:
-        last = result.rows[-1]
-        xs = "  ".join(f"{v:9.6f}" for v in last[1:6])
+    x_star = bench.build_example_s4().known_solution
+
+    def show(n, x):
+        xs = "  ".join(f"{v:9.6f}" for v in x)
+        print(f"{n:4d}  {xs}  {np.max(np.abs(x - x_star)):.3e}")
+
+    iterates = result.history.iterates
+    for n, x in enumerate(iterates[: args.print_rows]):
+        show(n, x)
+    if len(iterates) > args.print_rows:
         print(" ...")
-        print(f"{last[0]:4d}  {xs}  {last[err_col]:.3e}")
+        show(len(iterates) - 1, iterates[-1])
     return 0
 
 

@@ -36,9 +36,7 @@ from .solver import (
     SfpProblem,
     StepperConfig,
     StoppingRule,
-    adaptive_tau,
     inertial_theta,
-    psi_diagnostic,
     run,
     step,
     validate_schedule,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import LinearMap, norm
+from .linalg import LinearMap, as_vector, norm
 from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
@@ -269,6 +269,21 @@ def preset_schedule(name: str):
 
 # --- config parsing ----------------------------------------------------------
 
+
+def _integer(value, name: str) -> int:
+    """``int(value)`` for a config value; a bool or a non-integral number is
+    an error, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 _SET_KINDS = ("box", "ball", "halfspace", "hyperplane", "singleton", "affine_nullspace", "whole_space")
 
 
@@ -291,7 +306,7 @@ def set_from_config(obj, path: str) -> ConvexSet:
         if kind == "affine_nullspace":
             return AffineNullspace(LinearMap(np.array(obj["matrix"], float)))
         if kind == "whole_space":
-            return WholeSpace(int(obj["dim"]))
+            return WholeSpace(_integer(obj["dim"], "dim"))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing parameter {exc.args[0]!r} for kind {kind!r}") from None
     except (ValueError, TypeError) as exc:
@@ -418,7 +433,7 @@ class BuiltConfig:
 
 def _start_vector(start: dict, key: str, default) -> np.ndarray:
     try:
-        return np.array(start.get(key, default), dtype=float)
+        return as_vector(start.get(key, default))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"start.{key}: {exc}") from exc
 
@@ -438,11 +453,12 @@ def build_from_config(raw: dict) -> BuiltConfig:
         _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
         try:
             problem = generate_random_sfp(
-                int(spec["dim1"]), int(spec["dim2"]), spec.get("family", "box"),
-                int(spec.get("seed", 0)),
-                include_fixed_point_map=bool(spec.get("include_fixed_point_map", False)),
+                _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
+                _integer(spec.get("seed", 0), "seed"),
+                include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False),
+                                              "include_fixed_point_map"),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"problem.random: {exc}") from exc
         default_start = [0.0] * problem.dim
     else:
@@ -467,8 +483,9 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     st = cfg["stepper"]
     try:
-        # each stopping value takes its default's type (YAML reads 1e-12 as a string)
-        stopping = StoppingRule(**{f.name: type(f.default)(st[f.name]) for f in fields(StoppingRule)})
+        # float() also reads the strings YAML makes of 1e-12
+        stopping = StoppingRule(grad_tol=float(st["grad_tol"]), residual_tol=float(st["residual_tol"]),
+                                max_iter=_integer(st["max_iter"], "max_iter"))
         values = {name: st[name] for name in _STEPPER_FIELDS}
         if values["fixed_step"] is not None:
             values["fixed_step"] = float(values["fixed_step"])
@@ -495,38 +512,34 @@ def build_from_config(raw: dict) -> BuiltConfig:
 @dataclass
 class ExperimentResult:
     history: RunHistory
-    rows: list
-    header: list
     wall_time: float
     fingerprint: str
     csv_path: Path | None
+    final_error: float  # max-norm error of the last iterate (NaN without a known solution)
     error: str | None = None  # why a divergence or schedule violation cut the run short
 
     @property
     def termination_reason(self) -> str:
         return self.history.termination_reason
 
-    @property
-    def final_error(self) -> float:
-        """Max-norm error of the last iterate (NaN without a known solution)."""
-        return self.rows[-1][self.header.index("err_to_solution")]
+
+def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
+    return float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
 
 
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
-    """One row per iterate (row 0 is the start point).
+    """Yield the CSV header, then one row per iterate (row 0 is the start point).
 
     A step that ran with theta_n = 0 extrapolated to u = x_n, so its record
     already holds f and ||grad f|| at the row's iterate.  The Q-residual norm
     is sqrt(2 f) exactly only while halving its square was exact, i.e. for
     f above the smallest normal float; below that it is evaluated again.
     """
-    dim = problem.dim
-    header = (["n"] + [f"x{i + 1}" for i in range(dim)]
-              + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
+    yield (["n"] + [f"x{i + 1}" for i in range(problem.dim)]
+           + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
     t_fn = problem.averaged_map(schedule.lam).plain()
     xs = problem.known_solution
     records = history.records
-    rows = []
     for k, x in enumerate(history.iterates):
         if k < len(records) and records[k].theta == 0.0:
             f_x, grad_n = records[k].f_u, records[k].grad_norm_u
@@ -538,31 +551,40 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
             res_q = norm(d)
         res_c = membership_residual(problem.C, x)
         res_fix = norm(t_fn(x) - x) if problem.S is not None else 0.0
-        err = float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
         theta_n = records[k - 1].theta if k >= 1 else 0.0
         tau_n = records[k - 1].tau if k >= 1 else 0.0
-        rows.append([k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, err])
-    return header, rows
+        yield (k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, _max_error(x, xs))
 
 
-def emit_csv(result: ExperimentResult, path) -> None:
-    """Write the per-iterate rows: ``n`` as an integer, every other value
-    with 17 significant digits."""
-    row_format = ",".join(["%d"] + ["%.17g"] * (len(result.header) - 1)) + "\n"
+def emit_csv(rows, path) -> None:
+    """Write the header (the first item of ``rows``) and then each row as
+    ``rows`` yields it: ``n`` as an integer, every other value with 17
+    significant digits."""
+    rows = iter(rows)
+    header = next(rows)
+    row_format = ",".join(["%d"] + ["%.17g"] * (len(header) - 1)) + "\n"
     with open(path, "w", newline="\n") as out:
-        out.write(",".join(result.header) + "\n")
-        out.writelines(row_format % tuple(row) for row in result.rows)
+        out.write(",".join(header) + "\n")
+        out.writelines(row_format % tuple(row) for row in rows)
 
 
-def emit_convergence_svg(result: ExperimentResult, path) -> None:
+def _csv_rows(path):
+    """Yield the header and then each row of an emitted CSV, split into strings."""
+    with open(path) as lines:
+        for line in lines:
+            yield line.rstrip("\n").split(",")
+
+
+def emit_convergence_svg(csv_path, path) -> None:
     """Minimal vector-graphic convergence curve: log10 of the objective per iterate.
 
-    Plot data is exactly the CSV's f column; anything fancier belongs in an
-    external plotting tool.
+    Plot data is exactly the f column of the CSV at ``csv_path`` (its 17
+    significant digits give back each float); anything fancier belongs in
+    an external plotting tool.
     """
-    f_col = result.header.index("f")
-    values = [max(float(row[f_col]), 1e-300) for row in result.rows]
-    logs = [np.log10(v) for v in values]
+    rows = _csv_rows(csv_path)
+    f_col = next(rows).index("f")
+    logs = [np.log10(max(float(row[f_col]), 1e-300)) for row in rows]
     width, height, margin = 640, 360, 40
     lo, hi = min(logs), max(logs)
     span = (hi - lo) or 1.0
@@ -585,14 +607,10 @@ def emit_convergence_svg(result: ExperimentResult, path) -> None:
 
 def read_csv_iterates(path) -> list[np.ndarray]:
     """Read back the iterate columns of an emitted CSV, ordered by n."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
+    rows = _csv_rows(path)
+    header = next(rows)
     x_cols = [i for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
-    iterates = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        iterates.append(np.array([float(parts[i]) for i in x_cols]))
-    return iterates
+    return [np.array([float(row[i]) for i in x_cols]) for row in rows]
 
 
 def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
@@ -610,12 +628,12 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     except (DivergenceError, ScheduleViolation) as exc:
         history, error = exc.history, str(exc)
     wall = time.perf_counter() - t0
-    header, rows = _history_rows(built.problem, built.schedule, history)
-    csv_path = Path(out_dir) / built.csv_name if out_dir is not None else None
-    result = ExperimentResult(history, rows, header, wall, built.fingerprint, csv_path, error)
-    if csv_path is not None:
-        emit_csv(result, csv_path)
-    return result
+    csv_path = None
+    if out_dir is not None:
+        csv_path = Path(out_dir) / built.csv_name
+        emit_csv(_history_rows(built.problem, built.schedule, history), csv_path)
+    final_error = _max_error(history.final, built.problem.known_solution)
+    return ExperimentResult(history, wall, built.fingerprint, csv_path, final_error, error)
 
 
 # --- reference-table comparison -------------------------------------------------

@@ -38,7 +38,7 @@ def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> 
         print(f"error: {result.error}", file=sys.stderr)
     if svg:
         svg_path = result.csv_path.with_suffix(".svg")
-        bench.emit_convergence_svg(result, svg_path)
+        bench.emit_convergence_svg(result.csv_path, svg_path)
         print(f"convergence curve: {svg_path}")
     return result
 

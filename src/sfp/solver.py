@@ -33,10 +33,8 @@ __all__ = [
     "StepRecord",
     "RunHistory",
     "inertial_theta",
-    "adaptive_tau",
     "step",
     "run",
-    "psi_diagnostic",
     "validate_schedule",
     "ScheduleReport",
 ]
@@ -362,27 +360,6 @@ def _capped_theta(theta: float, epsilon_n: float, dx: float) -> float:
     return theta if dx == 0.0 else min(theta, epsilon_n / dx)
 
 
-def _objective(problem: SfpProblem, u: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """f(u), grad f(u) and ||grad f(u)||^2 from one Q-residual."""
-    r = problem.residual(u)
-    gvec = problem.A.apply_adjoint(r)
-    return 0.5 * float(np.dot(r, r)), gvec, float(np.dot(gvec, gvec))
-
-
-def _guarded_tau(rho: float, gg: float, numerator) -> float:
-    """rho f / ||grad f||^2, or 0 when ||grad f||^2 <= GRAD_GUARD; the
-    zero-argument callable ``numerator`` gives f and runs only past the guard."""
-    return 0.0 if gg <= GRAD_GUARD else rho * numerator() / gg
-
-
-def adaptive_tau(problem: SfpProblem, u: np.ndarray, rho: float) -> float:
-    """Self-adaptive step size rho f(u) / ||grad f(u)||^2, 0 on a vanishing gradient."""
-    if not (0.0 < rho < 4.0):
-        raise ValueError("rho must lie in (0, 4)")
-    f_u, _, gg = _objective(problem, u)
-    return _guarded_tau(rho, gg, lambda: f_u)
-
-
 # --- stepping ---------------------------------------------------------------
 
 
@@ -478,10 +455,8 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
 
         if not adaptive:
             tau = fixed_step
-        elif f_value is not None:
-            tau = _guarded_tau(rho, gg, lambda: f_value(x_n))
-        else:
-            tau = _guarded_tau(rho, gg, lambda: f_u)
+        else:  # rho f / ||grad f||^2, with f at u or at x_n
+            tau = 0.0 if gg <= GRAD_GUARD else rho * (f_u if f_value is None else f_value(x_n)) / gg
 
         t_u = t_fn(u)
         tau_g = tau * gvec
@@ -506,6 +481,13 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
 
 def _psi_scalar(p: StepParams, f_u: float, gg: float, t_u: np.ndarray, u: np.ndarray,
                 tau_g: np.ndarray, blend_residual: np.ndarray) -> float:
+    """The nonnegative per-step decrease certificate of the analysis
+    (``StepRecord.psi``).
+
+    Three terms: the adaptive-gradient gain, the averaged-map drift and the
+    projection residual of the blended point, each weighted by the step's
+    schedule values.  All divisions are guarded like the step itself.
+    """
     coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
     term1 = 0.0
     if gg > GRAD_GUARD:
@@ -514,23 +496,6 @@ def _psi_scalar(p: StepParams, f_u: float, gg: float, t_u: np.ndarray, u: np.nda
     term2 = p.delta * (1.0 - p.delta) * coef * float(np.dot(drift, drift))
     term3 = coef * float(np.dot(blend_residual, blend_residual))
     return term1 + term2 + term3
-
-
-def psi_diagnostic(problem: SfpProblem, schedule: ParameterSchedule, n: int,
-                   u: np.ndarray, tau: float) -> float:
-    """The nonnegative per-step decrease certificate of the analysis.
-
-    Three terms: the adaptive-gradient gain, the averaged-map drift and the
-    projection residual of the blended point, each weighted by the current
-    schedule values.  All divisions are guarded like the step itself.
-    """
-    p = schedule.at(n)
-    u = as_vector(u, problem.dim)
-    f_u, gvec, gg = _objective(problem, u)
-    t_u = problem.averaged_map(schedule.lam)(u)
-    tau_g = tau * gvec
-    _, blend_residual = _compose_y("proof", problem.C.project, u, tau_g, p.delta, t_u)
-    return _psi_scalar(p, f_u, gg, t_u, u, tau_g, blend_residual)
 
 
 def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,

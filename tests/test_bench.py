@@ -1,6 +1,7 @@
+import hashlib
 import math
+import re
 import runpy
-import struct
 import sys
 from pathlib import Path
 
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
+from sfp import bench
 from sfp.bench import (
     TABLE1_ROWS,
     TABLE1_TOLERANCE,
     ConfigError,
-    ExperimentResult,
     PRESETS,
     build_example_s4,
     build_from_config,
@@ -32,7 +33,7 @@ from sfp.bench import (
 from sfp.linalg import norm
 from sfp.mappings import fixed_point_residual
 from sfp.sets import membership_residual
-from sfp.solver import RunHistory, Seq, StepperConfig, StoppingRule, step
+from sfp.solver import Seq, StepperConfig, StoppingRule, step
 
 from test_cli import CQ_CONFIG, DIVERGE_CONFIG, MALFORMED_VALUES, MALFORMED_YAML, SHORT_SCHEDULE_CONFIG
 
@@ -138,6 +139,7 @@ stepper:
   max_iter: 1000
 """
 
+_RANDOM = {"dim1": 4, "dim2": 3, "family": "box"}
 EXPLICIT_SCHEDULE = {"alpha": 0.1, "beta": 0.2, "gamma": "complement", "delta": 0.5}
 
 
@@ -325,6 +327,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^schedule\.{key}: {message}"):
             build_from_config({"problem": {"example": "s4"}, "schedule": {"preset": "cq", key: value}})
 
+    @pytest.mark.parametrize("key, value", [("x0", float("nan")), ("x1", float("nan")), ("x1", float("-inf"))],
+                             ids=["x0=nan", "x1=nan", "x1=-inf"])
+    def test_non_finite_start_vector_names_its_field(self, key, value):
+        cfg = {"problem": {"example": "s4"}, "start": {key: [value, 1.0, 1.0, 1.0, 1.0]}}
+        with pytest.raises(ConfigError, match=rf"^start\.{key}: vector entries must all be finite$"):
+            build_from_config(cfg)
+
+    @pytest.mark.parametrize("problem, stepper, message", [
+        ({"random": {**_RANDOM, "include_fixed_point_map": "false"}}, {},
+         "problem.random: include_fixed_point_map must be true or false, got 'false'"),
+        ({"random": {**_RANDOM, "include_fixed_point_map": 1}}, {},
+         "problem.random: include_fixed_point_map must be true or false, got 1"),
+        ({"random": {**_RANDOM, "seed": 1.7}}, {}, "problem.random: seed must be an integer, got 1.7"),
+        ({"random": {**_RANDOM, "dim1": True}}, {}, "problem.random: dim1 must be an integer, got True"),
+        ({"random": {**_RANDOM, "dim2": 3.5}}, {}, "problem.random: dim2 must be an integer, got 3.5"),
+        ({"A": [[1.0, 0.0]], "C": {"kind": "whole_space", "dim": 2.5}, "Q": {"kind": "singleton", "point": [0.0]}},
+         {}, "problem.C: dim must be an integer, got 2.5"),
+        ({"example": "s4"}, {"max_iter": 1.9}, "stepper: max_iter must be an integer, got 1.9"),
+        ({"example": "s4"}, {"max_iter": True}, "stepper: max_iter must be an integer, got True"),
+        ({"example": "s4"}, {"max_iter": float("inf")}, "stepper: max_iter must be an integer, got inf"),
+    ], ids=["flag=str", "flag=int", "seed=1.7", "dim1=true", "dim2=3.5", "whole_space.dim=2.5",
+            "max_iter=1.9", "max_iter=true", "max_iter=inf"])
+    def test_wrongly_typed_integer_or_flag(self, problem, stepper, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_from_config({"problem": problem, "stepper": stepper})
+
+    def test_integral_values_accepted(self):
+        built = build_from_config({"problem": {"random": {**_RANDOM, "dim1": 4.0, "seed": "7",
+                                                          "include_fixed_point_map": True}},
+                                   "stepper": {"max_iter": 2.0}})
+        assert (built.problem.dim, built.stepper.stopping.max_iter) == (4, 2)
+        assert np.array_equal(built.problem.A.matrix, generate_random_sfp(4, 3, "box", 7).A.matrix)
+        assert built.problem.S is not None
+
     def test_start_dimension_checked(self):
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
@@ -433,24 +469,26 @@ class TestSingleSources:
             assert result.final_error == float(np.max(np.abs(history.final - xs)))
 
 
+# starts at the solution, so the run stops before its first step with f = 0
+ZERO_STEP_CONFIG = {
+    "problem": {"example": "s4"},
+    "schedule": {"preset": "cq"},
+    "start": {"x1": [0.0625, 0.125, 0.25, 0.5, 1.0]},
+}
+
+
 class TestExperimentAndCsv:
     def test_row_count_is_steps_plus_one(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
         result = run_experiment(cfg, out_dir=tmp_path)
-        assert len(result.rows) == result.history.steps + 1
         text = result.csv_path.read_text().strip().splitlines()
-        assert len(text) == len(result.rows) + 1  # header line
+        assert len(text) == result.history.steps + 2  # header line
         assert text[0].startswith("n,x1,x2,x3,x4,x5,f,grad_norm,theta_n,tau_n,res_C,res_Q,res_fix,err_to_solution")
 
     def test_zero_iteration_run_has_one_row(self, tmp_path):
-        cfg = {
-            "problem": {"example": "s4"},
-            "schedule": {"preset": "cq"},
-            "start": {"x1": [0.0625, 0.125, 0.25, 0.5, 1.0]},
-        }
-        result = run_experiment(cfg, out_dir=tmp_path)
+        result = run_experiment(ZERO_STEP_CONFIG, out_dir=tmp_path)
         assert result.termination_reason == "residual_met"
-        assert len(result.rows) == 1
+        assert len(result.csv_path.read_text().splitlines()) == 2  # header line
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
@@ -484,8 +522,7 @@ class TestExperimentAndCsv:
         }
         result = run_experiment(cfg, out_dir=tmp_path)
         assert result.termination_reason == "divergence"
-        assert result.csv_path.exists()
-        assert len(result.rows) == result.history.steps + 1
+        assert len(result.csv_path.read_text().splitlines()) == result.history.steps + 2  # header line
 
     def test_emit_csv_uses_17_significant_digits(self, tmp_path):
         cfg = parse_config(BASE_CONFIG)
@@ -501,10 +538,37 @@ class TestExperimentAndCsv:
         cfg = parse_config(BASE_CONFIG)
         result = run_experiment(cfg, out_dir=tmp_path)
         svg_path = tmp_path / "curve.svg"
-        emit_convergence_svg(result, svg_path)
+        emit_convergence_svg(result.csv_path, svg_path)
         text = svg_path.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+    @pytest.mark.parametrize("cfg, steps, sha256", [
+        (parse_config(BASE_CONFIG), 31, "8e5faa83fb9c9d0d293a95ef187c29ebb57217e4d6bf9d7c9aeb76aa258262af"),
+        (DIVERGE_CONFIG, 27, "6f0614db8cc43718fc3aa10443d2058c8bf61eb32572725a331e18e48838600d"),
+        (ZERO_STEP_CONFIG, 0, "0b6275e8a414bd41ee53a92d8feedb30bba7dbd694adc05db2e6f8719f000dcd"),
+    ], ids=["residual-met", "divergence", "zero-step"])
+    def test_convergence_svg_bytes(self, tmp_path, cfg, steps, sha256):
+        from sfp.bench import emit_convergence_svg
+
+        result = run_experiment(cfg, out_dir=tmp_path)
+        assert result.history.steps == steps
+        svg_path = tmp_path / "curve.svg"
+        emit_convergence_svg(result.csv_path, svg_path)
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == sha256
+
+    def test_no_rows_without_an_output_directory(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("rows computed without a CSV to write")
+
+        monkeypatch.setattr(bench, "_history_rows", no_rows)
+        result = run_experiment(parse_config(BASE_CONFIG))
+        assert result.csv_path is None and result.termination_reason == "residual_met"
+
+
+def _csv_header(dim):
+    return (["n"] + [f"x{i + 1}" for i in range(dim)]
+            + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
 
 
 def _reference_rows(problem, schedule, history):
@@ -524,10 +588,6 @@ def _reference_rows(problem, schedule, history):
         tau_n = history.records[k - 1].tau if k >= 1 else 0.0
         rows.append([k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, err])
     return rows
-
-
-def _bits(rows):
-    return [[type(v).__name__ + struct.pack("<d", v).hex() for v in row] for row in rows]
 
 
 _SCALED = 2.0**500
@@ -565,11 +625,11 @@ _ROW_CASES = {
 
 class TestRowsFromRecords:
     @pytest.mark.parametrize("cfg", _ROW_CASES.values(), ids=_ROW_CASES.keys())
-    def test_rows_equal_fresh_evaluation(self, cfg):
+    def test_rows_equal_fresh_evaluation(self, cfg, tmp_path):
         built = build_from_config(cfg)
-        result = run_experiment(cfg)
+        result = run_experiment(cfg, out_dir=tmp_path)
         reference = _reference_rows(built.problem, built.schedule, result.history)
-        assert _bits(result.rows) == _bits(reference)
+        assert result.csv_path.read_bytes() == _joined_csv(_csv_header(built.problem.dim), reference)
 
     def test_cases_reach_the_reuse_branches(self):
         thetas = {name: {r.theta == 0.0 for r in run_experiment(cfg).history.records}
@@ -583,10 +643,10 @@ class TestRowsFromRecords:
         assert f_first["halved-to-min"] == sys.float_info.min
 
 
-def _joined_csv(result) -> bytes:
+def _joined_csv(header, rows) -> bytes:
     """The CSV as one string: ints with str, every other value with format(v, ".17g")."""
-    lines = [",".join(result.header)]
-    for row in result.rows:
+    lines = [",".join(header)]
+    for row in rows:
         lines.append(",".join(str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row))
     return ("\n".join(lines) + "\n").encode()
 
@@ -599,15 +659,18 @@ class TestCsvBytes:
             [1, -0.0, float("inf"), 0.1, 0.5, 1.0 / 3.0, 5e-324, float("-inf"), 1e-300, float("nan")],
             [123456, 2.5e-17, 1e16, 123456789.123, 1e-5, 7.0, 1.7976931348623157e308, 0.0, -1e308, float("nan")],
         ]
-        result = ExperimentResult(RunHistory([], [], "max_iter"), rows, header, 0.0, "0" * 16, None)
         path = tmp_path / "rows.csv"
-        emit_csv(result, path)
-        assert path.read_bytes() == _joined_csv(result)
+        emit_csv(iter([header, *rows]), path)
+        assert path.read_bytes() == _joined_csv(header, rows)
         assert b",nan\n" in path.read_bytes() and b",-0," in path.read_bytes()
 
     def test_experiment_csv_equals_joined_format(self, tmp_path):
-        result = run_experiment(_ROW_CASES["box-paper-s4"], out_dir=tmp_path)
-        assert result.csv_path.read_bytes() == _joined_csv(result)
+        cfg = _ROW_CASES["box-paper-s4"]
+        built = build_from_config(cfg)
+        result = run_experiment(cfg, out_dir=tmp_path)
+        header, *rows = bench._history_rows(built.problem, built.schedule, result.history)
+        assert header == _csv_header(built.problem.dim)
+        assert result.csv_path.read_bytes() == _joined_csv(header, rows)
 
 
 class TestTable1Comparison:

@@ -57,6 +57,8 @@ MALFORMED_VALUES = [
          "config error: stepper: stopping tolerances must be > 0"),
         ("fixed_step=nan", "stepper: {step_rule: fixed, fixed_step: .nan}\n",
          "config error: stepper: fixed step rule needs fixed_step > 0"),
+        ("max_iter=1.9", "stepper: {max_iter: 1.9}\n", "config error: stepper: max_iter must be an integer, got 1.9"),
+        ("start=nan", "start: {x1: [.nan, 1, 1, 1, 1]}\n", "config error: start.x1: vector entries must all be finite"),
     ]
 ]
 
@@ -111,6 +113,15 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_quoted_flag_exits_two(self, tmp_path):
+        path = tmp_path / "flag.yaml"
+        path.write_text('problem: {random: {dim1: 4, dim2: 3, include_fixed_point_map: "false"}}\n')
+        proc = cli("run", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: problem.random: include_fixed_point_map must be true or false, "
+                               "got 'false'\n")
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("text", MALFORMED_YAML, ids=["unclosed", "tab", "nested-value"])
     def test_malformed_yaml_exits_two(self, tmp_path, text):

@@ -18,9 +18,7 @@ from sfp.solver import (
     SfpProblem,
     StepperConfig,
     StoppingRule,
-    adaptive_tau,
     inertial_theta,
-    psi_diagnostic,
     run,
     step,
     validate_schedule,
@@ -92,9 +90,14 @@ class TestObjective:
             assert norm(fd - g) <= 1e-6 * (1.0 + norm(g))
 
 
+def record_at(problem, schedule, u, n=1, config=StepperConfig()):
+    """The record of step n from x_n = x_prev = u, which extrapolates to u itself."""
+    return step(problem, schedule, config, n, u, u)[1]
+
+
 class TestAdaptiveTau:
     def test_guard_at_solution(self, s4, x_star):
-        assert adaptive_tau(s4, x_star, rho=2.0) == 0.0
+        assert record_at(s4, constant_schedule(), x_star).tau == 0.0
 
     def test_direct_substitution(self):
         # A = I/2 on R^2 with Q = {0}: at u = (8, 0), f = 8 and ||grad||^2 = 4,
@@ -103,16 +106,16 @@ class TestAdaptiveTau:
         u = np.array([8.0, 0.0])
         assert problem.f_value(u) == 8.0
         assert norm(problem.grad_f(u)) ** 2 == 4.0
-        assert adaptive_tau(problem, u, rho=2.0) == 4.0
+        assert record_at(problem, constant_schedule(rho=2.0), u).tau == 4.0
 
     def test_reference_value_at_ones(self, s4):
-        assert adaptive_tau(s4, np.ones(5), rho=2.0) == pytest.approx(TAU_AT_ONES_RHO2, abs=1e-18)
+        tau = record_at(s4, constant_schedule(rho=2.0), np.ones(5)).tau
+        assert tau == pytest.approx(TAU_AT_ONES_RHO2, abs=1e-18)
 
     def test_rho_validated(self, s4):
-        with pytest.raises(ValueError):
-            adaptive_tau(s4, np.ones(5), rho=4.0)
-        with pytest.raises(ValueError):
-            adaptive_tau(s4, np.ones(5), rho=0.0)
+        for rho in (4.0, 0.0):
+            with pytest.raises(ScheduleViolation, match=rf"rho\(1\) = {rho} outside \(0, 4\)"):
+                record_at(s4, constant_schedule(rho=rho), np.ones(5))
 
 
 class TestInertialTheta:
@@ -542,18 +545,18 @@ class TestRunMatchesWrittenOutStep:
 class TestPsiDiagnostic:
     def test_zero_at_solution(self, s4, x_star):
         schedule, _ = preset_schedule("paper-s4")
-        assert psi_diagnostic(s4, schedule, 1, x_star, 0.0) <= 1e-20
+        assert record_at(s4, schedule, x_star).psi <= 1e-20
 
     def test_delta_one_kills_first_two_terms(self, s4):
         schedule = constant_schedule(delta=1.0)
         u = np.ones(5)
-        tau = TAU_AT_ONES_RHO2
-        psi = psi_diagnostic(s4, schedule, 1, u, tau)
+        record = record_at(s4, schedule, u)
+        assert record.tau == pytest.approx(TAU_AT_ONES_RHO2, abs=1e-18)
         # only the projection-residual term survives structurally
         t_u = s4.averaged_map(schedule.lam)(u)
         res = t_u - s4.C.project(t_u)
         expected = float(res @ res)  # gamma / (1 - alpha) = 1 here
-        assert psi == pytest.approx(expected, rel=1e-12)
+        assert record.psi == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_on_random_steps(self):
         problem = generate_random_sfp(4, 4, "box", seed=17, include_fixed_point_map=True)
@@ -561,8 +564,7 @@ class TestPsiDiagnostic:
         rng = np.random.default_rng(18)
         for n in range(1, 30):
             u = rng.standard_normal(4) * 2.0
-            tau = adaptive_tau(problem, u, rho=schedule.at(n).rho)
-            assert psi_diagnostic(problem, schedule, n, u, tau) >= -1e-12
+            assert record_at(problem, schedule, u, n).psi >= -1e-12
 
 
 class TestValidateSchedule:
@@ -595,9 +597,10 @@ class TestValidateSchedule:
 
     @pytest.mark.parametrize("values", [
         {}, {"alpha": 1.5}, {"alpha": math.nan}, {"beta": -0.1}, {"alpha": 0.5, "beta": 0.2, "gamma": 0.2},
-        {"epsilon": -1.0}, {"epsilon": math.inf}, {"epsilon": math.nan}, {"rho": 4.0}, {"rho": math.nan},
+        {"epsilon": -1.0}, {"epsilon": math.inf}, {"epsilon": math.nan}, {"rho": 4.0}, {"rho": 0.0},
+        {"rho": math.nan},
     ], ids=["admissible", "alpha=1.5", "alpha=nan", "beta=-0.1", "sum=0.9", "epsilon=-1", "epsilon=inf",
-            "epsilon=nan", "rho=4", "rho=nan"])
+            "epsilon=nan", "rho=4", "rho=0", "rho=nan"])
     def test_run_and_validation_agree(self, s4, values):
         schedule = dataclasses.replace(constant_schedule(), **{k: Seq.constant(v) for k, v in values.items()})
         try:
