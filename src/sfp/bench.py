@@ -227,6 +227,33 @@ def _preset(name: str) -> tuple[dict, str]:
         raise ConfigError(f"schedule.preset: unknown preset {name!r} (have {sorted(PRESETS)})") from None
 
 
+# the keys a sequence's config mapping takes besides ``rule``: those of
+# ``power-law`` default to its field defaults, the others are required
+_RULE_KEYS = {"constant": ("value",), "power-law": ("const", "coeff", "power"), "explicit": ("values",)}
+
+
+def _sequence(obj) -> Seq:
+    """A number is a constant, a list is explicit, and a mapping names its
+    ``rule`` and takes only that rule's keys."""
+    if isinstance(obj, (int, float)):
+        return Seq.constant(_real(obj, "value"))
+    if isinstance(obj, (list, tuple)):
+        return Seq.explicit([_real(v, "each value") for v in obj])
+    if not isinstance(obj, dict):
+        raise ValueError(f"cannot build a sequence from {obj!r}")
+    rule = obj.get("rule")
+    if rule not in _RULE_KEYS:
+        raise ValueError(f"unknown sequence rule {rule!r}")
+    unknown = set(obj) - {"rule", *_RULE_KEYS[rule]}
+    if unknown:
+        raise ValueError(f"unknown key(s) {sorted(unknown)} for rule {rule!r}")
+    if rule != "power-law" and _RULE_KEYS[rule][0] not in obj:
+        raise ValueError(f"rule {rule!r} needs {_RULE_KEYS[rule][0]!r}")
+    if rule == "explicit":
+        return Seq.explicit([_real(v, "each value") for v in obj["values"]])
+    return Seq(rule, **{key: _real(value, key) for key, value in obj.items() if key != "rule"})
+
+
 def schedule_from_config(section: dict) -> ParameterSchedule:
     """Build a schedule from its config section: defaults < preset < explicit keys.
 
@@ -244,9 +271,9 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
         value = merged[key]
         try:
             if key in ("theta", "lambda"):
-                values[key] = float(value)
+                values[key] = _real(value, key)
             else:
-                values[key] = None if key == "gamma" and value == "complement" else Seq.from_config(value)
+                values[key] = None if key == "gamma" and value == "complement" else _sequence(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"schedule.{key}: {exc}") from exc
     lam = values.pop("lambda")
@@ -278,6 +305,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``float(value)`` for a config value; a bool is an error, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
@@ -296,11 +330,11 @@ def set_from_config(obj, path: str) -> ConvexSet:
         if kind == "box":
             return Box(np.array(obj["lower"], float), np.array(obj["upper"], float))
         if kind == "ball":
-            return Ball(np.array(obj["center"], float), float(obj["radius"]))
+            return Ball(np.array(obj["center"], float), _real(obj["radius"], "radius"))
         if kind == "halfspace":
-            return Halfspace(np.array(obj["normal"], float), float(obj["offset"]))
+            return Halfspace(np.array(obj["normal"], float), _real(obj["offset"], "offset"))
         if kind == "hyperplane":
-            return Hyperplane(np.array(obj["normal"], float), float(obj["offset"]))
+            return Hyperplane(np.array(obj["normal"], float), _real(obj["offset"], "offset"))
         if kind == "singleton":
             return Singleton(np.array(obj["point"], float))
         if kind == "affine_nullspace":
@@ -484,11 +518,12 @@ def build_from_config(raw: dict) -> BuiltConfig:
     st = cfg["stepper"]
     try:
         # float() also reads the strings YAML makes of 1e-12
-        stopping = StoppingRule(grad_tol=float(st["grad_tol"]), residual_tol=float(st["residual_tol"]),
+        stopping = StoppingRule(grad_tol=_real(st["grad_tol"], "grad_tol"),
+                                residual_tol=_real(st["residual_tol"], "residual_tol"),
                                 max_iter=_integer(st["max_iter"], "max_iter"))
         values = {name: st[name] for name in _STEPPER_FIELDS}
         if values["fixed_step"] is not None:
-            values["fixed_step"] = float(values["fixed_step"])
+            values["fixed_step"] = _real(values["fixed_step"], "fixed_step")
         stepper = StepperConfig(**values, stopping=stopping)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"stepper: {exc}") from exc
@@ -783,7 +818,7 @@ def gradient_property_suite(points: int = 100, instances: int = 5, seed: int = 0
             worst_rel = max(worst_rel, norm(fd - g) / (1.0 + norm(g)))
         results.append(SuiteResult(f"instance {i}: finite-difference gradient (relative)", worst_rel, 1e-6))
 
-        lip = problem.A.operator_norm(tol=1e-14, max_iter=100_000) ** 2 + 1e-8
+        lip = problem.A.operator_norm() ** 2 + 1e-8
         worst_gap = -np.inf
         for _ in range(200):
             x = 2.0 * rng.standard_normal(problem.dim)

@@ -1,8 +1,7 @@
 """Finite-dimensional real inner-product space primitives.
 
 Vectors are plain 1-D float64 numpy arrays (validated via :func:`as_vector`);
-dense linear operators carry their adjoint and a deterministic spectral-norm
-estimator.
+dense linear operators carry their adjoint and their exact spectral norm.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatch",
-    "PowerIterationError",
     "as_vector",
     "inner",
     "norm",
@@ -24,18 +22,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Vector or operator dimensions are incompatible."""
-
-
-class PowerIterationError(RuntimeError):
-    """Spectral-norm estimate did not settle within the iteration budget.
-
-    The last estimate is kept on the ``estimate`` attribute so callers can
-    still inspect the partial result.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -106,36 +92,6 @@ class LinearMap:
             raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got {y.size}")
         return self.matrix.T @ y
 
-    def operator_norm(self, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-        """Estimate the largest singular value by power iteration on M^T M.
-
-        The start vector is a random unit vector drawn from a fixed seed, so
-        repeated calls are reproducible and the start is not orthogonal to the
-        top singular vector (as the all-ones vector is for ``[[1, -1]]``).
-        Convergence means two consecutive Rayleigh-quotient
-        estimates agree to relative tolerance ``tol``; otherwise
-        :class:`PowerIterationError` is raised carrying the last estimate.
-        """
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        gram = self.matrix.T @ self.matrix
-        v = np.random.default_rng(0).standard_normal(self.cols)
-        v /= norm(v)
-        estimate_prev = None
-        for _ in range(max_iter):
-            w = gram @ v
-            rayleigh = float(v @ w)
-            estimate = math.sqrt(max(rayleigh, 0.0))
-            wn = norm(w)
-            if wn == 0.0:
-                return 0.0
-            v = w / wn
-            if estimate_prev is not None and abs(estimate - estimate_prev) <= tol * max(estimate, 1e-300):
-                return estimate
-            estimate_prev = estimate
-        raise PowerIterationError(
-            f"power iteration did not converge in {max_iter} iterations (last estimate {estimate_prev})",
-            estimate=estimate_prev if estimate_prev is not None else 0.0,
-        )
+    def operator_norm(self) -> float:
+        """The spectral norm ||M||, the largest singular value (LAPACK's SVD)."""
+        return float(np.linalg.norm(self.matrix, 2))

@@ -7,6 +7,7 @@ numerically to tight tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,20 +92,28 @@ class Ball(ConvexSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace(ConvexSet):
-    """Halfspace {x : <normal, x> <= offset}."""
+class _NormalOffset(ConvexSet):
+    """The data of a halfspace or hyperplane: a nonzero normal and a finite offset."""
 
     normal: np.ndarray
     offset: float
-    kind = "halfspace"
 
     def __post_init__(self):
         a = as_vector(self.normal)
         if norm(a) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+            raise ValueError(f"{self.kind} normal must be nonzero")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise ValueError(f"{self.kind} offset must be finite, got {offset}")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "dim", a.size)
+
+
+class Halfspace(_NormalOffset):
+    """Halfspace {x : <normal, x> <= offset}."""
+
+    kind = "halfspace"
 
     def project(self, x):
         x = self._check(x)
@@ -114,21 +123,10 @@ class Halfspace(ConvexSet):
         return x - (excess / inner(self.normal, self.normal)) * self.normal
 
 
-@dataclass(frozen=True, eq=False)
-class Hyperplane(ConvexSet):
+class Hyperplane(_NormalOffset):
     """Hyperplane {x : <normal, x> = offset}."""
 
-    normal: np.ndarray
-    offset: float
     kind = "hyperplane"
-
-    def __post_init__(self):
-        a = as_vector(self.normal)
-        if norm(a) == 0.0:
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "dim", a.size)
 
     def project(self, x):
         x = self._check(x)
@@ -158,28 +156,23 @@ class AffineNullspace(ConvexSet):
     """Null space {x : Mx = 0} of a linear map, projected via an orthonormal basis.
 
     An orthonormal basis of null(M) is precomputed from the SVD of M with rank
-    tolerance ``rank_tol`` (default 1e-10 * ||M||), which makes every
-    projection an exact subspace projection B (B^T x).  The set is never
-    empty since 0 is always a member.
+    tolerance ``rank_tol`` = 1e-10 * ||M||, which makes every projection an
+    exact subspace projection B (B^T x).  The set is never empty since 0 is
+    always a member.
     """
 
     map: LinearMap
-    rank_tol: float | None = None
+    rank_tol: float = field(init=False)
     basis: np.ndarray = field(init=False, repr=False)
     kind = "affine_nullspace"
 
     def __post_init__(self):
-        m = self.map.matrix
-        u, s, vt = np.linalg.svd(m)
-        smax = float(s[0]) if s.size else 0.0
-        tol = self.rank_tol if self.rank_tol is not None else 1e-10 * smax
-        if smax == 0.0:
-            rank = 0
-        else:
-            rank = int(np.sum(s > tol))
+        _, s, vt = np.linalg.svd(self.map.matrix)
+        tol = 1e-10 * float(s[0])
+        rank = int(np.sum(s > tol)) if s[0] > 0.0 else 0
         basis = vt[rank:].T.copy()  # (cols, cols - rank), orthonormal columns
         basis.flags.writeable = False
-        object.__setattr__(self, "rank_tol", float(tol))
+        object.__setattr__(self, "rank_tol", tol)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dim", self.map.cols)
 

@@ -134,11 +134,6 @@ class SfpProblem:
 # --- schedules ------------------------------------------------------------
 
 
-# the keys a sequence's config mapping takes besides ``rule``: those of
-# ``power-law`` default to its field defaults, the others are required
-_RULE_KEYS = {"constant": ("value",), "power-law": ("const", "coeff", "power"), "explicit": ("values",)}
-
-
 @dataclass(frozen=True)
 class Seq:
     """A scalar sequence indexed from n = 1: a named closed-form rule or a list.
@@ -156,8 +151,6 @@ class Seq:
     values: tuple = ()
 
     def __post_init__(self):
-        if self.rule not in _RULE_KEYS:
-            raise ValueError(f"unknown sequence rule {self.rule!r}")
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
         object.__setattr__(self, "at", _value_at(self))
@@ -178,29 +171,6 @@ class Seq:
     def explicit(cls, values) -> "Seq":
         return cls(rule="explicit", values=tuple(float(v) for v in values))
 
-    @classmethod
-    def from_config(cls, obj) -> "Seq":
-        """A number is a constant, a list is explicit, and a mapping names its
-        ``rule`` and takes only that rule's keys."""
-        if isinstance(obj, (int, float)):
-            return cls.constant(float(obj))
-        if isinstance(obj, (list, tuple)):
-            return cls.explicit(obj)
-        if not isinstance(obj, dict):
-            raise ValueError(f"cannot build a sequence from {obj!r}")
-        rule = obj.get("rule")
-        if rule not in _RULE_KEYS:
-            raise ValueError(f"unknown sequence rule {rule!r}")
-        unknown = set(obj) - {"rule", *_RULE_KEYS[rule]}
-        if unknown:
-            raise ValueError(f"unknown key(s) {sorted(unknown)} for rule {rule!r}")
-        if rule == "power-law":
-            return cls.power_law(obj.get("const", 0.0), obj.get("coeff", 0.0), obj.get("power", 1.0))
-        (key,) = _RULE_KEYS[rule]
-        if key not in obj:
-            raise ValueError(f"rule {rule!r} needs {key!r}")
-        return cls.constant(obj[key]) if rule == "constant" else cls.explicit(obj[key])
-
 
 def _value_at(seq: Seq):
     """The function n -> value of ``seq`` at n >= 1, with its rule resolved."""
@@ -218,7 +188,7 @@ def _value_at(seq: Seq):
             if n < 1:
                 raise ValueError("sequences are indexed from n = 1")
             return const + coeff / float(n) ** power
-    else:
+    elif seq.rule == "explicit":
         values = seq.values
 
         def at(n: int) -> float:
@@ -227,6 +197,8 @@ def _value_at(seq: Seq):
             if n > len(values):
                 raise ScheduleViolation(f"explicit sequence exhausted at n = {n} (length {len(values)})")
             return values[n - 1]
+    else:
+        raise ValueError(f"unknown sequence rule {seq.rule!r}")
     return at
 
 

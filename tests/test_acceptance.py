@@ -133,7 +133,7 @@ def test_criterion_7_cq_equivalence():
     worst = -np.inf
     for i in range(5):
         problem = generate_random_sfp(4 + i % 2, 3 + i % 3, families[i % 3], seed=2000 + i)
-        gamma = 1.0 / problem.A.operator_norm(tol=1e-14, max_iter=100_000) ** 2
+        gamma = 1.0 / problem.A.operator_norm() ** 2
         schedule = ParameterSchedule(
             alpha=Seq.constant(0.0), beta=Seq.constant(0.0), gamma=None,
             delta=Seq.constant(0.0), rho=Seq.constant(2.0), epsilon=Seq.constant(0.0),

@@ -321,8 +321,16 @@ class TestConfig:
         ("preset", ["cq"], "unknown preset"),
         ("theta", float("nan"), "must be finite and >= 0"),
         ("theta", float("inf"), "must be finite and >= 0"),
+        ("theta", True, "theta must be a number, got True"),
+        ("lambda", False, "lambda must be a number, got False"),
+        ("delta", True, "value must be a number, got True"),
+        ("beta", [True], "each value must be a number, got True"),
+        ("alpha", {"rule": "power-law", "coeff": True}, "coeff must be a number, got True"),
+        ("alpha", {"rule": "constant", "value": True}, "value must be a number, got True"),
+        ("beta", {"rule": "explicit", "values": [0.0, True]}, "each value must be a number, got True"),
     ], ids=["theta=null", "constant-without-value", "misspelled-power-law-key", "unknown-rule", "unhashable-preset",
-            "theta=nan", "theta=inf"])
+            "theta=nan", "theta=inf", "theta=true", "lambda=false", "delta=true", "beta=[true]",
+            "power-law-coeff=true", "constant-value=true", "explicit-values=[0,true]"])
     def test_malformed_schedule_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError, match=rf"^schedule\.{key}: {message}"):
             build_from_config({"problem": {"example": "s4"}, "schedule": {"preset": "cq", key: value}})
@@ -347,8 +355,18 @@ class TestConfig:
         ({"example": "s4"}, {"max_iter": 1.9}, "stepper: max_iter must be an integer, got 1.9"),
         ({"example": "s4"}, {"max_iter": True}, "stepper: max_iter must be an integer, got True"),
         ({"example": "s4"}, {"max_iter": float("inf")}, "stepper: max_iter must be an integer, got inf"),
+        ({"example": "s4"}, {"grad_tol": True}, "stepper: grad_tol must be a number, got True"),
+        ({"example": "s4"}, {"residual_tol": True}, "stepper: residual_tol must be a number, got True"),
+        ({"example": "s4"}, {"step_rule": "fixed", "fixed_step": True},
+         "stepper: fixed_step must be a number, got True"),
+        ({"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "ball", "center": [0.0], "radius": True}},
+         {}, "problem.Q: radius must be a number, got True"),
+        ({"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "halfspace", "normal": [1.0],
+                                                                      "offset": True}},
+         {}, "problem.Q: offset must be a number, got True"),
     ], ids=["flag=str", "flag=int", "seed=1.7", "dim1=true", "dim2=3.5", "whole_space.dim=2.5",
-            "max_iter=1.9", "max_iter=true", "max_iter=inf"])
+            "max_iter=1.9", "max_iter=true", "max_iter=inf", "grad_tol=true", "residual_tol=true", "fixed_step=true",
+            "ball.radius=true", "halfspace.offset=true"])
     def test_wrongly_typed_integer_or_flag(self, problem, stepper, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config({"problem": problem, "stepper": stepper})

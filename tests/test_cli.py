@@ -39,9 +39,13 @@ SHORT_SCHEDULE_CONFIG = {
 }
 
 
-# Configs with one malformed value, each with the start of its error line.
+# an explicit 2-variable problem whose Q stanza is appended by each use
+EXPLICIT_PROBLEM = "problem: {A: [[1.0, 0.0], [0.0, 1.0]], C: {kind: whole_space, dim: 2}, Q: "
+
+# Configs with one malformed value, each with the start of its error line;
+# those without a problem section run on the reference example.
 MALFORMED_VALUES = [
-    pytest.param("problem: {example: s4}\n" + text, message, id=name)
+    pytest.param(text if text.startswith("problem:") else "problem: {example: s4}\n" + text, message, id=name)
     for name, text, message in [
         ("stepper", "stepper: {max_iter: null}\n", "config error: stepper: "),
         ("start", "start: {x1: [1, 2, 3, 4, x]}\n", "config error: start.x1: could not convert"),
@@ -59,6 +63,11 @@ MALFORMED_VALUES = [
          "config error: stepper: fixed step rule needs fixed_step > 0"),
         ("max_iter=1.9", "stepper: {max_iter: 1.9}\n", "config error: stepper: max_iter must be an integer, got 1.9"),
         ("start=nan", "start: {x1: [.nan, 1, 1, 1, 1]}\n", "config error: start.x1: vector entries must all be finite"),
+        ("halfspace-offset=nan", EXPLICIT_PROBLEM + "{kind: halfspace, normal: [1.0, 1.0], offset: .nan}}\n",
+         "config error: problem.Q: halfspace offset must be finite, got nan"),
+        ("hyperplane-offset=nan", EXPLICIT_PROBLEM + "{kind: hyperplane, normal: [1.0, 1.0], offset: .nan}}\n",
+         "config error: problem.Q: hyperplane offset must be finite, got nan"),
+        ("grad_tol=true", "stepper: {grad_tol: true}\n", "config error: stepper: grad_tol must be a number, got True"),
     ]
 ]
 
@@ -112,6 +121,17 @@ class TestRunCommand:
         proc = cli("run", str(path), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fixed_step_with_close_top_singular_values(self, tmp_path):
+        # ||A|| = 1 with a second singular value 0.99995, so the step 1.0 is inside (0, 2)
+        path = tmp_path / "close.yaml"
+        path.write_text(EXPLICIT_PROBLEM.replace("0.0], [0.0, 1.0]", "0.0], [0.0, 0.99995]")
+                        + "{kind: singleton, point: [0.0, 0.0]}}\n"
+                        "schedule: {preset: cq}\nstepper: {step_rule: fixed, fixed_step: 1.0, max_iter: 50}\n"
+                        "start: {x1: [1, 1]}\n")
+        proc = cli("run", str(path), "--out", str(tmp_path))
+        assert proc.returncode in (0, 1), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_quoted_flag_exits_two(self, tmp_path):

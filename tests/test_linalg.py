@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfp.linalg import DimensionMismatch, LinearMap, PowerIterationError, as_vector, inner, norm
+from sfp.linalg import DimensionMismatch, LinearMap, as_vector, inner, norm
 
 # largest singular value of the experiment's coefficient matrix, frozen from an
 # independent eigendecomposition of A^T A (np.linalg.eigvalsh) run before the
@@ -150,7 +150,7 @@ class TestOperatorNorm:
         assert m.operator_norm() == pytest.approx(3.0, rel=1e-10)
 
     def test_s4_matrix_against_eigendecomposition(self, s4):
-        est = s4.A.operator_norm(tol=1e-13, max_iter=100_000)
+        est = s4.A.operator_norm()
         assert est == pytest.approx(S4_OPERATOR_NORM, rel=1e-9)
         # recompute the oracle in place as well
         gram = s4.A.matrix.T @ s4.A.matrix
@@ -160,16 +160,10 @@ class TestOperatorNorm:
     def test_bounds_rayleigh_quotient(self):
         rng = np.random.default_rng(5)
         m = LinearMap(rng.standard_normal((6, 4)))
-        est = m.operator_norm(tol=1e-12, max_iter=100_000)
+        est = m.operator_norm()
         for _ in range(50):
             x = rng.standard_normal(4)
             assert norm(m.apply(x)) / norm(x) <= est * (1.0 + 1e-9)
-
-    def test_nonconvergence_raises_with_estimate(self):
-        m = LinearMap(np.diag([1.0, 2.0]))
-        with pytest.raises(PowerIterationError) as exc:
-            m.operator_norm(tol=1e-16, max_iter=1)
-        assert exc.value.estimate > 0
 
     def test_start_not_orthogonal_to_top_singular_vector(self):
         # the all-ones vector lies in the null space of [[1, -1]]
@@ -178,9 +172,7 @@ class TestOperatorNorm:
     def test_zero_matrix(self):
         assert LinearMap(np.zeros((3, 3))).operator_norm() == 0.0
 
-    def test_parameter_validation(self):
-        m = LinearMap.identity(2)
-        with pytest.raises(ValueError):
-            m.operator_norm(tol=0.0)
-        with pytest.raises(ValueError):
-            m.operator_norm(max_iter=0)
+    @pytest.mark.parametrize("second", [0.99995, 1.0 - 1e-7])
+    def test_near_equal_top_singular_values(self, second):
+        # the top two singular values agree to 5e-5 and to 1e-7
+        assert LinearMap(np.diag([1.0, second])).operator_norm() == 1.0

@@ -80,6 +80,12 @@ class TestConstructionValidation:
         with pytest.raises(ValueError):
             Hyperplane(np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_offsets(self, kind, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            kind(np.ones(2), offset)
+
     def test_whole_space_dim(self):
         with pytest.raises(ValueError):
             WholeSpace(0)

@@ -5,11 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule
 from sfp.linalg import LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
-from sfp.sets import Box, Singleton, WholeSpace
+from sfp.sets import Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
     DivergenceError,
     ParameterSchedule,
@@ -402,6 +404,37 @@ class TestRun:
         config = StepperConfig(step_rule="fixed", fixed_step=5.0, stopping=StoppingRule(max_iter=20))
         with pytest.raises(ValueError, match="fixed step"):  # the limit is 2 / ||A||^2 = 1
             run(problem, constant_schedule(), config, np.array([1.0, 0.0]))
+
+    @settings(derandomize=True, max_examples=25)
+    @given(kind=st.sampled_from(["ones-in-null-space", "rank-deficient", "near-equal-top", "condition-1e12"]),
+           rows=st.integers(2, 6), cols=st.integers(2, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**16))
+    def test_fixed_step_bound_on_adversarial_operators(self, kind, rows, cols, scale, seed):
+        rng = np.random.default_rng(seed)
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+        if kind == "ones-in-null-space":
+            a = rng.standard_normal((rows, cols))
+            a -= np.outer(a.sum(axis=1), np.ones(cols)) / cols
+        else:
+            sv = {"rank-deficient": np.concatenate([1.0 + rng.random(k - 1), [0.0]]),
+                  "near-equal-top": np.concatenate([[1.0, 1.0 - 1e-4], 0.5 * rng.random(k - 2)]),
+                  "condition-1e12": np.logspace(0.0, -12.0, k)}[kind]
+            a = u @ np.diag(sv) @ v.T
+        a *= scale
+        # independent oracle: the largest eigenvalue of A^T A
+        limit = 2.0 / float(np.linalg.eigvalsh(a.T @ a)[-1])
+        problem = SfpProblem(A=LinearMap(a), C=WholeSpace(cols), Q=Ball(10.0 * scale * np.ones(rows), 0.5))
+        x1 = rng.standard_normal(cols)
+
+        def one_step(fixed_step):
+            config = StepperConfig(step_rule="fixed", fixed_step=fixed_step, stopping=StoppingRule(max_iter=1))
+            return run(problem, constant_schedule(), config, x1)
+
+        with pytest.raises(ValueError, match="fixed step"):
+            one_step(limit * (1.0 + 1e-9))
+        assert one_step(limit * (1.0 - 1e-9)).steps <= 1
 
     @staticmethod
     def _run_jump_map(lam):
