@@ -18,7 +18,6 @@ from .sets import (
     membership_residual,
 )
 from .mappings import (
-    AveragedMapping,
     Mapping,
     average,
     estimate_demicontractive_modulus,
@@ -36,7 +35,6 @@ from .solver import (
     SfpProblem,
     StepperConfig,
     StoppingRule,
-    inertial_theta,
     run,
     step,
     validate_schedule,

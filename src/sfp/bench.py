@@ -349,14 +349,14 @@ def set_from_config(obj, path: str) -> ConvexSet:
 
 
 def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
+    if isinstance(obj, dict) and "name" in obj:
+        obj = obj["name"]
     try:
         if isinstance(obj, str):
             return mapping_from_name(obj, dim)
-        if isinstance(obj, dict) and "name" in obj:
-            return mapping_from_name(obj["name"], dim)
         if isinstance(obj, dict) and "matrix" in obj:
             return linear_mapping(np.array(obj["matrix"], float))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}: expected a mapping name or {{matrix: ...}}")
 
@@ -484,6 +484,8 @@ def build_from_config(raw: dict) -> BuiltConfig:
         default_start = list(np.ones(5))
     elif "random" in pr:
         spec = pr["random"]
+        if not isinstance(spec, dict):
+            raise ConfigError("problem.random: must be a mapping")
         _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
         try:
             problem = generate_random_sfp(
@@ -500,13 +502,18 @@ def build_from_config(raw: dict) -> BuiltConfig:
             raise ConfigError("problem.A: matrix is required for an explicit problem")
         try:
             a_map = LinearMap(np.array(pr["A"], dtype=float))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(f"problem.A: {exc}") from exc
         c_set = set_from_config(pr.get("C"), "problem.C")
         q_set = set_from_config(pr.get("Q"), "problem.Q")
-        s_map = _mapping_from_config(pr["S"], a_map.cols, "problem.S") if pr.get("S") else None
+        s_map = _mapping_from_config(pr["S"], a_map.cols, "problem.S") if pr.get("S") is not None else None
         g_map = _mapping_from_config(pr.get("g", "zero"), a_map.cols, "problem.g")
-        known = np.array(pr["known_solution"], float) if pr.get("known_solution") else None
+        known = pr.get("known_solution")
+        if known is not None:
+            try:
+                known = as_vector(known, a_map.cols)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"problem.known_solution: {exc}") from exc
         try:
             problem = SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_map, g=g_map, known_solution=known)
         except ValueError as exc:
@@ -535,9 +542,11 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     fingerprint = _fingerprint(cfg)
     csv_name = cfg["output"].get("csv") or f"run_{fingerprint}.csv"
+    if not isinstance(csv_name, str):
+        raise ConfigError(f"output.csv: must be a file name, got {csv_name!r}")
     return BuiltConfig(
         problem=problem, schedule=schedule, stepper=stepper,
-        x0=x0, x1=x1, csv_name=str(csv_name), fingerprint=fingerprint,
+        x0=x0, x1=x1, csv_name=csv_name, fingerprint=fingerprint,
     )
 
 
@@ -572,7 +581,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     """
     yield (["n"] + [f"x{i + 1}" for i in range(problem.dim)]
            + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
-    t_fn = problem.averaged_map(schedule.lam).plain()
+    t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
     records = history.records
     for k, x in enumerate(history.iterates):

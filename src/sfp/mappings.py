@@ -18,7 +18,6 @@ from .linalg import DimensionMismatch, as_vector, norm
 __all__ = [
     "CLASS_TAGS",
     "Mapping",
-    "AveragedMapping",
     "average",
     "fixed_point_residual",
     "estimate_demicontractive_modulus",
@@ -85,10 +84,12 @@ class Mapping:
 
 
 def _averaged_tag(base: Mapping, lam: float) -> tuple[str, float | None]:
-    # (1-lam) I + lam T keeps the base class for the convex ones; a
+    # (1-lam) I + lam T keeps the base class for the convex ones (a
+    # contraction whose modulus rounds to 1 is only nonexpansive); a
     # demicontractive base becomes quasi-nonexpansive when lam < 1 - k.
     if base.class_tag == "contraction":
-        return "contraction", 1.0 - lam * (1.0 - base.modulus)
+        modulus = 1.0 - lam * (1.0 - base.modulus)
+        return ("contraction", modulus) if modulus < 1.0 else ("nonexpansive", None)
     if base.class_tag in ("nonexpansive", "quasi_nonexpansive"):
         return base.class_tag, None
     if base.class_tag == "demicontractive" and lam < 1.0 - base.modulus:
@@ -96,43 +97,16 @@ def _averaged_tag(base: Mapping, lam: float) -> tuple[str, float | None]:
     return "generic", None
 
 
-@dataclass(frozen=True, eq=False)
-class AveragedMapping:
-    """The relaxation (1 - lam) I + lam base, sharing the base's fixed points."""
-
-    base: Mapping
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError("averaging weight must lie in (0, 1]")
-        tag, modulus = _averaged_tag(self.base, self.lam)
-        object.__setattr__(self, "class_tag", tag)
-        object.__setattr__(self, "modulus", modulus)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def known_fixed_points(self) -> tuple:
-        return self.base.known_fixed_points
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (1.0 - self.lam) * x + self.lam * self.base(x)
-
-    def plain(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The same map as a plain function of a float64 vector of size
-        ``dim``: the base's ``fn`` is called directly, without the size check
-        and conversions of ``__call__``, and the arithmetic is the same."""
-        keep, lam, fn = 1.0 - self.lam, self.lam, self.base.fn
-        return lambda x: keep * x + lam * fn(x)
-
-
-def average(base: Mapping, lam: float) -> AveragedMapping:
+def average(base: Mapping, lam: float) -> Mapping:
     """Averaged map (1 - lam) I + lam base for lam in (0, 1]."""
-    return AveragedMapping(base=base, lam=lam)
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("averaging weight must lie in (0, 1]")
+    tag, modulus = _averaged_tag(base, lam)
+    keep, fn = 1.0 - lam, base.fn
+    averaged = Mapping(fn=lambda x: keep * x + lam * fn(x), dim=base.dim, class_tag=tag, modulus=modulus)
+    # Fix((1 - lam) I + lam base) = Fix(base), and the base validated its points
+    object.__setattr__(averaged, "known_fixed_points", base.known_fixed_points)
+    return averaged
 
 
 def fixed_point_residual(mapping, x: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import DimensionMismatch, LinearMap, as_vector, norm
-from .mappings import AveragedMapping, Mapping, average, fixed_point_residual, identity_map, zero_map
+from .mappings import Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "StepperConfig",
     "StepRecord",
     "RunHistory",
-    "inertial_theta",
     "step",
     "run",
     "validate_schedule",
@@ -120,7 +119,7 @@ class SfpProblem:
         """Gradient A^T (Ax - P_Q(Ax)) of :meth:`f_value`."""
         return self.A.apply_adjoint(self.residual(x))
 
-    def averaged_map(self, lam: float) -> AveragedMapping:
+    def averaged_map(self, lam: float) -> Mapping:
         """The relaxation (1 - lam) I + lam S (identity when S is absent)."""
         return average(self.S if self.S is not None else identity_map(self.dim), lam)
 
@@ -311,27 +310,6 @@ class StepperConfig:
             raise ValueError("tau_numerator must be 'u' or 'x'")
 
 
-# --- elementary ops ---------------------------------------------------------
-
-
-def inertial_theta(theta: float, epsilon_n: float, x_n: np.ndarray, x_prev: np.ndarray) -> float:
-    """Per-step inertial weight min(theta, epsilon_n / ||x_n - x_prev||).
-
-    Returns theta itself when the two iterates coincide; either way the
-    product theta_n * ||x_n - x_prev|| never exceeds epsilon_n.
-    """
-    if not 0.0 <= theta < math.inf:
-        raise ValueError("theta must be finite and >= 0")
-    if not epsilon_n >= 0.0:
-        raise ValueError("epsilon_n must be >= 0")
-    return _capped_theta(theta, epsilon_n, norm(np.asarray(x_n, float) - np.asarray(x_prev, float)))
-
-
-def _capped_theta(theta: float, epsilon_n: float, dx: float) -> float:
-    """min(theta, epsilon_n / dx), or theta when dx = ||x_n - x_prev|| is 0."""
-    return theta if dx == 0.0 else min(theta, epsilon_n / dx)
-
-
 # --- stepping ---------------------------------------------------------------
 
 
@@ -393,15 +371,15 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     :func:`run` share.
 
     What every step would otherwise look up again is bound here once: the
-    operator and projection methods, the plain functions of the averaged map
-    and of ``g`` (the step's vectors are float64 of the right size, so the
+    operator and projection methods, the ``fn`` of the averaged map and of
+    ``g`` (the step's vectors are float64 of the right size, so the
     checks of ``Mapping.__call__`` are not needed), the declared solution and
     the mode and step-rule branches.  Each product is formed once per step.
     """
     schedule_at = schedule.at
     apply, apply_adjoint = problem.A.apply, problem.A.apply_adjoint
     project_c, project_q = problem.C.project, problem.Q.project
-    t_fn = problem.averaged_map(schedule.lam).plain()
+    t_fn = problem.averaged_map(schedule.lam).fn
     g_fn = problem.g.fn
     theta = schedule.theta
     xs = problem.known_solution
@@ -417,7 +395,8 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         alpha, beta, gamma, delta, rho, epsilon = p
 
         dx = x_n - x_prev
-        theta_n = _capped_theta(theta, epsilon, norm(dx))
+        dx_norm = norm(dx)  # theta_n * ||x_n - x_prev|| never exceeds epsilon
+        theta_n = theta if dx_norm == 0.0 else min(theta, epsilon / dx_norm)
         u = x_n + theta_n * dx
 
         ax = apply(u)
@@ -482,11 +461,12 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
     return _stepper(problem, schedule, config)(n, x_n, x_prev)
 
 
-def _warn_lambda_vs_modulus(problem: SfpProblem, t_lam: AveragedMapping) -> None:
+def _warn_lambda_vs_modulus(problem: SfpProblem, lam: float) -> None:
     s = problem.S
-    if s is not None and s.class_tag == "demicontractive" and t_lam.class_tag != "quasi_nonexpansive":
+    if (s is not None and s.class_tag == "demicontractive"
+            and problem.averaged_map(lam).class_tag != "quasi_nonexpansive"):
         warnings.warn(
-            f"averaging weight {t_lam.lam} is outside (0, {1.0 - s.modulus:.6g}) for the declared "
+            f"averaging weight {lam} is outside (0, {1.0 - s.modulus:.6g}) for the declared "
             f"demicontractive modulus {s.modulus}; quasi-nonexpansiveness of the averaged "
             "map is not guaranteed",
             UserWarning,
@@ -519,7 +499,7 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             raise ValueError(
                 f"fixed step {config.fixed_step} outside (0, 2/||A||^2) = (0, {limit:.6g})"
             )
-    _warn_lambda_vs_modulus(problem, problem.averaged_map(schedule.lam))
+    _warn_lambda_vs_modulus(problem, schedule.lam)
     advance = _stepper(problem, schedule, config)
 
     stopping = config.stopping

@@ -217,6 +217,9 @@ class TestConfig:
         assert built.schedule.at(3).epsilon == 0.025
         result = run_experiment(cfg)
         assert result.history.steps <= 3
+        without_s = {k: v for k, v in cfg["problem"].items() if k != "S"}
+        for problem in (without_s, {**without_s, "S": None}):  # an absent or null S means none
+            assert build_from_config({**cfg, "problem": problem}).problem.S is None
 
     def test_preset_overrides(self):
         cfg = {

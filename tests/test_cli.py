@@ -68,6 +68,22 @@ MALFORMED_VALUES = [
         ("hyperplane-offset=nan", EXPLICIT_PROBLEM + "{kind: hyperplane, normal: [1.0, 1.0], offset: .nan}}\n",
          "config error: problem.Q: hyperplane offset must be finite, got nan"),
         ("grad_tol=true", "stepper: {grad_tol: true}\n", "config error: stepper: grad_tol must be a number, got True"),
+        ("A=mapping", "problem: {A: {a: 1}, C: {kind: whole_space, dim: 2}, Q: {kind: whole_space, dim: 2}}\n",
+         "config error: problem.A: "),
+        ("known_solution=mapping", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, known_solution: {a: 1}}\n",
+         "config error: problem.known_solution: "),
+        ("known_solution=[a]", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, known_solution: [a]}\n",
+         "config error: problem.known_solution: could not convert string to float: 'a'"),
+        ("known_solution=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, known_solution: 0}\n",
+         "config error: problem.known_solution: expected a 1-D vector"),
+        ("random=3", "problem: {random: 3}\n", "config error: problem.random: must be a mapping"),
+        ("S-matrix=mapping", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {matrix: {a: 1}}}\n",
+         "config error: problem.S: "),
+        ("S-name=3", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {name: 3}}\n",
+         "config error: problem.S: expected a mapping name"),
+        ("S=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: 0}\n",
+         "config error: problem.S: expected a mapping name"),
+        ("csv=[a]", "output: {csv: [a]}\n", "config error: output.csv: must be a file name, got ['a']"),
     ]
 ]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sfp.linalg import DimensionMismatch
 from sfp.mappings import (
     Mapping,
     average,
@@ -69,6 +70,9 @@ class TestAveraging:
         for t in (0.0, 0.3, 0.875, 1.0):
             x = np.array([t])
             assert np.array_equal(avg(x), jump(x))
+        assert isinstance(avg, Mapping)
+        with pytest.raises(DimensionMismatch):
+            avg(np.zeros(2))
 
     def test_direct_arithmetic(self):
         avg = average(unit_interval_jump_map(), 0.25)
@@ -88,6 +92,13 @@ class TestAveraging:
             avg = average(jump, lam)
             assert fixed_point_residual(avg, FIXED) <= 1e-10
             assert np.array_equal(avg.known_fixed_points[0], FIXED)
+        # the averaged map inherits the base's points without evaluating them
+        # again: (1 - lam) p + lam p rounds away from this p (|p| ~ 3e7) for 11
+        # of the 19 weights, by more than the 1e-10 a re-check would allow
+        far = 1e7 * np.array([1.0 / 3.0, np.sqrt(2.0), np.pi])
+        base = Mapping(fn=lambda x: x.copy(), dim=3, class_tag="nonexpansive", known_fixed_points=(far,))
+        for lam in np.linspace(0.05, 0.95, 19):
+            assert average(base, float(lam)).known_fixed_points is base.known_fixed_points
 
     def test_weight_validation(self):
         jump = unit_interval_jump_map()
@@ -114,6 +125,8 @@ class TestAveraging:
         avg = average(scaling_map(2, 0.5), 0.5)
         assert avg.class_tag == "contraction"
         assert avg.modulus == pytest.approx(0.75)
+        # a weight so small that the modulus rounds to 1 leaves a nonexpansive map
+        assert average(scaling_map(2, 0.5), 1e-17).class_tag == "nonexpansive"
 
 
 class TestClassEstimators:

@@ -20,7 +20,6 @@ from sfp.solver import (
     SfpProblem,
     StepperConfig,
     StoppingRule,
-    inertial_theta,
     run,
     step,
     validate_schedule,
@@ -121,29 +120,28 @@ class TestAdaptiveTau:
 
 
 class TestInertialTheta:
+    """theta_n = min(theta, epsilon / ||x_n - x_prev||), read off the step's record."""
+
+    @staticmethod
+    def theta_n(theta, epsilon, x_n, x_prev):
+        dim = x_n.size
+        problem = SfpProblem(A=LinearMap(np.eye(dim)), C=WholeSpace(dim), Q=WholeSpace(dim))
+        schedule = constant_schedule(theta=theta, epsilon=epsilon)
+        return step(problem, schedule, StepperConfig(), 1, x_n, x_prev)[1].theta
+
     def test_equal_iterates_return_theta(self):
         x = np.ones(3)
-        assert inertial_theta(0.7, 0.01, x, x) == 0.7
+        assert self.theta_n(0.7, 0.01, x, x) == 0.7
 
     def test_ratio_branch(self):
         x = np.zeros(2)
         y = np.array([0.1, 0.0])
-        assert inertial_theta(0.5, 0.01, x, y) == pytest.approx(0.1, abs=1e-15)
+        assert self.theta_n(0.5, 0.01, x, y) == pytest.approx(0.1, abs=1e-15)
 
     def test_theta_branch(self):
         x = np.zeros(2)
         y = np.array([0.1, 0.0])
-        assert inertial_theta(0.05, 10.0, x, y) == 0.05
-
-    def test_validation(self):
-        x = np.zeros(2)
-        with pytest.raises(ValueError):
-            inertial_theta(-0.1, 0.0, x, x)
-        with pytest.raises(ValueError):
-            inertial_theta(0.1, -1.0, x, x)
-        for theta, epsilon in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan)):
-            with pytest.raises(ValueError):
-                inertial_theta(theta, epsilon, x, x + 1.0)
+        assert self.theta_n(0.05, 10.0, x, y) == 0.05
 
 
 def reference_step(problem, mode, params, theta, lam, x_n, x_prev, tau=None, rho=2.0,
@@ -697,6 +695,17 @@ class TestProblemValidation:
     def test_default_g_is_null_map(self, s4):
         assert s4.g.name == "zero"
         assert np.array_equal(s4.g(np.ones(5)), np.zeros(5))
+
+    def test_averaged_map_is_the_relaxation_bit_for_bit(self, s4):
+        # without S the identity stands in for it
+        plain = SfpProblem(A=LinearMap(np.eye(3)), C=WholeSpace(3), Q=WholeSpace(3))
+        rng = np.random.default_rng(7)
+        for problem, s_fn in ((s4, s4.S.fn), (plain, lambda x: x)):
+            for lam in (0.05, 0.5, 1.0):
+                t_fn = problem.averaged_map(lam).fn
+                for _ in range(10):
+                    x = rng.standard_normal(problem.dim)
+                    assert np.array_equal(t_fn(x), (1 - lam) * x + lam * s_fn(x))
 
 
 class TestConfigValidation:
