@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import LinearMap, as_vector, norm
+from .linalg import LinearMap, as_vector, norm, row_dots, row_norms
 from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
@@ -472,53 +471,70 @@ def _start_vector(start: dict, key: str, default) -> np.ndarray:
         raise ConfigError(f"start.{key}: {exc}") from exc
 
 
+def _example_problem(pr: dict) -> tuple[SfpProblem, list]:
+    if pr["example"] != "s4":
+        raise ConfigError(f"problem.example: unknown example {pr['example']!r}")
+    return build_example_s4(), [1.0] * 5
+
+
+def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
+    spec = pr["random"]
+    if not isinstance(spec, dict):
+        raise ConfigError("problem.random: must be a mapping")
+    _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
+    try:
+        problem = generate_random_sfp(
+            _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
+            _integer(spec.get("seed", 0), "seed"),
+            include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False), "include_fixed_point_map"),
+        )
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"problem.random: {exc}") from exc
+    return problem, [0.0] * problem.dim
+
+
+def _explicit_problem(pr: dict) -> tuple[SfpProblem, list]:
+    if "A" not in pr:
+        raise ConfigError("problem.A: matrix is required for an explicit problem")
+    try:
+        a_map = LinearMap(np.array(pr["A"], dtype=float))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"problem.A: {exc}") from exc
+    c_set = set_from_config(pr.get("C"), "problem.C")
+    q_set = set_from_config(pr.get("Q"), "problem.Q")
+    s_map = _mapping_from_config(pr["S"], a_map.cols, "problem.S") if pr.get("S") is not None else None
+    g_map = _mapping_from_config(pr.get("g", "zero"), a_map.cols, "problem.g")
+    known = pr.get("known_solution")
+    if known is not None:
+        try:
+            known = as_vector(known, a_map.cols)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"problem.known_solution: {exc}") from exc
+    try:
+        problem = SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_map, g=g_map, known_solution=known)
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
+    return problem, [0.0] * problem.dim
+
+
+# The three forms of the problem section, each with the keys it takes and its
+# builder, which returns the problem and the default start vector.  A section
+# with an ``example`` or a ``random`` key has that form; any other is explicit.
+_PROBLEM_FORMS = {
+    "example": (("example",), _example_problem),
+    "random": (("random",), _random_problem),
+    "explicit": (("A", "C", "Q", "S", "g", "known_solution"), _explicit_problem),
+}
+
+
 def build_from_config(raw: dict) -> BuiltConfig:
     """Turn a config dict into runnable objects, reporting errors by field path."""
     cfg = normalize_config(raw)
     pr = cfg["problem"]
-
-    if "example" in pr:
-        if pr["example"] != "s4":
-            raise ConfigError(f"problem.example: unknown example {pr['example']!r}")
-        problem = build_example_s4()
-        default_start = list(np.ones(5))
-    elif "random" in pr:
-        spec = pr["random"]
-        if not isinstance(spec, dict):
-            raise ConfigError("problem.random: must be a mapping")
-        _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
-        try:
-            problem = generate_random_sfp(
-                _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
-                _integer(spec.get("seed", 0), "seed"),
-                include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False),
-                                              "include_fixed_point_map"),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"problem.random: {exc}") from exc
-        default_start = [0.0] * problem.dim
-    else:
-        if "A" not in pr:
-            raise ConfigError("problem.A: matrix is required for an explicit problem")
-        try:
-            a_map = LinearMap(np.array(pr["A"], dtype=float))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"problem.A: {exc}") from exc
-        c_set = set_from_config(pr.get("C"), "problem.C")
-        q_set = set_from_config(pr.get("Q"), "problem.Q")
-        s_map = _mapping_from_config(pr["S"], a_map.cols, "problem.S") if pr.get("S") is not None else None
-        g_map = _mapping_from_config(pr.get("g", "zero"), a_map.cols, "problem.g")
-        known = pr.get("known_solution")
-        if known is not None:
-            try:
-                known = as_vector(known, a_map.cols)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"problem.known_solution: {exc}") from exc
-        try:
-            problem = SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_map, g=g_map, known_solution=known)
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from exc
-        default_start = [0.0] * problem.dim
+    form = next((name for name in ("example", "random") if name in pr), "explicit")
+    keys, build = _PROBLEM_FORMS[form]
+    _reject_unknown_keys("problem", pr, keys)
+    problem, default_start = build(pr)
 
     schedule = schedule_from_config(cfg["schedule"])
 
@@ -571,33 +587,58 @@ def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
     return float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
 
 
+# CSV values computed per block of rows: a block of iterates is stacked into
+# one (k, dim) array and each derived column is one numpy call over it.  Small
+# enough that a wide problem's block is one row and adds no memory.
+_BLOCK_VALUES = 1024
+
+
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
     """Yield the CSV header, then one row per iterate (row 0 is the start point).
+
+    Rows come in blocks of consecutive iterates, each row a list of floats
+    (``n`` integral).  Each derived column of a block is one stacked call of
+    the same operation (the projections, ``A``, ``A^T``, the averaged map and
+    the norms act on each row of a stack with the bits of one point), so the
+    rows are those of an evaluation at one iterate at a time.
 
     A step that ran with theta_n = 0 extrapolated to u = x_n, so its record
     already holds f and ||grad f|| at the row's iterate.  The Q-residual norm
     is sqrt(2 f) exactly only while halving its square was exact, i.e. for
     f above the smallest normal float; below that it is evaluated again.
     """
-    yield (["n"] + [f"x{i + 1}" for i in range(problem.dim)]
-           + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
+    header = (["n"] + [f"x{i + 1}" for i in range(problem.dim)]
+              + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
+    yield header
     t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
     records = history.records
-    for k, x in enumerate(history.iterates):
-        if k < len(records) and records[k].theta == 0.0:
-            f_x, grad_n = records[k].f_u, records[k].grad_norm_u
-            res_q = math.sqrt(2.0 * f_x) if f_x > sys.float_info.min else norm(problem.residual(x))
-        else:
-            d = problem.residual(x)
-            f_x = 0.5 * float(np.dot(d, d))
-            grad_n = norm(problem.A.apply_adjoint(d))
-            res_q = norm(d)
+    # row k reports step k's theta_n and tau_n (0 at the start point) and, when
+    # step k + 1 ran with theta = 0, takes f and ||grad f|| from that step
+    theta_n = np.array([0.0] + [r.theta for r in records])
+    tau_n = np.array([0.0] + [r.tau for r in records])
+    f_next = np.array([r.f_u for r in records] + [0.0])
+    grad_next = np.array([r.grad_norm_u for r in records] + [0.0])
+    reused = np.append(theta_n[1:] == 0.0, False)
+    size = max(1, _BLOCK_VALUES // len(header))
+    for lo in range(0, len(history.iterates), size):
+        x = np.array(history.iterates[lo:lo + size])
+        rows = slice(lo, lo + len(x))
+        reuse, f, grad_n = reused[rows], f_next[rows], grad_next[rows]
+        res_q = np.sqrt(2.0 * f)
+        fresh = np.flatnonzero(~(reuse & (f > sys.float_info.min)))  # rows whose residual is evaluated
+        if fresh.size:
+            d = problem.residual(x[fresh])
+            dd = row_dots(d, d)
+            res_q[fresh] = np.sqrt(dd)
+            own = ~reuse[fresh]  # of those, the rows that take f and ||grad f|| from it too
+            f[fresh[own]] = 0.5 * dd[own]
+            grad_n[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
         res_c = membership_residual(problem.C, x)
-        res_fix = norm(t_fn(x) - x) if problem.S is not None else 0.0
-        theta_n = records[k - 1].theta if k >= 1 else 0.0
-        tau_n = records[k - 1].tau if k >= 1 else 0.0
-        yield (k, *x.tolist(), f_x, grad_n, theta_n, tau_n, res_c, res_q, res_fix, _max_error(x, xs))
+        res_fix = row_norms(t_fn(x) - x) if problem.S is not None else np.zeros(len(x))
+        err = np.max(np.abs(x - xs), axis=1) if xs is not None else np.full(len(x), np.nan)
+        yield from np.column_stack((np.arange(lo, rows.stop), x, f, grad_n, theta_n[rows], tau_n[rows],
+                                    res_c, res_q, res_fix, err)).tolist()
 
 
 def emit_csv(rows, path) -> None:

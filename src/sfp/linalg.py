@@ -2,6 +2,14 @@
 
 Vectors are plain 1-D float64 numpy arrays (validated via :func:`as_vector`);
 dense linear operators carry their adjoint and their exact spectral norm.
+
+``row_dots``, ``row_norms``, ``matvec`` and the operator products also take
+a ``(k, dim)`` stack of vectors and act on each row.  A stack is computed
+with one BLAS call per row (numpy's stacked ``matmul`` issues the ``ddot`` or
+``gemv`` that the single vector gets), so row i carries the same bits as the
+result for that row alone.  A matrix-matrix product (gemm) or ``einsum``
+would not.  ``inner`` and ``norm`` take single vectors only: the solver's
+step calls them several times per step.
 """
 
 from __future__ import annotations
@@ -16,6 +24,10 @@ __all__ = [
     "as_vector",
     "inner",
     "norm",
+    "within",
+    "row_dots",
+    "row_norms",
+    "matvec",
     "LinearMap",
 ]
 
@@ -53,6 +65,32 @@ def norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.dot(x, x)))
 
 
+def within(residual: float, point: np.ndarray, tol: float) -> bool:
+    """Whether ``residual <= tol * max(1, ||point||)``: a check relative to
+    the point's size, as rounding grows with it (the norm is taken only
+    when the absolute test fails)."""
+    return residual <= tol or residual <= tol * norm(point)
+
+
+def row_dots(x: np.ndarray, y: np.ndarray):
+    """<x_i, y_i> for each row of a stack ``x`` against ``y``, a stack of the
+    same shape or one vector (one ddot per row); a single vector ``x`` gives
+    its inner product with ``y``."""
+    if x.ndim == 1:
+        return float(np.dot(x, y))
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def row_norms(x: np.ndarray):
+    """The Euclidean norm of each row of a stack; a single vector gives its norm."""
+    return norm(x) if x.ndim == 1 else np.sqrt(row_dots(x, x))
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The product ``m @ x``; for a stack, ``m @ x_i`` for each row (one gemv per row)."""
+    return m @ x if x.ndim == 1 else np.matmul(m, x[..., None])[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class LinearMap:
     """Dense real matrix acting as a bounded linear operator with adjoint."""
@@ -81,16 +119,18 @@ class LinearMap:
         return cls(np.eye(dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product; x must have dimension ``cols``."""
-        if x.size != self.cols:
-            raise DimensionMismatch(f"operator expects dimension {self.cols}, got {x.size}")
-        return self.matrix @ x
+        """Matrix-vector product, one per row of a stack; x's last axis must
+        have length ``cols``."""
+        if x.ndim == 0 or x.shape[-1] != self.matrix.shape[1]:
+            raise DimensionMismatch(f"operator expects dimension {self.cols}, got shape {x.shape}")
+        return matvec(self.matrix, x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Transpose-vector product; y must have dimension ``rows``."""
-        if y.size != self.rows:
-            raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got {y.size}")
-        return self.matrix.T @ y
+        """Transpose-vector product, one per row of a stack; y's last axis must
+        have length ``rows``."""
+        if y.ndim == 0 or y.shape[-1] != self.matrix.shape[0]:
+            raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got shape {y.shape}")
+        return matvec(self.matrix.T, y)
 
     def operator_norm(self) -> float:
         """The spectral norm ||M||, the largest singular value (LAPACK's SVD)."""

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_vector, norm
+from .linalg import DimensionMismatch, as_vector, matvec, norm, within
 
 __all__ = [
     "CLASS_TAGS",
@@ -51,10 +51,12 @@ class Mapping:
     """A self-map on R^dim with a declared class tag.
 
     ``fn`` maps a float64 vector of size ``dim`` to one; the solver's step
-    calls it directly.  ``known_fixed_points`` entries are validated at
-    construction (residual <= 1e-10).  ``demiclosed_assumed`` records the
-    analytic demiclosedness assumption; it is user-supplied and never
-    verified numerically.
+    calls it directly.  The built-in maps' ``fn`` also map a ``(k, dim)``
+    stack row by row, with the same bits per row as for that row alone.
+    ``known_fixed_points`` entries are validated at construction (residual
+    <= 1e-10 * max(1, ||p||)).  ``demiclosed_assumed`` records the analytic
+    demiclosedness assumption; it is user-supplied and never verified
+    numerically.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -74,8 +76,8 @@ class Mapping:
         pts = tuple(as_vector(p, self.dim) for p in self.known_fixed_points)
         object.__setattr__(self, "known_fixed_points", pts)
         for p in pts:
-            if fixed_point_residual(self, p) > 1e-10:
-                raise ValueError("declared fixed point has residual > 1e-10")
+            if not within(fixed_point_residual(self, p), p, 1e-10):
+                raise ValueError("declared fixed point has residual > 1e-10 * max(1, ||p||)")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.size != self.dim:
@@ -131,8 +133,8 @@ class QuasiNonexpansiveReport:
 
 def _validated_fixed_point(mapping, fixed_point) -> np.ndarray:
     y = as_vector(fixed_point, mapping.dim)
-    if fixed_point_residual(mapping, y) > 1e-10:
-        raise ValueError("fixed_point is not a fixed point (residual > 1e-10)")
+    if not within(fixed_point_residual(mapping, y), y, 1e-10):
+        raise ValueError("fixed_point is not a fixed point (residual > 1e-10 * max(1, ||p||))")
     return y
 
 
@@ -215,7 +217,7 @@ def identity_map(dim: int) -> Mapping:
 def zero_map(dim: int) -> Mapping:
     """The null map g = 0, a contraction with modulus 0."""
     return Mapping(
-        fn=lambda x: np.zeros(dim),
+        fn=lambda x: np.zeros(x.shape),
         dim=dim,
         class_tag="contraction",
         modulus=0.0,
@@ -246,7 +248,7 @@ def linear_mapping(matrix, class_tag: str = "generic", modulus: float | None = N
         raise ValueError("linear mapping needs a square matrix")
     m.flags.writeable = False
     return Mapping(
-        fn=lambda x: m @ x,
+        fn=lambda x: matvec(m, x),
         dim=m.shape[0],
         class_tag=class_tag,
         modulus=modulus,
@@ -264,10 +266,10 @@ def unit_interval_jump_map() -> Mapping:
     """
 
     def f(x: np.ndarray) -> np.ndarray:
-        t = float(x[0])
-        if not (-1e-12 <= t <= 1.0 + 1e-12):
+        t = x[..., 0]
+        if not np.all((-1e-12 <= t) & (t <= 1.0 + 1e-12)):
             raise ValueError("jump map is defined on [0, 1]")
-        return np.array([0.25 if t >= 1.0 else 0.875])
+        return np.where(t >= 1.0, 0.25, 0.875)[..., None]
 
     return Mapping(
         fn=f,

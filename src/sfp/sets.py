@@ -3,6 +3,12 @@
 Every set kind has a closed-form nearest-point map, so the projection
 characterization, firm nonexpansiveness and idempotence can be checked
 numerically to tight tolerances.
+
+``project`` and :func:`membership_residual` take one point or a ``(k, dim)``
+stack of points; row i of a stacked result has the same bits as the result
+for that row alone.  A single point keeps its scalar branch (the solver's
+step projects one point per call); a stack makes the same choice per row
+with a mask.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, inner, norm
+from .linalg import DimensionMismatch, LinearMap, as_vector, inner, matvec, norm, row_dots, row_norms
 
 __all__ = [
     "ConvexSet",
@@ -39,9 +45,10 @@ class ConvexSet:
         raise NotImplementedError
 
     def _check(self, x: np.ndarray) -> np.ndarray:
-        if x.size != self.dim:
-            raise DimensionMismatch(f"{self.kind} set lives in dimension {self.dim}, got {x.size}")
-        return np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"{self.kind} set lives in dimension {self.dim}, got shape {x.shape}")
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +92,13 @@ class Ball(ConvexSet):
     def project(self, x):
         x = self._check(x)
         d = x - self.center
-        dist = norm(d)
-        if dist <= self.radius:
-            return x.copy()
-        return self.center + (self.radius / dist) * d
+        dist = row_norms(d)
+        if x.ndim == 1:
+            return x.copy() if dist <= self.radius else self.center + (self.radius / dist) * d
+        out = x.copy()
+        far = ~(dist <= self.radius)  # a kept row's distance, maybe 0, is never divided by
+        out[far] = self.center + (self.radius / dist[far])[:, None] * d[far]
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +127,13 @@ class Halfspace(_NormalOffset):
 
     def project(self, x):
         x = self._check(x)
-        excess = inner(self.normal, x) - self.offset
-        if excess <= 0.0:
-            return x.copy()
-        return x - (excess / inner(self.normal, self.normal)) * self.normal
+        excess = row_dots(x, self.normal) - self.offset
+        if x.ndim == 1:
+            return x.copy() if excess <= 0.0 else x - (excess / inner(self.normal, self.normal)) * self.normal
+        out = x.copy()
+        over = ~(excess <= 0.0)
+        out[over] = x[over] - (excess[over] / inner(self.normal, self.normal))[:, None] * self.normal
+        return out
 
 
 class Hyperplane(_NormalOffset):
@@ -130,8 +143,8 @@ class Hyperplane(_NormalOffset):
 
     def project(self, x):
         x = self._check(x)
-        excess = inner(self.normal, x) - self.offset
-        return x - (excess / inner(self.normal, self.normal)) * self.normal
+        scale = (row_dots(x, self.normal) - self.offset) / inner(self.normal, self.normal)
+        return x - np.multiply.outer(scale, self.normal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,8 +160,8 @@ class Singleton(ConvexSet):
         object.__setattr__(self, "dim", p.size)
 
     def project(self, x):
-        self._check(x)
-        return self.point.copy()
+        x = self._check(x)
+        return self.point.copy() if x.ndim == 1 else np.broadcast_to(self.point, x.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +192,8 @@ class AffineNullspace(ConvexSet):
     def project(self, x):
         x = self._check(x)
         if self.basis.shape[1] == 0:
-            return np.zeros(self.dim)
-        return self.basis @ (self.basis.T @ x)
+            return np.zeros(x.shape)
+        return matvec(self.basis, matvec(self.basis.T, x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +212,11 @@ class WholeSpace(ConvexSet):
         return x.copy()
 
 
-def membership_residual(cset: ConvexSet, x: np.ndarray) -> float:
-    """Distance from x to the set, ||x - P(x)||; ~0 iff x is a member."""
-    return norm(np.asarray(x, dtype=float) - cset.project(x))
+def membership_residual(cset: ConvexSet, x: np.ndarray):
+    """Distance from x to the set, ||x - P(x)||; ~0 iff x is a member.  For a
+    stack, the distance of each row."""
+    x = np.asarray(x, dtype=float)
+    return row_norms(x - cset.project(x))
 
 
 @dataclass(frozen=True)

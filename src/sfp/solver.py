@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, norm
+from .linalg import DimensionMismatch, LinearMap, as_vector, norm, within
 from .mappings import Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
@@ -68,7 +68,8 @@ class SfpProblem:
 
     ``g`` is the contraction used by the viscosity blend (defaults to the
     null map).  ``known_solution``, when given, must satisfy the constraints
-    to 1e-8 and enables the per-step distance monitors.
+    to 1e-8 * max(1, ||p||), p the point checked, and enables the per-step
+    distance monitors.
     """
 
     A: LinearMap
@@ -93,12 +94,13 @@ class SfpProblem:
         object.__setattr__(self, "g", g)
         if self.known_solution is not None:
             xs = as_vector(self.known_solution, self.A.cols)
-            if membership_residual(self.C, xs) > 1e-8:
-                raise ValueError("known_solution is not in C (residual > 1e-8)")
-            if membership_residual(self.Q, self.A.apply(xs)) > 1e-8:
-                raise ValueError("A(known_solution) is not in Q (residual > 1e-8)")
-            if self.S is not None and fixed_point_residual(self.S, xs) > 1e-8:
-                raise ValueError("known_solution is not a fixed point of S (residual > 1e-8)")
+            ax = self.A.apply(xs)
+            if not within(membership_residual(self.C, xs), xs, 1e-8):
+                raise ValueError("known_solution is not in C (residual > 1e-8 * max(1, ||x||))")
+            if not within(membership_residual(self.Q, ax), ax, 1e-8):
+                raise ValueError("A(known_solution) is not in Q (residual > 1e-8 * max(1, ||A x||))")
+            if self.S is not None and not within(fixed_point_residual(self.S, xs), xs, 1e-8):
+                raise ValueError("known_solution is not a fixed point of S (residual > 1e-8 * max(1, ||x||))")
             object.__setattr__(self, "known_solution", xs)
 
     @property
@@ -106,7 +108,7 @@ class SfpProblem:
         return self.A.cols
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """The Q-residual A x - P_Q(A x)."""
+        """The Q-residual A x - P_Q(A x), for each row of a stack."""
         ax = self.A.apply(np.asarray(x, dtype=float))
         return ax - self.Q.project(ax)
 

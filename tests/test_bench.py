@@ -519,12 +519,14 @@ class TestExperimentAndCsv:
         assert r2.csv_path.read_bytes() == first
 
     def test_csv_round_trip(self, tmp_path):
-        cfg = parse_config(BASE_CONFIG)
-        result = run_experiment(cfg, out_dir=tmp_path)
-        iterates = read_csv_iterates(result.csv_path)
-        assert len(iterates) == len(result.history.iterates)
-        for a, b in zip(iterates, result.history.iterates):
-            assert np.max(np.abs(a - b)) <= 1e-15  # 17 significant digits round-trip
+        several_blocks = {"problem": {"example": "s4"}, "schedule": {"preset": "paper-s4"},
+                          "stepper": {"max_iter": 300}}
+        for cfg in (parse_config(BASE_CONFIG), several_blocks):
+            result = run_experiment(cfg, out_dir=tmp_path)
+            iterates = read_csv_iterates(result.csv_path)
+            assert len(iterates) == len(result.history.iterates)
+            for a, b in zip(iterates, result.history.iterates):
+                assert np.array_equal(a, b)  # 17 significant digits give back every float
 
     def test_divergence_writes_partial_csv(self, tmp_path):
         cfg = {
@@ -626,6 +628,24 @@ def _tiny_residual_config(scale, x1):
     }
 
 
+_SET_STANZAS = {
+    "box": {"kind": "box", "lower": [-0.5, -0.4, -0.3], "upper": [0.5, 0.2, 0.3]},
+    "ball": {"kind": "ball", "center": [2.0, -1.0, 0.5], "radius": 0.5},
+    "halfspace": {"kind": "halfspace", "normal": [1.0, -1.0, 0.5], "offset": -0.2},
+    "hyperplane": {"kind": "hyperplane", "normal": [1.0, 2.0, -1.0], "offset": 0.3},
+    "singleton": {"kind": "singleton", "point": [1.0, -2.0, 0.5]},
+    "affine_nullspace": {"kind": "affine_nullspace", "matrix": [[1.0, -1.0, 0.0]]},
+    "whole_space": {"kind": "whole_space", "dim": 3},
+}
+
+
+def _set_kind_config(c_stanza, q_stanza, preset, **problem):
+    """A 3-variable explicit problem, run for more steps than one block holds (85 rows)."""
+    return {"problem": {"A": [[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.5, 0.0, 1.0]],
+                        "C": c_stanza, "Q": q_stanza, **problem},
+            "schedule": {"preset": preset}, "stepper": {"max_iter": 200}, "start": {"x1": [3.0, -3.0, 1.0]}}
+
+
 _BOX_WITH_S = {"random": {"dim1": 8, "dim2": 6, "family": "box", "seed": 3, "include_fixed_point_map": True}}
 _ROW_CASES = {
     **{f"s4-{preset}": {"problem": {"example": "s4"}, "schedule": {"preset": preset},
@@ -641,6 +661,24 @@ _ROW_CASES = {
     "halved-to-zero": _tiny_residual_config(_SCALED, [2e-162 / _SCALED]),
     # ||A x||^2 = 2 min - 2^-1074, which halves (ties to even) to f = min
     "halved-to-min": _tiny_residual_config(_SCALED, [2.1095373229725996e-154 / _SCALED, 2.0**-537 / _SCALED]),
+    **{f"C-{kind}": _set_kind_config(stanza, _SET_STANZAS["ball"], "table-1")
+       for kind, stanza in _SET_STANZAS.items()},
+    **{f"Q-{kind}": _set_kind_config(_SET_STANZAS["box"], stanza, "paper-s4")
+       for kind, stanza in _SET_STANZAS.items()},
+    **{f"S-{name}": _set_kind_config(_SET_STANZAS["box"], _SET_STANZAS["ball"], "fast", S=name)
+       for name in ("identity", "zero", "linear:[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]")},
+    # the jump map is defined on [0, 1] only, where C keeps every iterate; x1 = 1 is its jump
+    "S-example-2.2": {"problem": {"A": [[1.0]], "C": {"kind": "box", "lower": [0.0], "upper": [1.0]},
+                                  "Q": {"kind": "singleton", "point": [0.875]}, "S": "example-2.2"},
+                      "schedule": {"preset": "cq", "lambda": 0.25}, "start": {"x1": [1.0]}},
+    "schedule-violation": SHORT_SCHEDULE_CONFIG,
+    # 73 rows to a block at dimension 5
+    "s4-paper-s4-blocks": {"problem": {"example": "s4"}, "schedule": {"preset": "paper-s4"},
+                           "stepper": {"max_iter": 300}},
+    # a row of 609 values fills more than half a block, so each block is one row
+    "one-row-blocks": {"problem": {"random": {"dim1": 600, "dim2": 12, "family": "ball", "seed": 5,
+                                              "include_fixed_point_map": True}},
+                       "schedule": {"preset": "fast"}, "stepper": {"max_iter": 8}},
 }
 
 
@@ -653,15 +691,23 @@ class TestRowsFromRecords:
         assert result.csv_path.read_bytes() == _joined_csv(_csv_header(built.problem.dim), reference)
 
     def test_cases_reach_the_reuse_branches(self):
-        thetas = {name: {r.theta == 0.0 for r in run_experiment(cfg).history.records}
-                  for name, cfg in _ROW_CASES.items()}
-        assert thetas["s4-cq"] == thetas["box-table-1"] == {True}
-        assert thetas["s4-paper-s4"] == thetas["box-fast"] == {False}
-        f_first = {name: run_experiment(_ROW_CASES[name]).history.records[0].f_u
-                   for name in ("subnormal", "halved-to-zero", "halved-to-min")}
+        histories = {name: run_experiment(cfg).history for name, cfg in _ROW_CASES.items()}
+        thetas = {name: {r.theta == 0.0 for r in history.records} for name, history in histories.items()}
+        assert thetas["s4-cq"] == thetas["box-table-1"] == thetas["C-ball"] == {True}
+        assert thetas["s4-paper-s4"] == thetas["box-fast"] == thetas["Q-ball"] == thetas["S-zero"] == {False}
+        f_first = {name: histories[name].records[0].f_u for name in ("subnormal", "halved-to-zero", "halved-to-min")}
         assert 0.0 < f_first["subnormal"] < sys.float_info.min
         assert f_first["halved-to-zero"] == 0.0
         assert f_first["halved-to-min"] == sys.float_info.min
+
+    def test_cases_span_blocks(self):
+        def rows_per_block(dim):
+            return max(1, bench._BLOCK_VALUES // len(_csv_header(dim)))
+
+        assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * rows_per_block(5)
+        assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * rows_per_block(3)
+        assert rows_per_block(600) == 1
+        assert run_experiment(_ROW_CASES["schedule-violation"]).termination_reason == "schedule_violation"
 
 
 def _joined_csv(header, rows) -> bytes:

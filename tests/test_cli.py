@@ -84,6 +84,14 @@ MALFORMED_VALUES = [
         ("S=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: 0}\n",
          "config error: problem.S: expected a mapping name"),
         ("csv=[a]", "output: {csv: [a]}\n", "config error: output.csv: must be a file name, got ['a']"),
+        ("misspelled-problem-key", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, knwon_solution: [0, 0]}\n",
+         "config error: problem: unknown key(s) ['knwon_solution']"),
+        ("lowercase-s", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, s: identity}\n",
+         "config error: problem: unknown key(s) ['s']"),
+        ("example-and-random", "problem: {example: s4, random: 3}\n", "config error: problem: unknown key(s) ['random']"),
+        ("example-and-A", "problem: {example: s4, A: [[1.0]]}\n", "config error: problem: unknown key(s) ['A']"),
+        ("random-and-Q", "problem: {random: {dim1: 3, dim2: 2}, Q: {kind: whole_space, dim: 2}}\n",
+         "config error: problem: unknown key(s) ['Q']"),
     ]
 ]
 

@@ -190,6 +190,24 @@ class TestMappingType:
         with pytest.raises(ValueError):
             Mapping(fn=lambda x: x + 1.0, dim=2, known_fixed_points=(np.zeros(2),))
 
+    def test_large_fixed_points_accepted(self):
+        # T(p) rounds to within a few ulps of ||p||; an absolute 1e-10 rejected 4 of these
+        for a in np.arange(1, 31) * 1e6:
+            linear_mapping([[0.3, 0.7], [0.7, 0.3]], known_fixed_points=[(a, a)])
+
+    @pytest.mark.parametrize("point, fixed", [
+        ((1e7, 1e7 + 1e-3), True),  # residual 9.9e-4 <= 1e-10 * ||p|| = 1.41e-3
+        ((1e7, 1e7 + 3e-3), False),  # residual 2.97e-3
+        ((0.0, 1e-10), True),  # residual 9.9e-11 <= 1e-10, the floor for ||p|| < 1
+        ((0.0, 1e-9), False),  # residual 9.9e-10
+    ])
+    def test_tolerance_scales_with_the_point(self, point, fixed):
+        if fixed:
+            linear_mapping([[0.3, 0.7], [0.7, 0.3]], known_fixed_points=[point])
+        else:
+            with pytest.raises(ValueError, match="declared fixed point"):
+                linear_mapping([[0.3, 0.7], [0.7, 0.3]], known_fixed_points=[point])
+
     def test_demiclosedness_is_an_assumption_flag(self):
         m = Mapping(fn=lambda x: x.copy(), dim=2, demiclosed_assumed=True)
         assert m.demiclosed_assumed

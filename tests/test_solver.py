@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule
 from sfp.linalg import LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
-from sfp.sets import Ball, Box, Singleton, WholeSpace
+from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
     DivergenceError,
     ParameterSchedule,
@@ -684,6 +684,28 @@ class TestProblemValidation:
                 Q=WholeSpace(2),
                 known_solution=np.array([5.0, 5.0]),
             )
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9, 1e10])
+    def test_large_known_solution_accepted(self, scale):
+        # P_C, P_Q and S round to within a few ulps of ||x||; an absolute 1e-8
+        # rejected most of these
+        diagonal = AffineNullspace(LinearMap([[1.0, -1.0]]))
+        swap = linear_mapping([[0.3, 0.7], [0.7, 0.3]])
+        for a in np.arange(1, 31) * scale:
+            xs = np.array([a, a])
+            SfpProblem(A=LinearMap(np.eye(2)), C=diagonal, Q=WholeSpace(2), known_solution=xs)
+            SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=diagonal, known_solution=xs)
+            SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=WholeSpace(2), S=swap, known_solution=xs)
+
+    @pytest.mark.parametrize("role", ["C", "Q", "S"])
+    @pytest.mark.parametrize("xs", [(1e9, 1e9 + 40.0), (0.0, 1e-7)], ids=["large", "small"])
+    def test_known_solution_near_miss_rejected(self, role, xs):
+        # distance to the diagonal |x1 - x2| / sqrt(2): 28 > 1e-8 * 1.41e9 = 14, and 7e-8 > 1e-8
+        diagonal = AffineNullspace(LinearMap([[1.0, -1.0]]))
+        sets = {"C": diagonal if role == "C" else WholeSpace(2), "Q": diagonal if role == "Q" else WholeSpace(2)}
+        s_map = linear_mapping([[0.5, 0.5], [0.5, 0.5]]) if role == "S" else None
+        with pytest.raises(ValueError, match="known_solution"):
+            SfpProblem(A=LinearMap(np.eye(2)), S=s_map, known_solution=np.array(xs), **sets)
 
     def test_g_must_be_contraction(self):
         from sfp.mappings import identity_map
