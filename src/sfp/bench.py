@@ -824,24 +824,19 @@ def projection_property_suite(samples: int = 1000, seed: int = 0) -> list[SuiteR
 
     results = []
     for cset in representative_sets():
-        rng = np.random.default_rng(seed)
-        idem = nonexp = firm = -np.inf
-        for _ in range(samples):
-            x = 3.0 * rng.standard_normal(cset.dim)
-            y = 3.0 * rng.standard_normal(cset.dim)
-            px, py = cset.project(x), cset.project(y)
-            idem = max(idem, norm(cset.project(px) - px))
-            dproj = norm(px - py)
-            nonexp = max(nonexp, dproj - norm(x - y))
-            firm = max(firm, dproj**2 - float(np.dot(x - y, px - py)))
+        pairs = 3.0 * np.random.default_rng(seed).standard_normal((samples, 2, cset.dim))
+        x, y = pairs[:, 0], pairs[:, 1]
+        px, py = cset.project(x), cset.project(y)
+        dproj = row_norms(px - py)
         char = check_projection_characterization(
             cset, 3.0 * np.random.default_rng(seed + 1).standard_normal(cset.dim),
             samples=samples, seed=seed + 2,
         )
         results.extend([
-            SuiteResult(f"{cset.kind}: idempotence", idem, 1e-10),
-            SuiteResult(f"{cset.kind}: nonexpansive", nonexp, 1e-10),
-            SuiteResult(f"{cset.kind}: firmly nonexpansive", firm, 1e-10),
+            SuiteResult(f"{cset.kind}: idempotence", float(np.max(row_norms(cset.project(px) - px))), 1e-10),
+            SuiteResult(f"{cset.kind}: nonexpansive", float(np.max(dproj - row_norms(x - y))), 1e-10),
+            SuiteResult(f"{cset.kind}: firmly nonexpansive",
+                        float(np.max(dproj**2 - row_dots(x - y, px - py))), 1e-10),
             SuiteResult(f"{cset.kind}: nearest-point characterization", char.max_violation, 1e-10),
         ])
     return results
@@ -855,26 +850,23 @@ def gradient_property_suite(points: int = 100, instances: int = 5, seed: int = 0
     for i in range(instances):
         problem = generate_random_sfp(4 + i % 3, 3 + i % 4, families[i % 3], seed=seed + 100 + i)
         rng = np.random.default_rng(seed + i)
-        worst_rel = -np.inf
-        for _ in range(points):
-            x = 2.0 * rng.standard_normal(problem.dim)
-            g = problem.grad_f(x)
-            h = 1e-6 * (1.0 + norm(x))
-            fd = np.empty_like(x)
-            for j in range(x.size):
-                e = np.zeros_like(x)
-                e[j] = h
-                fd[j] = (problem.f_value(x + e) - problem.f_value(x - e)) / (2.0 * h)
-            worst_rel = max(worst_rel, norm(fd - g) / (1.0 + norm(g)))
+        dim = problem.dim
+        x = 2.0 * rng.standard_normal((points, dim))
+        g = problem.grad_f(x)
+        h = 1e-6 * (1.0 + row_norms(x))
+        # row j of point i's block is x_i +- h_i e_j
+        around = np.repeat(x, dim, axis=0)
+        shifts = (h[:, None, None] * np.eye(dim)).reshape(-1, dim)
+        diff = problem.f_value(around + shifts) - problem.f_value(around - shifts)
+        fd = diff.reshape(points, dim) / (2.0 * h[:, None])
+        worst_rel = float(np.max(row_norms(fd - g) / (1.0 + row_norms(g))))
         results.append(SuiteResult(f"instance {i}: finite-difference gradient (relative)", worst_rel, 1e-6))
 
         lip = problem.A.operator_norm() ** 2 + 1e-8
-        worst_gap = -np.inf
-        for _ in range(200):
-            x = 2.0 * rng.standard_normal(problem.dim)
-            y = 2.0 * rng.standard_normal(problem.dim)
-            worst_gap = max(worst_gap, norm(problem.grad_f(x) - problem.grad_f(y)) - lip * norm(x - y))
-        results.append(SuiteResult(f"instance {i}: gradient Lipschitz monitor", worst_gap, 0.0))
+        pairs = 2.0 * rng.standard_normal((200, 2, dim))
+        x, y = pairs[:, 0], pairs[:, 1]
+        worst_gap = np.max(row_norms(problem.grad_f(x) - problem.grad_f(y)) - lip * row_norms(x - y))
+        results.append(SuiteResult(f"instance {i}: gradient Lipschitz monitor", float(worst_gap), 0.0))
     return results
 
 
@@ -883,18 +875,16 @@ def mapping_property_suite() -> list[SuiteResult]:
     from .mappings import (
         average,
         estimate_demicontractive_modulus,
-        grid_sampler_1d,
         unit_interval_jump_map,
         verify_quasi_nonexpansive,
     )
 
     jump = unit_interval_jump_map()
     fixed = np.array([0.875])
-    grid = grid_sampler_1d(0.0, 1.0, 1e-4)
-    k_hat = estimate_demicontractive_modulus(jump, fixed, grid, samples=10001, seed=0)
-    base_report = verify_quasi_nonexpansive(jump, fixed, grid, samples=10001, seed=0)
-    averaged = average(jump, 0.25)
-    avg_report = verify_quasi_nonexpansive(averaged, fixed, grid, samples=10001, seed=0)
+    grid = np.linspace(0.0, 1.0, 10001)[:, None]
+    k_hat = estimate_demicontractive_modulus(jump, fixed, grid)
+    base_report = verify_quasi_nonexpansive(jump, fixed, grid)
+    avg_report = verify_quasi_nonexpansive(average(jump, 0.25), fixed, grid)
     return [
         SuiteResult("jump map: demicontractive modulus |k - 2/3|", abs(k_hat - 2.0 / 3.0), 1e-3),
         SuiteResult("jump map: NOT quasi-nonexpansive (slack 1/2 expected)",

@@ -2,7 +2,8 @@
 
 The class tags mirror the usual hierarchy: contraction < nonexpansive <
 quasi-nonexpansive < demicontractive.  Verification utilities are sampling
-certificates, never proofs; they report seeds and sample counts.
+certificates, never proofs: they take the sample as a ``(k, dim)`` point
+array and report its size.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_vector, matvec, norm, within
+from .linalg import DimensionMismatch, as_vector, matvec, norm, row_dots, row_norms, within
 
 __all__ = [
     "CLASS_TAGS",
@@ -29,8 +30,6 @@ __all__ = [
     "linear_mapping",
     "unit_interval_jump_map",
     "mapping_from_name",
-    "gaussian_sampler",
-    "grid_sampler_1d",
 ]
 
 CLASS_TAGS = frozenset(
@@ -119,92 +118,51 @@ def fixed_point_residual(mapping, x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QuasiNonexpansiveReport:
-    """Max slack of ||Tx - y|| - ||x - y|| over a sample; <= 1e-10 certifies."""
+    """Max slack of ||Tx - y|| - ||x - y|| over ``samples`` points; <= 1e-10 certifies."""
 
     max_slack: float
     witness: np.ndarray
     samples: int
-    seed: int
 
     @property
     def passed(self) -> bool:
         return self.max_slack <= 1e-10
 
 
-def _validated_fixed_point(mapping, fixed_point) -> np.ndarray:
+def _checked(mapping, fixed_point, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated fixed point y, the ``(k, dim)`` points and their images
+    (``mapping`` is called per point: a user's ``fn`` need not take stacks)."""
     y = as_vector(fixed_point, mapping.dim)
     if not within(fixed_point_residual(mapping, y), y, 1e-10):
         raise ValueError("fixed_point is not a fixed point (residual > 1e-10 * max(1, ||p||))")
-    return y
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != mapping.dim:
+        raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got shape {x.shape}")
+    return y, x, np.array([mapping(p) for p in x])
 
 
-def estimate_demicontractive_modulus(
-    mapping, fixed_point, domain_sampler, samples: int = 1000, seed: int = 0
-) -> float:
-    """Smallest k >= 0 with ||Tx - y||^2 <= ||x - y||^2 + k ||x - Tx||^2 on the sample.
+def estimate_demicontractive_modulus(mapping, fixed_point, points) -> float:
+    """Smallest k >= 0 with ||Tx - y||^2 <= ||x - y||^2 + k ||x - Tx||^2 over
+    the rows x of ``points``, a ``(k, dim)`` array.
 
     Points x with ||x - Tx|| <= 1e-12 are skipped (the ratio is vacuous there);
     the estimate is floored at 0.  A result < 1 certifies demicontractivity on
     the sample only.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    y = _validated_fixed_point(mapping, fixed_point)
-    rng = np.random.default_rng(seed)
-    points = domain_sampler(rng, samples)
-    k_hat = 0.0
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        tx = mapping(x)
-        move2 = float(np.dot(x - tx, x - tx))
-        if move2 <= 1e-24:
-            continue
-        gain = float(np.dot(tx - y, tx - y) - np.dot(x - y, x - y))
-        k_hat = max(k_hat, gain / move2)
-    return k_hat
+    y, x, tx = _checked(mapping, fixed_point, points)
+    move2 = row_dots(x - tx, x - tx)
+    moved = move2 > 1e-24
+    gain = row_dots(tx - y, tx - y) - row_dots(x - y, x - y)
+    return float(np.max(gain[moved] / move2[moved], initial=0.0))
 
 
-def verify_quasi_nonexpansive(
-    mapping, fixed_point, domain_sampler, samples: int = 1000, seed: int = 0
-) -> QuasiNonexpansiveReport:
-    """Sample the quasi-nonexpansiveness slack ||Tx - y|| - ||x - y||."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    y = _validated_fixed_point(mapping, fixed_point)
-    rng = np.random.default_rng(seed)
-    points = domain_sampler(rng, samples)
-    worst = -np.inf
-    witness = None
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        slack = norm(mapping(x) - y) - norm(x - y)
-        if slack > worst:
-            worst, witness = slack, x.copy()
-    return QuasiNonexpansiveReport(max_slack=float(worst), witness=witness, samples=samples, seed=seed)
-
-
-# --- samplers -------------------------------------------------------------
-
-
-def gaussian_sampler(dim: int, center=None, scale: float = 1.0):
-    """Batch sampler of Gaussian points, for use with the class checks."""
-    mu = np.zeros(dim) if center is None else as_vector(center, dim)
-
-    def sample(rng: np.random.Generator, count: int) -> np.ndarray:
-        return mu + scale * rng.standard_normal((count, dim))
-
-    return sample
-
-
-def grid_sampler_1d(lo: float, hi: float, step: float):
-    """Deterministic 1-D grid sampler; ignores the rng and requested count."""
-    count = int(round((hi - lo) / step)) + 1
-    grid = np.linspace(lo, hi, count).reshape(-1, 1)
-
-    def sample(rng: np.random.Generator, requested: int) -> np.ndarray:
-        return grid
-
-    return sample
+def verify_quasi_nonexpansive(mapping, fixed_point, points) -> QuasiNonexpansiveReport:
+    """The quasi-nonexpansiveness slack ||Tx - y|| - ||x - y|| over the rows x
+    of ``points``, a ``(k, dim)`` array; the witness is the first worst row."""
+    y, x, tx = _checked(mapping, fixed_point, points)
+    slack = row_norms(tx - y) - row_norms(x - y)
+    worst = int(np.argmax(slack))
+    return QuasiNonexpansiveReport(max_slack=float(slack[worst]), witness=x[worst].copy(), samples=len(x))
 
 
 # --- built-in mappings ----------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, inner, matvec, norm, row_dots, row_norms
+from .linalg import DimensionMismatch, LinearMap, as_vector, matvec, norm, row_dots, row_norms
 
 __all__ = [
     "ConvexSet",
@@ -103,20 +103,24 @@ class Ball(ConvexSet):
 
 @dataclass(frozen=True, eq=False)
 class _NormalOffset(ConvexSet):
-    """The data of a halfspace or hyperplane: a nonzero normal and a finite offset."""
+    """The data of a halfspace or hyperplane: a nonzero normal and a finite
+    offset.  ``normal_sq`` = <normal, normal> is taken once, here."""
 
     normal: np.ndarray
     offset: float
+    normal_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a = as_vector(self.normal)
-        if norm(a) == 0.0:
+        normal_sq = row_dots(a, a)
+        if normal_sq == 0.0:
             raise ValueError(f"{self.kind} normal must be nonzero")
         offset = float(self.offset)
         if not math.isfinite(offset):
             raise ValueError(f"{self.kind} offset must be finite, got {offset}")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "normal_sq", normal_sq)
         object.__setattr__(self, "dim", a.size)
 
 
@@ -129,10 +133,10 @@ class Halfspace(_NormalOffset):
         x = self._check(x)
         excess = row_dots(x, self.normal) - self.offset
         if x.ndim == 1:
-            return x.copy() if excess <= 0.0 else x - (excess / inner(self.normal, self.normal)) * self.normal
+            return x.copy() if excess <= 0.0 else x - (excess / self.normal_sq) * self.normal
         out = x.copy()
         over = ~(excess <= 0.0)
-        out[over] = x[over] - (excess[over] / inner(self.normal, self.normal))[:, None] * self.normal
+        out[over] = x[over] - (excess[over] / self.normal_sq)[:, None] * self.normal
         return out
 
 
@@ -143,7 +147,7 @@ class Hyperplane(_NormalOffset):
 
     def project(self, x):
         x = self._check(x)
-        scale = (row_dots(x, self.normal) - self.offset) / inner(self.normal, self.normal)
+        scale = (row_dots(x, self.normal) - self.offset) / self.normal_sq
         return x - np.multiply.outer(scale, self.normal)
 
 
@@ -246,9 +250,6 @@ def check_projection_characterization(
     x = np.asarray(x, dtype=float)
     z = cset.project(x)
     rng = np.random.default_rng(seed)
-    scale = 1.0 + norm(x)
-    worst = -np.inf
-    for _ in range(samples):
-        y = cset.project(rng.standard_normal(cset.dim) * scale)
-        worst = max(worst, inner(x - z, y - z))
+    members = cset.project(rng.standard_normal((samples, cset.dim)) * (1.0 + norm(x)))
+    worst = np.max(row_dots(members - z, x - z))
     return CharacterizationReport(max_violation=float(worst), samples=samples, seed=seed)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, norm, within
+from .linalg import DimensionMismatch, LinearMap, as_vector, norm, row_dots, within
 from .mappings import Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
@@ -112,10 +112,11 @@ class SfpProblem:
         ax = self.A.apply(np.asarray(x, dtype=float))
         return ax - self.Q.project(ax)
 
-    def f_value(self, x: np.ndarray) -> float:
-        """Half the squared distance of A x from Q: 0.5 ||Ax - P_Q(Ax)||^2."""
+    def f_value(self, x: np.ndarray):
+        """Half the squared distance of A x from Q: 0.5 ||Ax - P_Q(Ax)||^2,
+        for each row of a stack."""
         r = self.residual(x)
-        return 0.5 * float(np.dot(r, r))
+        return 0.5 * row_dots(r, r)
 
     def grad_f(self, x: np.ndarray) -> np.ndarray:
         """Gradient A^T (Ax - P_Q(Ax)) of :meth:`f_value`."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from sfp import bench
+from sfp import bench, solver
 from sfp.bench import (
     TABLE1_ROWS,
     TABLE1_TOLERANCE,
@@ -22,17 +22,20 @@ from sfp.bench import (
     config_fingerprint,
     emit_csv,
     generate_random_sfp,
+    gradient_property_suite,
     normalize_config,
     parse_config,
     preset_schedule,
+    projection_property_suite,
     read_csv_iterates,
+    representative_sets,
     run_experiment,
     run_property_suites,
     table1_mode_reports,
 )
 from sfp.linalg import norm
 from sfp.mappings import fixed_point_residual
-from sfp.sets import membership_residual
+from sfp.sets import check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, StoppingRule, step
 
 from test_cli import CQ_CONFIG, DIVERGE_CONFIG, MALFORMED_VALUES, MALFORMED_YAML, SHORT_SCHEDULE_CONFIG
@@ -788,24 +791,111 @@ class TestTable1Comparison:
         assert np.max(np.abs(result.history.iterates[1] - expected)) <= 1e-12
 
 
+def _reference_characterization(cset, x, samples, seed):
+    """check_projection_characterization's maximum, one member at a time."""
+    z = cset.project(x)
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + norm(x)
+    worst = -np.inf
+    for _ in range(samples):
+        y = cset.project(rng.standard_normal(cset.dim) * scale)
+        worst = max(worst, float(np.dot(x - z, y - z)))
+    return worst
+
+
+def _reference_projection_suite(samples, seed):
+    """projection_property_suite's four maxima per set, one pair at a time."""
+    out = []
+    for cset in representative_sets():
+        rng = np.random.default_rng(seed)
+        idem = nonexp = firm = -np.inf
+        for _ in range(samples):
+            x = 3.0 * rng.standard_normal(cset.dim)
+            y = 3.0 * rng.standard_normal(cset.dim)
+            px, py = cset.project(x), cset.project(y)
+            idem = max(idem, norm(cset.project(px) - px))
+            dproj = norm(px - py)
+            nonexp = max(nonexp, dproj - norm(x - y))
+            firm = max(firm, dproj**2 - float(np.dot(x - y, px - py)))
+        x = 3.0 * np.random.default_rng(seed + 1).standard_normal(cset.dim)
+        out += [idem, nonexp, firm, _reference_characterization(cset, x, samples, seed + 2)]
+    return out
+
+
+def _reference_gradient_suite(points, instances, seed):
+    """gradient_property_suite's two maxima per instance, one point (and one
+    coordinate) at a time."""
+    out = []
+    families = ["box", "ball", "halfspace"]
+    for i in range(instances):
+        problem = generate_random_sfp(4 + i % 3, 3 + i % 4, families[i % 3], seed=seed + 100 + i)
+        rng = np.random.default_rng(seed + i)
+        worst_rel = -np.inf
+        for _ in range(points):
+            x = 2.0 * rng.standard_normal(problem.dim)
+            g = problem.grad_f(x)
+            h = 1e-6 * (1.0 + norm(x))
+            fd = np.empty_like(x)
+            for j in range(x.size):
+                e = np.zeros_like(x)
+                e[j] = h
+                fd[j] = (problem.f_value(x + e) - problem.f_value(x - e)) / (2.0 * h)
+            worst_rel = max(worst_rel, norm(fd - g) / (1.0 + norm(g)))
+        lip = problem.A.operator_norm() ** 2 + 1e-8
+        worst_gap = -np.inf
+        for _ in range(200):
+            x = 2.0 * rng.standard_normal(problem.dim)
+            y = 2.0 * rng.standard_normal(problem.dim)
+            worst_gap = max(worst_gap, norm(problem.grad_f(x) - problem.grad_f(y)) - lip * norm(x - y))
+        out += [worst_rel, worst_gap]
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 class TestPropertySuites:
     def test_small_run_passes(self):
         ok, text = run_property_suites(samples=150, seed=5)
         assert ok, text
         assert "PASS" in text
 
+    # the suites evaluate their samples as stacks; every maximum must carry
+    # the bits of the one-point-at-a-time loops above
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_projection_suite_is_the_per_pair_loop(self, seed):
+        results = projection_property_suite(samples=400, seed=seed)
+        assert _hex(r.max_violation for r in results) == _hex(_reference_projection_suite(400, seed))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gradient_suite_is_the_per_point_loop(self, seed):
+        results = gradient_property_suite(points=100, instances=5, seed=seed)
+        assert _hex(r.max_violation for r in results) == _hex(_reference_gradient_suite(100, 5, seed))
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_characterization_is_the_per_member_loop(self, dim, seed):
+        for cset in representative_sets(dim):
+            x = 3.0 * np.random.default_rng(seed + 40).standard_normal(cset.dim)
+            report = check_projection_characterization(cset, x, samples=300, seed=seed)
+            assert report.samples == 300 and report.seed == seed
+            assert _hex([report.max_violation]) == _hex([_reference_characterization(cset, x, 300, seed)])
+
 
 @pytest.mark.slow
 def test_reference_preset_converges_end_to_end(s4, x_star):
     # the damping toward the null map's fixed point decays like 1/n, so the
     # documented reference schedule needs several hundred thousand steps to
-    # reach 1e-6; driven through the public stepper to keep memory flat
+    # reach 1e-6; driven through the stepper that step() and run() share
+    # (bound once) to keep memory flat
     schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs)
+    advance = solver._stepper(s4, schedule, StepperConfig(**kwargs))
     x_prev = x = np.ones(5)
     reached = None
     for n in range(1, 700_001):
-        x_new, _ = step(s4, schedule, config, n, x, x_prev)
+        x_new, _ = advance(n, x, x_prev)
         x_prev, x = x, x_new
         if np.max(np.abs(x - x_star)) <= 1e-6:
             reached = n

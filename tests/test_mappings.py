@@ -7,8 +7,6 @@ from sfp.mappings import (
     average,
     estimate_demicontractive_modulus,
     fixed_point_residual,
-    gaussian_sampler,
-    grid_sampler_1d,
     identity_map,
     linear_mapping,
     mapping_from_name,
@@ -19,8 +17,7 @@ from sfp.mappings import (
 )
 
 FIXED = np.array([0.875])
-GRID = grid_sampler_1d(0.0, 1.0, 1e-4)
-GRID_POINTS = 10001
+GRID = np.linspace(0.0, 1.0, 10001)[:, None]
 
 
 class TestJumpMap:
@@ -44,23 +41,23 @@ class TestJumpMap:
         # closed-form maximum of the demicontractivity ratio sits at x = 1:
         # (|1/4 - 7/8|^2 - |1 - 7/8|^2) / |1 - 1/4|^2 = (25/64 - 1/64) / (9/16) = 2/3
         jump = unit_interval_jump_map()
-        k_hat = estimate_demicontractive_modulus(jump, FIXED, GRID, samples=GRID_POINTS, seed=0)
+        k_hat = estimate_demicontractive_modulus(jump, FIXED, GRID)
         assert k_hat == pytest.approx(2.0 / 3.0, abs=1e-3)
         assert k_hat < 1.0
 
     def test_single_point_ratio(self):
         jump = unit_interval_jump_map()
-        one_point = lambda rng, count: np.array([[1.0]])
-        k_hat = estimate_demicontractive_modulus(jump, FIXED, one_point, samples=1, seed=0)
+        k_hat = estimate_demicontractive_modulus(jump, FIXED, np.array([[1.0]]))
         assert k_hat == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_not_quasi_nonexpansive(self):
         # witness x = 1: ||T1 - 7/8|| - ||1 - 7/8|| = 5/8 - 1/8 = 1/2 > 0
         jump = unit_interval_jump_map()
-        report = verify_quasi_nonexpansive(jump, FIXED, GRID, samples=GRID_POINTS, seed=0)
+        report = verify_quasi_nonexpansive(jump, FIXED, GRID)
         assert report.max_slack == pytest.approx(0.5, abs=1e-12)
         assert not report.passed
         assert report.witness[0] == pytest.approx(1.0, abs=1e-12)
+        assert report.samples == len(GRID)
 
 
 class TestAveraging:
@@ -115,10 +112,9 @@ class TestAveraging:
     def test_quasi_nonexpansive_on_grid_below_threshold(self):
         # every averaging weight below 1 - k keeps the map quasi-nonexpansive
         jump = unit_interval_jump_map()
-        k_hat = estimate_demicontractive_modulus(jump, FIXED, GRID, samples=GRID_POINTS, seed=0)
+        k_hat = estimate_demicontractive_modulus(jump, FIXED, GRID)
         for lam in np.linspace(0.02, 1.0 - k_hat - 0.02, 6):
-            report = verify_quasi_nonexpansive(average(jump, float(lam)), FIXED, GRID,
-                                               samples=GRID_POINTS, seed=0)
+            report = verify_quasi_nonexpansive(average(jump, float(lam)), FIXED, GRID)
             assert report.max_slack <= 1e-10, f"lam={lam}"
 
     def test_contraction_base_stays_contraction(self):
@@ -132,28 +128,27 @@ class TestAveraging:
 class TestClassEstimators:
     def test_identity_has_zero_modulus(self):
         ident = identity_map(3)
-        sampler = gaussian_sampler(3)
-        k = estimate_demicontractive_modulus(ident, np.zeros(3), sampler, samples=200, seed=1)
+        points = np.random.default_rng(1).standard_normal((200, 3))
+        k = estimate_demicontractive_modulus(ident, np.zeros(3), points)
         assert k == 0.0  # every point is fixed, the maximum is vacuous
 
     def test_identity_quasi_nonexpansive(self):
         ident = identity_map(3)
-        report = verify_quasi_nonexpansive(ident, np.zeros(3), gaussian_sampler(3), samples=200, seed=1)
+        points = np.random.default_rng(1).standard_normal((200, 3))
+        report = verify_quasi_nonexpansive(ident, np.zeros(3), points)
         assert report.max_slack <= 1e-10
 
     def test_contraction_class_chain(self):
         # a 0.5-contraction has nonpositive slack for every class on shared samples
         g = scaling_map(4, 0.5)
-        sampler = gaussian_sampler(4)
-        rng = np.random.default_rng(2)
-        points = sampler(rng, 200)
+        points = np.random.default_rng(2).standard_normal((200, 4))
         origin = np.zeros(4)
         for x in points:
             lipschitz_slack = np.linalg.norm(g(x) - g(origin)) - 0.5 * np.linalg.norm(x - origin)
             assert lipschitz_slack <= 1e-12
-        qne = verify_quasi_nonexpansive(g, origin, sampler, samples=200, seed=2)
+        qne = verify_quasi_nonexpansive(g, origin, points)
         assert qne.max_slack <= 0.0
-        k = estimate_demicontractive_modulus(g, origin, sampler, samples=200, seed=2)
+        k = estimate_demicontractive_modulus(g, origin, points)
         assert k == 0.0  # raw ratios are negative, floored to zero
 
     def test_estimator_monotone_in_samples(self):
@@ -162,17 +157,43 @@ class TestClassEstimators:
         batch = np.sort(rng.uniform(0.0, 1.0, size=(64, 1)), axis=0)
         estimates = []
         for count in (4, 16, 64):
-            head = batch[:count]
-            sampler = lambda rng_, requested, pts=head: pts
-            estimates.append(estimate_demicontractive_modulus(jump, FIXED, sampler, samples=count, seed=0))
+            estimates.append(estimate_demicontractive_modulus(jump, FIXED, batch[:count]))
         assert estimates == sorted(estimates)
 
     def test_rejects_non_fixed_point(self):
         jump = unit_interval_jump_map()
         with pytest.raises(ValueError):
-            estimate_demicontractive_modulus(jump, np.array([0.2]), GRID, samples=10, seed=0)
+            estimate_demicontractive_modulus(jump, np.array([0.2]), GRID)
         with pytest.raises(ValueError):
-            verify_quasi_nonexpansive(jump, np.array([0.2]), GRID, samples=10, seed=0)
+            verify_quasi_nonexpansive(jump, np.array([0.2]), GRID)
+
+    @pytest.mark.parametrize("points", [np.array([0.5]), np.empty((0, 1)), np.zeros((3, 2)),
+                                        np.zeros((2, 1, 1)), 0.5])
+    def test_points_must_be_a_nonempty_stack(self, points):
+        jump = unit_interval_jump_map()
+        for check in (estimate_demicontractive_modulus, verify_quasi_nonexpansive):
+            with pytest.raises(ValueError, match=r"points must be a \(k, 1\) array"):
+                check(jump, FIXED, points)
+
+    def test_report_counts_the_points_it_was_given(self):
+        # the report's sample count is the number of rows evaluated; the
+        # witness is the first row with the largest slack
+        jump = unit_interval_jump_map()
+        points = np.array([[0.5], [1.0], [0.0], [1.0]])
+        report = verify_quasi_nonexpansive(jump, FIXED, points)
+        assert report.samples == 4
+        assert report.max_slack == 0.5 and report.witness[0] == 1.0
+        assert not hasattr(report, "seed")
+
+    def test_user_map_is_called_one_point_at_a_time(self):
+        def one_point_only(x):
+            assert x.shape == (2,)
+            return 0.5 * x
+
+        g = Mapping(fn=one_point_only, dim=2, class_tag="contraction", modulus=0.5)
+        points = np.random.default_rng(4).standard_normal((30, 2))
+        assert estimate_demicontractive_modulus(g, np.zeros(2), points) == 0.0
+        assert verify_quasi_nonexpansive(g, np.zeros(2), points).passed
 
 
 class TestMappingType:

@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule
+from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule, representative_sets
 from sfp.linalg import LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
@@ -290,6 +290,34 @@ class TestStep:
             x_prev, x_n = x_n, x_next
 
 
+ADVERSARIAL_OPERATORS = dict(
+    kind=st.sampled_from(["ones-in-null-space", "rank-deficient", "near-equal-top", "condition-1e12"]),
+    rows=st.integers(2, 6), cols=st.integers(2, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**16),
+)
+
+
+def adversarial_matrix(kind, rows, cols, scale, rng):
+    """A rows x cols operator of the given kind, drawn from ``rng``."""
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    if kind == "ones-in-null-space":
+        a = rng.standard_normal((rows, cols))
+        a -= np.outer(a.sum(axis=1), np.ones(cols)) / cols
+    else:
+        sv = {"rank-deficient": np.concatenate([1.0 + rng.random(k - 1), [0.0]]),
+              "near-equal-top": np.concatenate([[1.0, 1.0 - 1e-4], 0.5 * rng.random(k - 2)]),
+              "condition-1e12": np.logspace(0.0, -12.0, k)}[kind]
+        a = u @ np.diag(sv) @ v.T
+    return a * scale
+
+
+def fixed_step_limit(a):
+    """2 / ||A||^2 from an independent oracle, the largest eigenvalue of A^T A."""
+    return 2.0 / float(np.linalg.eigvalsh(a.T @ a)[-1])
+
+
 class TestRun:
     def test_start_at_solution(self, s4, x_star):
         schedule, kwargs = preset_schedule("paper-s4")
@@ -404,25 +432,11 @@ class TestRun:
             run(problem, constant_schedule(), config, np.array([1.0, 0.0]))
 
     @settings(derandomize=True, max_examples=25)
-    @given(kind=st.sampled_from(["ones-in-null-space", "rank-deficient", "near-equal-top", "condition-1e12"]),
-           rows=st.integers(2, 6), cols=st.integers(2, 6), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-           seed=st.integers(0, 2**16))
+    @given(**ADVERSARIAL_OPERATORS)
     def test_fixed_step_bound_on_adversarial_operators(self, kind, rows, cols, scale, seed):
         rng = np.random.default_rng(seed)
-        k = min(rows, cols)
-        u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
-        v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
-        if kind == "ones-in-null-space":
-            a = rng.standard_normal((rows, cols))
-            a -= np.outer(a.sum(axis=1), np.ones(cols)) / cols
-        else:
-            sv = {"rank-deficient": np.concatenate([1.0 + rng.random(k - 1), [0.0]]),
-                  "near-equal-top": np.concatenate([[1.0, 1.0 - 1e-4], 0.5 * rng.random(k - 2)]),
-                  "condition-1e12": np.logspace(0.0, -12.0, k)}[kind]
-            a = u @ np.diag(sv) @ v.T
-        a *= scale
-        # independent oracle: the largest eigenvalue of A^T A
-        limit = 2.0 / float(np.linalg.eigvalsh(a.T @ a)[-1])
+        a = adversarial_matrix(kind, rows, cols, scale, rng)
+        limit = fixed_step_limit(a)
         problem = SfpProblem(A=LinearMap(a), C=WholeSpace(cols), Q=Ball(10.0 * scale * np.ones(rows), 0.5))
         x1 = rng.standard_normal(cols)
 
@@ -433,6 +447,36 @@ class TestRun:
         with pytest.raises(ValueError, match="fixed step"):
             one_step(limit * (1.0 + 1e-9))
         assert one_step(limit * (1.0 - 1e-9)).steps <= 1
+
+    @settings(derandomize=True, max_examples=25)
+    @given(**ADVERSARIAL_OPERATORS, data=st.data())
+    def test_delta_zero_is_projected_gradient(self, kind, rows, cols, scale, seed, data):
+        # with delta = 0 the three compositions of y collapse to the CQ update
+        # x <- P_C(x - tau A^T (A x - P_Q(A x))), criterion 7's oracle
+        rng = np.random.default_rng(seed)
+        a = adversarial_matrix(kind, rows, cols, scale, rng)
+        # representative_sets' null space is 5-dimensional whatever the dim
+        c = data.draw(st.sampled_from([s for s in representative_sets(cols) if s.dim == cols]))
+        q = data.draw(st.sampled_from([s for s in representative_sets(rows) if s.dim == rows]))
+        problem = SfpProblem(A=LinearMap(a), C=c, Q=q)
+        x1 = rng.standard_normal(cols)
+        assume(problem.f_value(x1) > 0.0)  # a start with A x1 in Q stops before any step
+        tau = 0.9 * fixed_step_limit(a)
+        stopping = StoppingRule(max_iter=20, grad_tol=1e-300, residual_tol=1e-300)
+
+        def iterates(mode, **rule):
+            config = StepperConfig(mode=mode, stopping=stopping, **rule)
+            return np.array(run(problem, constant_schedule(delta=0.0), config, x1).iterates)
+
+        for rule in ({"step_rule": "adaptive"}, {"step_rule": "fixed", "fixed_step": tau}):
+            proof = iterates("proof", **rule)
+            for mode in ("statement", "explore"):
+                assert np.array_equal(iterates(mode, **rule), proof)
+        x = x1
+        for x_next in proof[1:]:  # the fixed-step run
+            ax = a @ x
+            x = c.project(x - tau * (a.T @ (ax - q.project(ax))))
+            assert norm(x_next - x) <= 1e-12
 
     @staticmethod
     def _run_jump_map(lam):
