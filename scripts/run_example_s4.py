@@ -35,7 +35,7 @@ def main() -> int:
     result = bench.run_experiment(cfg, out_dir=out)
     bench.emit_convergence_svg(result.csv_path, result.csv_path.with_suffix(".svg"))
 
-    print(f"preset={args.preset} mode={args.mode} reason={result.termination_reason} "
+    print(f"preset={args.preset} mode={args.mode} reason={result.history.termination_reason} "
           f"steps={result.history.steps} final_error={result.final_error:.3e} "
           f"wall={result.wall_time:.3f}s")
     print(f"csv: {result.csv_path}")

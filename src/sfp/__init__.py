@@ -27,7 +27,6 @@ from .mappings import (
     verify_quasi_nonexpansive,
 )
 from .solver import (
-    DivergenceError,
     ParameterSchedule,
     RunHistory,
     ScheduleViolation,

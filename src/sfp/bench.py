@@ -28,11 +28,9 @@ from .sets import (
     membership_residual,
 )
 from .solver import (
-    DivergenceError,
     MODES,
     ParameterSchedule,
     RunHistory,
-    ScheduleViolation,
     Seq,
     SfpProblem,
     StepperConfig,
@@ -576,11 +574,6 @@ class ExperimentResult:
     fingerprint: str
     csv_path: Path | None
     final_error: float  # max-norm error of the last iterate (NaN without a known solution)
-    error: str | None = None  # why a divergence or schedule violation cut the run short
-
-    @property
-    def termination_reason(self) -> str:
-        return self.history.termination_reason
 
 
 def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
@@ -701,24 +694,19 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     """Build, run, time and persist one experiment.
 
-    On divergence or a schedule violation the partial trajectory is still
-    written, the result's ``termination_reason`` is ``divergence`` or
-    ``schedule_violation`` and its ``error`` holds the exception's message.
+    A run that ends in divergence or a schedule violation is written up to
+    its last iterate, like any other.
     """
     built = build_from_config(raw_config)
     t0 = time.perf_counter()
-    error = None
-    try:
-        history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1)
-    except (DivergenceError, ScheduleViolation) as exc:
-        history, error = exc.history, str(exc)
+    history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1)
     wall = time.perf_counter() - t0
     csv_path = None
     if out_dir is not None:
         csv_path = Path(out_dir) / built.csv_name
         emit_csv(_history_rows(built.problem, built.schedule, history), csv_path)
     final_error = _max_error(history.final, built.problem.known_solution)
-    return ExperimentResult(history, wall, built.fingerprint, csv_path, final_error, error)
+    return ExperimentResult(history, wall, built.fingerprint, csv_path, final_error)
 
 
 # --- reference-table comparison -------------------------------------------------

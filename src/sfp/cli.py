@@ -31,11 +31,11 @@ def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> 
     """Run one experiment into ``out_dir``, print its summary line and,
     if asked, write the convergence SVG next to its CSV."""
     result = bench.run_experiment(raw, out_dir=out_dir)
-    print(f"{label}: reason={result.termination_reason} steps={result.history.steps} "
+    print(f"{label}: reason={result.history.termination_reason} steps={result.history.steps} "
           f"final_error={result.final_error:.3e} wall={result.wall_time:.3f}s "
           f"fingerprint={result.fingerprint} csv={result.csv_path}")
-    if result.error is not None:
-        print(f"error: {result.error}", file=sys.stderr)
+    if result.history.error is not None:
+        print(f"error: {result.history.error}", file=sys.stderr)
     if svg:
         svg_path = result.csv_path.with_suffix(".svg")
         bench.emit_convergence_svg(result.csv_path, svg_path)
@@ -46,7 +46,7 @@ def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> 
 def _cmd_run(args) -> int:
     raw = bench.parse_config(Path(args.config).read_text())
     result = _run_and_report(Path(args.config).name, raw, _out_dir(args.out), args.svg)
-    return EXIT_BY_REASON[result.termination_reason]
+    return EXIT_BY_REASON[result.history.termination_reason]
 
 
 def _cmd_validate_schedule(args) -> int:
@@ -73,7 +73,7 @@ def _cmd_example_s4(args) -> int:
             report = bench.compare_to_table1(result.history.iterates)
             print(report.text())
             print(f"all reference rows matched: {report.all_matched}")
-        code = max(code, EXIT_BY_REASON[result.termination_reason])
+        code = max(code, EXIT_BY_REASON[result.history.termination_reason])
     return code
 
 
@@ -100,7 +100,7 @@ def _cmd_sweep(args) -> int:
     worst = 0
     for path in paths:
         result = _run_and_report(path.name, bench.parse_config(path.read_text()), out)
-        worst = max(worst, EXIT_BY_REASON[result.termination_reason])
+        worst = max(worst, EXIT_BY_REASON[result.history.termination_reason])
     return worst
 
 

@@ -14,6 +14,7 @@ with a mask.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,12 +113,21 @@ class _NormalOffset(ConvexSet):
 
     def __post_init__(self):
         a = as_vector(self.normal)
-        normal_sq = row_dots(a, a)
-        if normal_sq == 0.0:
-            raise ValueError(f"{self.kind} normal must be nonzero")
         offset = float(self.offset)
         if not math.isfinite(offset):
             raise ValueError(f"{self.kind} offset must be finite, got {offset}")
+        with np.errstate(over="ignore"):
+            normal_sq = row_dots(a, a)
+            if not sys.float_info.min <= normal_sq < math.inf:
+                # <a, a> over- or underflows: scaling a and the offset by one
+                # power of two, the largest entry of a into [1/2, 1), keeps the set
+                shift = -math.frexp(np.max(np.abs(a)))[1]
+                a, offset = as_vector(np.ldexp(a, shift)), float(np.ldexp(offset, shift))
+                normal_sq = row_dots(a, a)
+        if normal_sq == 0.0:
+            raise ValueError(f"{self.kind} normal must be nonzero")
+        if not math.isfinite(offset):
+            raise ValueError(f"{self.kind} offset {self.offset} is too large for a normal of this size")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "normal_sq", normal_sq)

@@ -23,7 +23,6 @@ from .sets import ConvexSet, membership_residual
 
 __all__ = [
     "ScheduleViolation",
-    "DivergenceError",
     "SfpProblem",
     "Seq",
     "ParameterSchedule",
@@ -46,17 +45,7 @@ MODES = ("proof", "statement", "explore")
 
 class ScheduleViolation(ValueError):
     """A parameter sequence breaks a hard constraint at some index.  Raised
-    by :func:`run`, it keeps the steps taken before it on ``history``."""
-
-    history: "RunHistory | None" = None
-
-
-class DivergenceError(RuntimeError):
-    """Iterates blew up; the partial history is kept on ``history``."""
-
-    def __init__(self, message: str, history: "RunHistory"):
-        super().__init__(message)
-        self.history = history
+    by :func:`step`; :func:`run` ends with it as a termination reason."""
 
 
 # --- problem --------------------------------------------------------------
@@ -344,6 +333,7 @@ class RunHistory:
     iterates: list
     records: list
     termination_reason: str
+    error: str | None = None  # the message of a divergence or schedule violation
 
     @property
     def steps(self) -> int:
@@ -485,10 +475,10 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     grad_tol and the combined residual at x_n is <= residual_tol, with
     ``grad_zero`` when only the gradient test fires (the scheme's own stop
     rule), or with ``max_iter``.  The stop test runs before the step, so a
-    start at the solution performs zero steps.  Iterates that are not finite
-    or exceed 1e12 in norm raise :class:`DivergenceError` and a schedule that
-    breaks a hard constraint raises :class:`ScheduleViolation`, each carrying
-    the partial history.
+    start at the solution performs zero steps.  An iterate that is not finite
+    or exceeds 1e12 in norm ends the run with ``divergence``, and a schedule
+    that breaks a hard constraint with ``schedule_violation``; both keep the
+    steps taken before and put their message on ``error``.
 
     ``x1`` defaults to ``x0`` (two seeds are needed by the inertial term).
     """
@@ -509,24 +499,24 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     grad_tol = stopping.grad_tol
     iterates = [np.array(x_cur)]
     records: list[StepRecord] = []
-    reason = "max_iter"
+    reason, error = "max_iter", None
     for n in range(1, stopping.max_iter + 1):
         try:
             x_next, record = advance(n, x_cur, x_prev)
         except ScheduleViolation as exc:
-            exc.history = RunHistory(iterates=iterates, records=records, termination_reason="schedule_violation")
-            raise
+            reason, error = "schedule_violation", str(exc)
+            break
         if record.grad_norm_u <= grad_tol:
             res = problem.combined_residual(x_cur, schedule.lam)
             reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
             break
         if not norm(x_next) <= DIVERGENCE_LIMIT:  # also true for nan and inf entries
-            history = RunHistory(iterates=iterates, records=records, termination_reason="divergence")
-            raise DivergenceError(f"iterates diverged at step {n}", history)
+            reason, error = "divergence", f"iterates diverged at step {n}"
+            break
         records.append(record)
         iterates.append(x_next)
         x_prev, x_cur = x_cur, x_next
-    return RunHistory(iterates=iterates, records=records, termination_reason=reason)
+    return RunHistory(iterates, records, reason, error)
 
 
 # --- schedule validation -----------------------------------------------------
@@ -564,19 +554,27 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
 
     The sum coupling (c5) and closed-range violations are hard failures; the
     asymptotic conditions (c1)-(c4) and the open-interval ranges are checked
-    by finite proxies that can only warn, never prove.
+    by finite proxies that can only warn, never prove.  An explicit sequence
+    that runs out fails with the message :func:`run` stops with, and the
+    checks cover the n evaluated before it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     entries: list[CheckEntry] = []
-    params = [schedule.at(n) for n in range(1, horizon + 1)]
+    params, exhausted = [], None
+    try:
+        for n in range(1, horizon + 1):
+            params.append(schedule.at(n))
+    except ScheduleViolation as exc:  # n = 1 always exists, so params is never empty
+        exhausted, horizon = str(exc), len(params)
     alpha, beta, gamma, delta, _, eps = np.array(params).T
     first: dict[str, str] = {}  # the message of each constraint's first violation
     for n, p in enumerate(params, start=1):
         for sequence, _, message in _violations(p, n, need_rho=True):
             first.setdefault(sequence, message)
 
-    # hard ranges + (c5); rho's range only warns, as the step rule is not known here
+    # hard ranges, (c5), epsilon and rho in the order of _violations, so that the first
+    # fail is the message run stops with; rho's range only warns, as the step rule is not known here
     for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
         if name in first:
             entries.append(CheckEntry("range", "fail", first[name]))
@@ -585,14 +583,16 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
             if at_boundary.size:
                 entries.append(CheckEntry("range", "warn",
                                           f"{name} touches the boundary of (0, 1) (first at n = {at_boundary[0] + 1})"))
-    if "epsilon" in first:
-        entries.append(CheckEntry("range", "fail", first["epsilon"]))
-    if "rho" in first:
-        entries.append(CheckEntry("range", "warn", first["rho"]))
     if "sum" in first:
         entries.append(CheckEntry("(c5)", "fail", first["sum"]))
     else:
         entries.append(CheckEntry("(c5)", "pass", "alpha + beta + gamma = 1 at every evaluated n"))
+    if "epsilon" in first:
+        entries.append(CheckEntry("range", "fail", first["epsilon"]))
+    if "rho" in first:
+        entries.append(CheckEntry("range", "warn", first["rho"]))
+    if exhausted is not None:
+        entries.append(CheckEntry("length", "fail", exhausted))
 
     tail = slice(max(0, horizon // 2 - 1), horizon)
 
@@ -607,7 +607,8 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
     if (alpha[tail] <= 0.0).any():
         entries.append(CheckEntry("(c2)", "warn", "alpha vanishes on the tail; epsilon/alpha is undefined"))
     else:
-        ratio = eps[tail] / alpha[tail]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are reported, not warned
+            ratio = eps[tail] / alpha[tail]
         if ratio[-1] <= ratio[0] + 1e-15 and ratio[-1] < 1e-2:
             entries.append(CheckEntry("(c2)", "pass", f"epsilon/alpha falls to {ratio[-1]:.3g} over the tail"))
         else:

@@ -485,7 +485,9 @@ class TestSingleSources:
     def test_result_read_from_history(self, cfg, reason):
         result = run_experiment(cfg)
         history = result.history
-        assert result.termination_reason == history.termination_reason == reason
+        assert history.termination_reason == reason
+        assert (history.error is None) == (reason == "residual_met")
+        assert not hasattr(result, "error") and not hasattr(result, "termination_reason")
         xs = build_from_config(cfg).problem.known_solution
         if xs is None:
             assert np.isnan(result.final_error)
@@ -511,7 +513,7 @@ class TestExperimentAndCsv:
 
     def test_zero_iteration_run_has_one_row(self, tmp_path):
         result = run_experiment(ZERO_STEP_CONFIG, out_dir=tmp_path)
-        assert result.termination_reason == "residual_met"
+        assert result.history.termination_reason == "residual_met"
         assert len(result.csv_path.read_text().splitlines()) == 2  # header line
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -547,7 +549,7 @@ class TestExperimentAndCsv:
             "start": {"x1": [2.0]},
         }
         result = run_experiment(cfg, out_dir=tmp_path)
-        assert result.termination_reason == "divergence"
+        assert result.history.termination_reason == "divergence"
         assert len(result.csv_path.read_text().splitlines()) == result.history.steps + 2  # header line
 
     def test_emit_csv_uses_17_significant_digits(self, tmp_path):
@@ -589,7 +591,7 @@ class TestExperimentAndCsv:
 
         monkeypatch.setattr(bench, "_history_rows", no_rows)
         result = run_experiment(parse_config(BASE_CONFIG))
-        assert result.csv_path is None and result.termination_reason == "residual_met"
+        assert result.csv_path is None and result.history.termination_reason == "residual_met"
 
 
 def _csv_header(dim):
@@ -710,7 +712,7 @@ class TestRowsFromRecords:
         assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * rows_per_block(5)
         assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * rows_per_block(3)
         assert rows_per_block(600) == 1
-        assert run_experiment(_ROW_CASES["schedule-violation"]).termination_reason == "schedule_violation"
+        assert run_experiment(_ROW_CASES["schedule-violation"]).history.termination_reason == "schedule_violation"
 
 
 def _joined_csv(header, rows) -> bytes:

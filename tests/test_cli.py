@@ -259,6 +259,14 @@ class TestValidateCommand:
         assert proc.returncode == 1
         assert "fail" in proc.stdout
 
+    def test_exhausted_list_exits_one(self, tmp_path):
+        cfg = write_config(tmp_path / "short.yaml", SHORT_SCHEDULE_CONFIG)
+        proc = cli("validate-schedule", cfg, "--horizon", "10")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("schedule check over n = 1..3\n")
+        assert "  [fail] length: explicit sequence exhausted at n = 4 (length 3)\n" in proc.stdout
+
 
 class TestPropsCommand:
     def test_small_sample_run(self):

@@ -86,6 +86,31 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match="offset must be finite"):
             kind(np.ones(2), offset)
 
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("scale", [1e160, 2.0**600, 1e-170, 2.0**-600, 2.0**-520],
+                             ids=["1e160", "2^600", "1e-170", "2^-600", "2^-520"])
+    def test_extreme_normals_keep_their_set(self, kind, scale):
+        # <a, a> overflows or leaves the normal floats; the set is that of the unscaled normal
+        plain = kind(np.array([3.0, -4.0]), 5.0)
+        extreme = kind(scale * plain.normal, scale * plain.offset)
+        assert 0.25 <= extreme.normal_sq < 2.0
+        points = np.array([[6.0, -8.0], [1.0, 1.0], [-3.0, 4.0]])
+        np.testing.assert_allclose(extreme.project(points), plain.project(points), rtol=1e-15, atol=1e-15)
+        for x in points:
+            np.testing.assert_allclose(extreme.project(x), plain.project(x), rtol=1e-15, atol=1e-15)
+        assert np.allclose(kind(np.array([scale, 0.0]), 0.0).project(np.array([1.0, 0.0])), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", [Halfspace, Hyperplane])
+    @pytest.mark.parametrize("normal", [[3.0, -4.0], [2.0**-511, 0.0], [1e150, 1e150]])
+    def test_normal_range_normals_kept(self, kind, normal):
+        cset = kind(np.array(normal), 5.0)
+        assert np.array_equal(cset.normal, normal) and cset.offset == 5.0
+        assert cset.normal_sq == float(np.dot(normal, normal))
+
+    def test_offset_beyond_a_tiny_normal(self):
+        with pytest.raises(ValueError, match="too large"):
+            Halfspace(np.array([1e-170, 0.0]), 1e200)
+
     def test_whole_space_dim(self):
         with pytest.raises(ValueError):
             WholeSpace(0)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule, representative_sets
@@ -13,11 +13,11 @@ from sfp.linalg import LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
-    DivergenceError,
     ParameterSchedule,
     ScheduleViolation,
     Seq,
     SfpProblem,
+    StepParams,
     StepperConfig,
     StoppingRule,
     run,
@@ -31,6 +31,12 @@ from sfp.solver import (
 F_AT_ONES = 79.14453125
 GRAD_AT_ONES = np.array([35.125, 35.875, 54.125, 106.75, 27.5])
 TAU_AT_ONES_RHO2 = 0.008992618959908036
+
+
+# schedule values for property tests: finite floats mixed with the range
+# boundaries and the non-finite values
+SCHEDULE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                            st.sampled_from([0.0, 1.0, 4.0, math.inf, -math.inf, math.nan]))
 
 
 def constant_schedule(alpha=0.0, beta=0.0, delta=0.0, rho=2.0, epsilon=0.0, theta=0.0, lam=0.5):
@@ -322,7 +328,7 @@ class TestRun:
     def test_start_at_solution(self, s4, x_star):
         schedule, kwargs = preset_schedule("paper-s4")
         history = run(s4, schedule, StepperConfig(**kwargs), x_star, x_star)
-        assert history.termination_reason == "residual_met"
+        assert history.termination_reason == "residual_met" and history.error is None
         assert history.steps == 0
         assert len(history.iterates) == 1
 
@@ -358,7 +364,7 @@ class TestRun:
         for r1, r2 in zip(h1.records, h2.records):
             assert r1 == r2
 
-    def test_divergence_raises_with_partial_history(self):
+    def test_divergence_returns_partial_history(self):
         # an expanding fixed-point map with heavy averaged weight blows up
         problem = SfpProblem(
             A=LinearMap(np.eye(1)),
@@ -367,23 +373,21 @@ class TestRun:
             S=linear_mapping([[3.0]], name="expanding"),
         )
         schedule = constant_schedule(delta=0.9, lam=1.0)
-        with pytest.raises(DivergenceError) as exc:
-            run(problem, schedule, StepperConfig(stopping=StoppingRule(max_iter=500)), np.array([2.0]))
-        history = exc.value.history
+        history = run(problem, schedule, StepperConfig(stopping=StoppingRule(max_iter=500)), np.array([2.0]))
         assert history.termination_reason == "divergence"
         assert history.steps > 0
+        assert history.error == f"iterates diverged at step {history.steps + 1}"
         assert norm(history.final) <= 1e12
 
-    def test_schedule_violation_keeps_partial_history(self, s4):
+    def test_schedule_violation_returns_partial_history(self, s4):
         schedule = dataclasses.replace(constant_schedule(), epsilon=Seq.explicit([0.1, 0.05, 0.025]))
-        with pytest.raises(ScheduleViolation, match=r"^explicit sequence exhausted at n = 4 \(length 3\)$") as exc:
-            run(s4, schedule, StepperConfig(), np.ones(5))
-        history = exc.value.history
+        history = run(s4, schedule, StepperConfig(), np.ones(5))
         assert history.termination_reason == "schedule_violation"
+        assert history.error == "explicit sequence exhausted at n = 4 (length 3)"
         assert history.steps == 3 and len(history.iterates) == 4
-        with pytest.raises(ScheduleViolation) as exc:
+        with pytest.raises(ScheduleViolation, match=r"^explicit sequence exhausted at n = 4 \(length 3\)$") as exc:
             step(s4, schedule, StepperConfig(), 4, np.ones(5), np.ones(5))
-        assert exc.value.history is None
+        assert not hasattr(exc.value, "history")
 
     def test_grad_zero_reason(self):
         # Q is the whole space, so the gradient vanishes identically while the
@@ -395,14 +399,14 @@ class TestRun:
         )
         schedule = constant_schedule()
         history = run(problem, schedule, StepperConfig(), np.zeros(2))
-        assert history.termination_reason == "grad_zero"
+        assert history.termination_reason == "grad_zero" and history.error is None
         assert history.steps == 0
 
     def test_max_iter_reason(self, s4):
         schedule, kwargs = preset_schedule("paper-s4")
         config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=5))
         history = run(s4, schedule, config, np.ones(5))
-        assert history.termination_reason == "max_iter"
+        assert history.termination_reason == "max_iter" and history.error is None
         assert history.steps == 5
         assert len(history.iterates) == 6
 
@@ -670,6 +674,28 @@ class TestValidateSchedule:
         failed = [e for e in report.entries if e.level == "fail"]
         assert any(e.condition == "(c5)" for e in failed)
 
+    @staticmethod
+    def assert_run_step_and_validation_agree(s4, schedule, horizon):
+        """``run``'s error, ``step``'s violation at n = 1 and the report's first
+        fail (else its ``rho(`` warning) name the same violation, or none."""
+        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=horizon)), np.ones(5))
+        try:
+            step(s4, schedule, StepperConfig(), 1, np.ones(5), np.ones(5))
+            raised = None
+        except ScheduleViolation as exc:
+            raised = str(exc)
+        report = validate_schedule(schedule, horizon=horizon)
+        # rho's range only warns, as the step rule is unknown to the validator
+        flagged = ([e.message for e in report.entries if e.level == "fail"]
+                   or [e.message for e in report.warnings if e.message.startswith("rho(")])
+        assert history.error == raised
+        assert (raised is None) == (not flagged), report.text()
+        if raised is not None:
+            assert history.termination_reason == "schedule_violation" and history.steps == 0
+            assert raised.endswith(" " + flagged[0]), report.text()
+        assert "np.float64" not in report.text()
+        return raised
+
     @pytest.mark.parametrize("values", [
         {}, {"alpha": 1.5}, {"alpha": math.nan}, {"beta": -0.1}, {"alpha": 0.5, "beta": 0.2, "gamma": 0.2},
         {"epsilon": -1.0}, {"epsilon": math.inf}, {"epsilon": math.nan}, {"rho": 4.0}, {"rho": 0.0},
@@ -678,20 +704,17 @@ class TestValidateSchedule:
             "epsilon=nan", "rho=4", "rho=0", "rho=nan"])
     def test_run_and_validation_agree(self, s4, values):
         schedule = dataclasses.replace(constant_schedule(), **{k: Seq.constant(v) for k, v in values.items()})
-        try:
-            run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=3)), np.ones(5))
-            raised = ""
-        except ScheduleViolation as exc:
-            raised = str(exc)
-        report = validate_schedule(schedule, horizon=3)
-        flagged = [e for e in report.entries if e.level == "fail"]
-        if "rho" in values:  # the step rule is unknown to the validator
-            assert not flagged
-            flagged = [e for e in report.warnings if e.message.startswith("rho(")]
-        assert bool(raised) == bool(flagged) == bool(values), report.text()
-        if raised:
-            assert raised.endswith(" " + flagged[0].message), report.text()
-        assert "np.float64" not in report.text()
+        raised = self.assert_run_step_and_validation_agree(s4, schedule, horizon=3)
+        assert (raised is None) == (not values)
+
+    @settings(derandomize=True, max_examples=50)
+    @given(values=st.dictionaries(st.sampled_from(StepParams._fields), SCHEDULE_VALUES))
+    @example(values={"alpha": 1e-300, "epsilon": 1e300})  # epsilon / alpha overflows in the (c2) proxy
+    def test_run_and_validation_agree_on_random_values(self, s4, values):
+        # the drawn values replace those of an admissible schedule; gamma is the
+        # complement unless it is drawn
+        schedule = dataclasses.replace(constant_schedule(), **{k: Seq.constant(v) for k, v in values.items()})
+        self.assert_run_step_and_validation_agree(s4, schedule, horizon=1)
 
     def test_cq_schedule_warns_on_vanishing_alpha(self):
         schedule, _ = preset_schedule("cq")
@@ -700,14 +723,20 @@ class TestValidateSchedule:
         warned = {e.condition for e in report.warnings}
         assert "(c2)" in warned and "(c3)" in warned
 
-    def test_explicit_sequence_exhaustion(self):
+    def test_explicit_sequence_exhaustion(self, s4):
         schedule = ParameterSchedule(
             alpha=Seq.explicit([0.1, 0.05]), beta=Seq.constant(0.4), gamma=None,
             delta=Seq.constant(0.5), rho=Seq.constant(2.0), epsilon=Seq.constant(0.0),
         )
         assert schedule.at(2).alpha == 0.05
-        with pytest.raises(ScheduleViolation):
-            validate_schedule(schedule, horizon=5)
+        report = validate_schedule(schedule, horizon=5)
+        message = "explicit sequence exhausted at n = 3 (length 2)"
+        assert run(s4, schedule, StepperConfig(), np.ones(5)).error == message
+        assert not report.ok and report.horizon == 2
+        failed = [e for e in report.entries if e.level == "fail"]
+        assert [(e.condition, e.message) for e in failed] == [("length", message)]
+        assert [e.condition for e in report.entries] == ["(c5)", "length", "(c1)", "(c2)", "(c3)", "(c4)"]
+        assert report.text().startswith("schedule check over n = 1..2\n")
 
     def test_horizon_validated(self):
         schedule, _ = preset_schedule("paper-s4")
