@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import LinearMap, as_vector, norm, row_dots, row_norms
+from .linalg import BLOCK_VALUES, LinearMap, as_vector, norm, row_dots, row_norms
 from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
@@ -580,12 +580,6 @@ def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
     return float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
 
 
-# CSV values computed per block of rows: a block of iterates is stacked into
-# one (k, dim) array and each derived column is one numpy call over it.  Small
-# enough that a wide problem's block is one row and adds no memory.
-_BLOCK_VALUES = 1024
-
-
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
     """Yield the CSV header, then one row per iterate (row 0 is the start point).
 
@@ -613,7 +607,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     f_next = np.array([r.f_u for r in records] + [0.0])
     grad_next = np.array([r.grad_norm_u for r in records] + [0.0])
     reused = np.append(theta_n[1:] == 0.0, False)
-    size = max(1, _BLOCK_VALUES // len(header))
+    size = max(1, BLOCK_VALUES // len(header))  # a block of iterates is one (k, dim) stack
     for lo in range(0, len(history.iterates), size):
         x = np.array(history.iterates[lo:lo + size])
         rows = slice(lo, lo + len(x))

@@ -9,7 +9,7 @@ with one BLAS call per row (numpy's stacked ``matmul`` issues the ``ddot`` or
 ``gemv`` that the single vector gets), so row i carries the same bits as the
 result for that row alone.  A matrix-matrix product (gemm) or ``einsum``
 would not.  ``inner`` and ``norm`` take single vectors only: the solver's
-step calls them several times per step.
+step calls ``norm`` twice per step.
 """
 
 from __future__ import annotations
@@ -30,6 +30,12 @@ __all__ = [
     "matvec",
     "LinearMap",
 ]
+
+
+# Values per block of stacked rows: the step loop and the CSV rows work in
+# blocks of max(1, BLOCK_VALUES // width) rows, so that a wide problem's block
+# is one row and holds no more memory than the row itself.
+BLOCK_VALUES = 1024
 
 
 class DimensionMismatch(ValueError):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, norm, row_dots, within
+from .linalg import BLOCK_VALUES, DimensionMismatch, LinearMap, as_vector, norm, row_dots, row_norms, within
 from .mappings import Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
@@ -130,8 +130,8 @@ class Seq:
     """A scalar sequence indexed from n = 1: a named closed-form rule or a list.
 
     Rules: ``constant`` (value), ``power-law`` (const + coeff / n**power) and
-    ``explicit`` (finite list of values).  ``at(n)`` gives the value at
-    n >= 1; the rule is resolved once, when the sequence is made.
+    ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the values
+    at n = lo, ..., hi - 1, and ``at(n)`` the one at n >= 1.
     """
 
     rule: str
@@ -142,13 +142,10 @@ class Seq:
     values: tuple = ()
 
     def __post_init__(self):
+        if self.rule not in ("constant", "power-law", "explicit"):
+            raise ValueError(f"unknown sequence rule {self.rule!r}")
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
-        object.__setattr__(self, "at", _value_at(self))
-
-    def __reduce__(self):
-        # rebuilt from its fields, as the resolved ``at`` cannot be pickled
-        return type(self), (self.rule, self.value, self.const, self.coeff, self.power, self.values)
 
     @classmethod
     def constant(cls, value: float) -> "Seq":
@@ -162,35 +159,30 @@ class Seq:
     def explicit(cls, values) -> "Seq":
         return cls(rule="explicit", values=tuple(float(v) for v in values))
 
+    def block(self, lo: int, hi: int) -> list:
+        """The values at n = lo, ..., hi - 1, up to the first n that has none: past
+        the end of a list, or where a power law's n**power overflows or vanishes.
+        Raises what that n raises when it is ``lo``."""
+        if lo < 1:
+            raise ValueError("sequences are indexed from n = 1")
+        if self.rule == "constant":
+            return [self.value] * (hi - lo)
+        if self.rule == "explicit":
+            if lo > len(self.values):
+                raise ScheduleViolation(f"explicit sequence exhausted at n = {lo} (length {len(self.values)})")
+            return list(self.values[lo - 1:hi - 1])
+        const, coeff, power = self.const, self.coeff, self.power
+        values = []
+        try:
+            for n in range(lo, hi):
+                values.append(const + coeff / float(n) ** power)
+        except ArithmeticError:
+            if not values:
+                raise
+        return values
 
-def _value_at(seq: Seq):
-    """The function n -> value of ``seq`` at n >= 1, with its rule resolved."""
-    if seq.rule == "constant":
-        value = seq.value
-
-        def at(n: int) -> float:
-            if n < 1:
-                raise ValueError("sequences are indexed from n = 1")
-            return value
-    elif seq.rule == "power-law":
-        const, coeff, power = seq.const, seq.coeff, seq.power
-
-        def at(n: int) -> float:
-            if n < 1:
-                raise ValueError("sequences are indexed from n = 1")
-            return const + coeff / float(n) ** power
-    elif seq.rule == "explicit":
-        values = seq.values
-
-        def at(n: int) -> float:
-            if n < 1:
-                raise ValueError("sequences are indexed from n = 1")
-            if n > len(values):
-                raise ScheduleViolation(f"explicit sequence exhausted at n = {n} (length {len(values)})")
-            return values[n - 1]
-    else:
-        raise ValueError(f"unknown sequence rule {seq.rule!r}")
-    return at
+    def at(self, n: int) -> float:
+        return self.block(n, n + 1)[0]
 
 
 class StepParams(NamedTuple):
@@ -227,27 +219,44 @@ class ParameterSchedule:
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"lambda: must lie in (0, 1], got {self.lam}")
 
+    def block(self, lo: int, hi: int) -> list[tuple]:
+        """The rows (alpha, beta, gamma, delta, rho, epsilon) at n = lo, ...,
+        hi - 1, up to the first n at which a sequence has no value (see
+        :meth:`Seq.block`)."""
+        alpha, beta = self.alpha.block(lo, hi), self.beta.block(lo, hi)
+        gamma = [1.0 - a - b for a, b in zip(alpha, beta)] if self.gamma is None else self.gamma.block(lo, hi)
+        return list(zip(alpha, beta, gamma, self.delta.block(lo, hi), self.rho.block(lo, hi),
+                        self.epsilon.block(lo, hi)))
+
     def at(self, n: int) -> StepParams:
-        a = self.alpha.at(n)
-        b = self.beta.at(n)
-        g = 1.0 - a - b if self.gamma is None else self.gamma.at(n)
-        return StepParams(a, b, g, self.delta.at(n), self.rho.at(n), self.epsilon.at(n))
+        return StepParams(*self.block(n, n + 1)[0])
 
 
-def _violations(p: StepParams, n: int, need_rho: bool):
-    """Yield (sequence, condition, message) for each hard constraint that the
-    step-n values break, in the order ``step`` checks them.  Every test fails
-    on nan, and on +-inf where its bound is finite."""
-    for name, val in zip(("alpha", "beta", "gamma", "delta"), p):
-        if not 0.0 <= val <= 1.0:
-            yield name, "(range)", f"{name}({n}) = {val} outside [0, 1]"
-    total = p.alpha + p.beta + p.gamma
-    if not abs(total - 1.0) <= 1e-12:
-        yield "sum", "(c5)", f"alpha({n}) + beta({n}) + gamma({n}) = {total!r} != 1"
-    if not 0.0 <= p.epsilon < math.inf:
-        yield "epsilon", "(range)", f"epsilon({n}) = {p.epsilon} must be >= 0"
-    if need_rho and not 0.0 < p.rho < 4.0:
-        yield "rho", "(range)", f"rho({n}) = {p.rho} outside (0, 4)"
+def _violations(rows, lo: int, need_rho: bool):
+    """Yield (n, sequence, condition, message) for each hard constraint that the
+    schedule rows of n = lo, lo + 1, ... break, in order of n and, at one n, in
+    the order below.  Every test fails on nan, and on +-inf where its bound is
+    finite."""
+    for n, (alpha, beta, gamma, delta, rho, epsilon) in enumerate(rows, lo):
+        for name, val in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
+            if not 0.0 <= val <= 1.0:
+                yield n, name, "(range)", f"{name}({n}) = {val} outside [0, 1]"
+        total = alpha + beta + gamma
+        if not abs(total - 1.0) <= 1e-12:
+            yield n, "sum", "(c5)", f"alpha({n}) + beta({n}) + gamma({n}) = {total!r} != 1"
+        if not 0.0 <= epsilon < math.inf:
+            yield n, "epsilon", "(range)", f"epsilon({n}) = {epsilon} must be >= 0"
+        if need_rho and not 0.0 < rho < 4.0:
+            yield n, "rho", "(range)", f"rho({n}) = {rho} outside (0, 4)"
+
+
+def _admissible(rows, lo: int, need_rho: bool) -> tuple[int, str | None]:
+    """How many leading ``rows`` (n = lo, lo + 1, ...) keep the hard
+    constraints, and the violation message of the row after them (None when
+    all do)."""
+    for n, _, condition, message in _violations(rows, lo, need_rho):
+        return n - lo, f"{condition} {message}"
+    return len(rows), None
 
 
 # --- stepper configuration -------------------------------------------------
@@ -360,33 +369,29 @@ def _compose_y(mode: str, project, u, tau_g, delta, t_u):
 
 
 def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig):
-    """The update (n, x_n, x_prev) -> (x_next, record) that :func:`step` and
-    :func:`run` share.
+    """The update (p, x_n, x_prev) -> (x_next, kept) of one step with schedule
+    row p, which :func:`step` and :func:`run` share.  ``kept`` holds what
+    :func:`_records` needs of the step: u, y, T u, tau grad f(u), the blend
+    residual w - P_C(w), theta_n, tau, f(u) and ||grad f(u)||^2.
 
     What every step would otherwise look up again is bound here once: the
     operator and projection methods, the ``fn`` of the averaged map and of
     ``g`` (the step's vectors are float64 of the right size, so the
-    checks of ``Mapping.__call__`` are not needed), the declared solution and
-    the mode and step-rule branches.  Each product is formed once per step.
+    checks of ``Mapping.__call__`` are not needed) and the mode and
+    step-rule branches.  Each product is formed once per step.
     """
-    schedule_at = schedule.at
     apply, apply_adjoint = problem.A.apply, problem.A.apply_adjoint
     project_c, project_q = problem.C.project, problem.Q.project
     t_fn = problem.averaged_map(schedule.lam).fn
     g_fn = problem.g.fn
     theta = schedule.theta
-    xs = problem.known_solution
     mode = config.mode
     adaptive = config.step_rule == "adaptive"
     fixed_step = config.fixed_step
     f_value = problem.f_value if config.tau_numerator == "x" else None
 
-    def advance(n: int, x_n: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, StepRecord]:
-        p = schedule_at(n)
-        for _, condition, message in _violations(p, n, adaptive):
-            raise ScheduleViolation(f"{condition} {message}")
+    def advance(p: tuple, x_n: np.ndarray, x_prev: np.ndarray) -> tuple[np.ndarray, tuple]:
         alpha, beta, gamma, delta, rho, epsilon = p
-
         dx = x_n - x_prev
         dx_norm = norm(dx)  # theta_n * ||x_n - x_prev|| never exceeds epsilon
         theta_n = theta if dx_norm == 0.0 else min(theta, epsilon / dx_norm)
@@ -405,41 +410,50 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         t_u = t_fn(u)
         tau_g = tau * gvec
         y, blend_residual = _compose_y(mode, project_c, u, tau_g, delta, t_u)
-        beta_u, gamma_y = beta * u, gamma * y
-        x_next = alpha * g_fn(x_n) + beta_u + gamma_y
-
-        # distance monitors against the declared solution
-        gap_y = gap_v = qne_slack = float("nan")
-        if xs is not None:
-            du = norm(u - xs)
-            gap_y = norm(y - xs) - du
-            if 1.0 - alpha > 1e-300:
-                gap_v = norm((beta_u + gamma_y) / (1.0 - alpha) - xs) - du
-            qne_slack = norm(t_u - xs) - du
-
-        psi = _psi_scalar(p, f_u, gg, t_u, u, tau_g, blend_residual)
-        return x_next, StepRecord(n, theta_n, tau, f_u, math.sqrt(gg), gap_y, gap_v, qne_slack, psi)
+        x_next = alpha * g_fn(x_n) + beta * u + gamma * y
+        return x_next, (u, y, t_u, tau_g, blend_residual, theta_n, tau, f_u, gg)
 
     return advance
 
 
-def _psi_scalar(p: StepParams, f_u: float, gg: float, t_u: np.ndarray, u: np.ndarray,
-                tau_g: np.ndarray, blend_residual: np.ndarray) -> float:
-    """The nonnegative per-step decrease certificate of the analysis
-    (``StepRecord.psi``).
+def _records(xs: np.ndarray | None, lo: int, params: list, kept: list) -> list[StepRecord]:
+    """The records of steps n = lo, lo + 1, ... from their schedule rows and
+    what :func:`_stepper`'s update kept of each.
 
-    Three terms: the adaptive-gradient gain, the averaged-map drift and the
-    projection residual of the blended point, each weighted by the step's
-    schedule values.  All divisions are guarded like the step itself.
+    The monitors are taken once per block: each distance and squared norm is
+    one stacked call over the block's rows, with the bits of one row at a
+    time.  ``psi`` is the nonnegative per-step decrease certificate of the
+    analysis: the adaptive-gradient gain, the averaged-map drift T u - u +
+    tau grad f(u) and the projection residual of the blended point, each
+    weighted by the step's schedule values; its divisions are guarded like
+    the step itself.
     """
-    coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
-    term1 = 0.0
-    if gg > GRAD_GUARD:
-        term1 = (1.0 - p.delta) * coef * p.rho * (4.0 - p.rho) * f_u * f_u / gg
+    k = len(kept)
+    if not k:
+        return []
+    params = params[:k]
+    vectors = np.array([kept_step[:5] for kept_step in kept])  # (k, 5, dim)
+    u, y, t_u, tau_g, blend_residual = vectors.transpose(1, 0, 2)
     drift = t_u - u + tau_g
-    term2 = p.delta * (1.0 - p.delta) * coef * float(np.dot(drift, drift))
-    term3 = coef * float(np.dot(blend_residual, blend_residual))
-    return term1 + term2 + term3
+    drift_sq, blend_sq = row_dots(drift, drift).tolist(), row_dots(blend_residual, blend_residual).tolist()
+    if xs is None:
+        gap_y = gap_v = qne_slack = [math.nan] * k
+    else:
+        alpha, beta, gamma = (np.array(column)[:, None] for column in list(zip(*params))[:3])
+        # the blend v = (beta u + gamma y) / (1 - alpha), nan where 1 - alpha <= 1e-300
+        v = (beta * u + gamma * y) / np.where(1.0 - alpha > 1e-300, 1.0 - alpha, math.nan)
+        du = row_norms(u - xs)
+        gap_y, gap_v, qne_slack = ((row_norms(w - xs) - du).tolist() for w in (y, v, t_u))
+    _, _, _, _, _, theta_n, tau, f_u, gg = zip(*kept)
+
+    records = []
+    for n, (alpha, _, gamma, delta, rho, _), theta, step_tau, f, g2, gy, gv, slack, d2, b2 in zip(
+            range(lo, lo + k), params, theta_n, tau, f_u, gg, gap_y, gap_v, qne_slack, drift_sq, blend_sq):
+        coef = gamma / (1.0 - alpha) if 1.0 - alpha > 1e-300 else 0.0
+        term1 = (1.0 - delta) * coef * rho * (4.0 - rho) * f * f / g2 if g2 > GRAD_GUARD else 0.0
+        psi = term1 + delta * (1.0 - delta) * coef * d2 + coef * b2
+        records.append(StepRecord(n, theta, step_tau, f, math.sqrt(g2), gy, gv, slack, psi))
+    return records
 
 
 def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -451,7 +465,12 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
     """
     x_n = as_vector(x_n, problem.dim)
     x_prev = as_vector(x_prev, problem.dim)
-    return _stepper(problem, schedule, config)(n, x_n, x_prev)
+    params = schedule.block(n, n + 1)
+    _, message = _admissible(params, n, config.step_rule == "adaptive")
+    if message is not None:
+        raise ScheduleViolation(message)
+    x_next, kept = _stepper(problem, schedule, config)(params[0], x_n, x_prev)
+    return x_next, _records(problem.known_solution, n, params, [kept])[0]
 
 
 def _warn_lambda_vs_modulus(problem: SfpProblem, lam: float) -> None:
@@ -493,30 +512,58 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
                 f"fixed step {config.fixed_step} outside (0, 2/||A||^2) = (0, {limit:.6g})"
             )
     _warn_lambda_vs_modulus(problem, schedule.lam)
-    advance = _stepper(problem, schedule, config)
-
-    stopping = config.stopping
-    grad_tol = stopping.grad_tol
-    iterates = [np.array(x_cur)]
-    records: list[StepRecord] = []
-    reason, error = "max_iter", None
-    for n in range(1, stopping.max_iter + 1):
-        try:
-            x_next, record = advance(n, x_cur, x_prev)
-        except ScheduleViolation as exc:
-            reason, error = "schedule_violation", str(exc)
-            break
-        if record.grad_norm_u <= grad_tol:
-            res = problem.combined_residual(x_cur, schedule.lam)
-            reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
-            break
-        if not norm(x_next) <= DIVERGENCE_LIMIT:  # also true for nan and inf entries
-            reason, error = "divergence", f"iterates diverged at step {n}"
-            break
-        records.append(record)
-        iterates.append(x_next)
-        x_prev, x_cur = x_cur, x_next
+    iterates, records = [np.array(x_cur)], []
+    for block_iterates, block_records, reason, error in _blocks(problem, schedule, config, x_prev, x_cur):
+        iterates += block_iterates
+        records += block_records
     return RunHistory(iterates, records, reason, error)
+
+
+def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
+            x_prev: np.ndarray, x_cur: np.ndarray):
+    """The step loop of :func:`run` from the seeds (x_prev, x_cur), in blocks of
+    up to ``BLOCK_VALUES // dim`` steps.
+
+    Yields (iterates, records, reason, error) per block: the iterates after its
+    steps and their records, then, with the last block, the termination reason
+    and error message (both None before).  A block's schedule rows are formed
+    and checked once; the step computes only the trajectory, and the stop
+    tests run on each step before it is kept.
+    """
+    advance = _stepper(problem, schedule, config)
+    need_rho = config.step_rule == "adaptive"
+    stopping = config.stopping
+    grad_tol, max_iter = stopping.grad_tol, stopping.max_iter
+    size = max(1, BLOCK_VALUES // problem.dim)
+    n, reason, error = 1, None, None
+    while reason is None:
+        try:
+            params = schedule.block(n, min(n + size, max_iter + 1))
+        except ScheduleViolation as exc:  # the first n has no value
+            yield [], [], "schedule_violation", str(exc)
+            return
+        lo = n
+        count, violation = _admissible(params, lo, need_rho)
+        iterates, kept = [], []
+        for p in params[:count]:
+            x_next, step_kept = advance(p, x_cur, x_prev)
+            if math.sqrt(step_kept[-1]) <= grad_tol:
+                res = problem.combined_residual(x_cur, schedule.lam)
+                reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
+                break
+            if not norm(x_next) <= DIVERGENCE_LIMIT:  # also true for nan and inf entries
+                reason, error = "divergence", f"iterates diverged at step {n}"
+                break
+            iterates.append(x_next)
+            kept.append(step_kept)
+            x_prev, x_cur = x_cur, x_next
+            n += 1
+        else:
+            if violation is not None:
+                reason, error = "schedule_violation", violation
+            elif n > max_iter:
+                reason = "max_iter"
+        yield iterates, _records(problem.known_solution, lo, params, kept), reason, error
 
 
 # --- schedule validation -----------------------------------------------------
@@ -560,37 +607,28 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    entries: list[CheckEntry] = []
     params, exhausted = [], None
     try:
-        for n in range(1, horizon + 1):
-            params.append(schedule.at(n))
+        while len(params) < horizon:
+            params += schedule.block(len(params) + 1, horizon + 1)
     except ScheduleViolation as exc:  # n = 1 always exists, so params is never empty
         exhausted, horizon = str(exc), len(params)
     alpha, beta, gamma, delta, _, eps = np.array(params).T
-    first: dict[str, str] = {}  # the message of each constraint's first violation
-    for n, p in enumerate(params, start=1):
-        for sequence, _, message in _violations(p, n, need_rho=True):
-            first.setdefault(sequence, message)
-
-    # hard ranges, (c5), epsilon and rho in the order of _violations, so that the first
-    # fail is the message run stops with; rho's range only warns, as the step rule is not known here
+    # the first violation of each constraint, in order of n and, at one n, in the
+    # order of _violations, so that the first entry is the message run stops with;
+    # rho's range only warns, as the step rule is not known here
+    first: dict[str, str] = {}
+    for _, sequence, _, message in _violations(params, 1, need_rho=True):
+        first.setdefault(sequence, message)
+    entries = [CheckEntry("(c5)" if sequence == "sum" else "range", "warn" if sequence == "rho" else "fail", message)
+               for sequence, message in first.items()]
     for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
-        if name in first:
-            entries.append(CheckEntry("range", "fail", first[name]))
-        else:
-            at_boundary = np.flatnonzero((arr == 0.0) | (arr == 1.0))
-            if at_boundary.size:
-                entries.append(CheckEntry("range", "warn",
-                                          f"{name} touches the boundary of (0, 1) (first at n = {at_boundary[0] + 1})"))
-    if "sum" in first:
-        entries.append(CheckEntry("(c5)", "fail", first["sum"]))
-    else:
+        at_boundary = np.flatnonzero((arr == 0.0) | (arr == 1.0))
+        if name not in first and at_boundary.size:
+            entries.append(CheckEntry("range", "warn",
+                                      f"{name} touches the boundary of (0, 1) (first at n = {at_boundary[0] + 1})"))
+    if "sum" not in first:
         entries.append(CheckEntry("(c5)", "pass", "alpha + beta + gamma = 1 at every evaluated n"))
-    if "epsilon" in first:
-        entries.append(CheckEntry("range", "fail", first["epsilon"]))
-    if "rho" in first:
-        entries.append(CheckEntry("range", "warn", first["rho"]))
     if exhausted is not None:
         entries.append(CheckEntry("length", "fail", exhausted))
 

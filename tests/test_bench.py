@@ -33,7 +33,7 @@ from sfp.bench import (
     run_property_suites,
     table1_mode_reports,
 )
-from sfp.linalg import norm
+from sfp.linalg import BLOCK_VALUES, norm
 from sfp.mappings import fixed_point_residual
 from sfp.sets import check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, StoppingRule, step
@@ -707,7 +707,7 @@ class TestRowsFromRecords:
 
     def test_cases_span_blocks(self):
         def rows_per_block(dim):
-            return max(1, bench._BLOCK_VALUES // len(_csv_header(dim)))
+            return max(1, BLOCK_VALUES // len(_csv_header(dim)))
 
         assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * rows_per_block(5)
         assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * rows_per_block(3)
@@ -890,16 +890,17 @@ class TestPropertySuites:
 def test_reference_preset_converges_end_to_end(s4, x_star):
     # the damping toward the null map's fixed point decays like 1/n, so the
     # documented reference schedule needs several hundred thousand steps to
-    # reach 1e-6; driven through the stepper that step() and run() share
-    # (bound once) to keep memory flat
+    # reach 1e-6; driven through run's step loop one block of steps at a time,
+    # keeping no history, so memory stays flat
     schedule, kwargs = preset_schedule("paper-s4")
-    advance = solver._stepper(s4, schedule, StepperConfig(**kwargs))
-    x_prev = x = np.ones(5)
-    reached = None
-    for n in range(1, 700_001):
-        x_new, _ = advance(n, x, x_prev)
-        x_prev, x = x, x_new
-        if np.max(np.abs(x - x_star)) <= 1e-6:
-            reached = n
-            break
-    assert reached is not None, "no convergence to 1e-6 within 700k steps"
+    config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=700_000))
+    start = np.ones(5)
+    steps, reached = 0, None
+    for iterates, _, reason, _ in solver._blocks(s4, schedule, config, start, start):
+        if iterates:
+            hits = np.flatnonzero(np.max(np.abs(np.array(iterates) - x_star), axis=1) <= 1e-6)
+            if hits.size:
+                reached = steps + int(hits[0]) + 1
+                break
+        steps += len(iterates)
+    assert reached is not None, f"no convergence to 1e-6 within 700k steps (run ended with {reason})"

@@ -9,10 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule, representative_sets
-from sfp.linalg import LinearMap, norm
+from sfp.linalg import BLOCK_VALUES, LinearMap, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
+    GRAD_GUARD,
     ParameterSchedule,
     ScheduleViolation,
     Seq,
@@ -596,6 +597,7 @@ def assert_run_is_written_out_step(problem, schedule, config, x0):
         assert history.iterates[n].tobytes() == x_next.tobytes()
         assert [float(v).hex() for v in dataclasses.astuple(record)] == [float(v).hex() for v in fields]
         x_prev, x_n = x_n, x_next
+    return history
 
 
 class TestRunMatchesWrittenOutStep:
@@ -619,6 +621,99 @@ class TestRunMatchesWrittenOutStep:
         schedule, _ = preset_schedule("paper-s4")
         config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, stopping=StoppingRule(max_iter=50))
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+
+
+# blocks of BLOCK_VALUES // dim steps: 204 at dim 5, 3 at dim 341, 1 from dim 513
+BLOCK_S4 = BLOCK_VALUES // 5
+
+
+class TestBlocks:
+    """run takes its steps in blocks; no block boundary may show in the results."""
+
+    @pytest.mark.parametrize("preset", ["paper-s4", "fast"])
+    def test_several_blocks_at_dim_five(self, s4, preset):
+        schedule, kwargs = preset_schedule(preset)
+        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=2 * BLOCK_S4 + 40))
+        assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+
+    @pytest.mark.parametrize("dim, block", [(341, 3), (600, 1)])
+    def test_wide_problems(self, dim, block):
+        assert BLOCK_VALUES // dim == block
+        problem = generate_random_sfp(dim, dim // 2, "box", seed=8, include_fixed_point_map=True)
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=3 * block + 2))
+        assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(dim))
+
+    def test_vanishing_gradient_records(self, s4):
+        # with a grad_tol below 1e-12 the run keeps steps whose ||grad f||^2 is at
+        # most GRAD_GUARD: tau = 0 and psi has no gradient term
+        schedule, kwargs = preset_schedule("cq")
+        config = StepperConfig(**kwargs, stopping=StoppingRule(grad_tol=1e-300, residual_tol=1e-300, max_iter=1500))
+        history = assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+        guarded = [r for r in history.records if r.grad_norm_u ** 2 <= GRAD_GUARD]
+        assert len(guarded) > BLOCK_S4 and all(r.tau == 0.0 for r in guarded)
+
+
+# the step n at which each ending is placed: the first, a middle and the last
+# step of the first two blocks at dim 5
+ENDING_STEPS = [1, BLOCK_S4 // 2, BLOCK_S4, BLOCK_S4 + 1, BLOCK_S4 + BLOCK_S4 // 2, 2 * BLOCK_S4]
+
+
+def _ending_case(ending, n):
+    """(problem, schedule, config, x0, expected error) of a dim-5 run that ends
+    at step n with ``ending``."""
+    # spread singular values keep the gradient above grad_tol for 2 * BLOCK_S4 steps
+    a = LinearMap([[1.0, 0, 0, 0.5, 0], [0, 0.3, 0, 0, 0.2], [0, 0, 0.05, 0, 0]])
+    origin = Singleton(np.zeros(3))
+    problem = SfpProblem(A=a, C=Box(-np.ones(5), np.ones(5)), Q=origin, known_solution=np.zeros(5))
+    x0 = np.full(5, 3.0)
+    schedule, kwargs = preset_schedule("paper-s4")
+    config = StepperConfig(**kwargs)
+    error = None
+    if ending in ("residual_met", "grad_zero"):
+        # alpha(n - 1) = 1 moves x_n to g(x_{n-1}) = 0, where Q holds A x and
+        # the gradient vanishes; C holds 0 for residual_met only
+        if ending == "grad_zero":
+            problem = SfpProblem(A=a, C=Box(np.ones(5), 2 * np.ones(5)), Q=origin)
+        alphas = ([0.0] * (n - 2) + [1.0] if n > 1 else []) + [0.0] * 10
+        schedule = dataclasses.replace(constant_schedule(delta=0.5, theta=0.5), alpha=Seq.explicit(alphas))
+        x0 = x0 if n > 1 else np.zeros(5)
+    elif ending == "divergence":
+        # delta(n) = 1 puts the step on T = (I + S) / 2 with S = 1e13 I
+        problem = SfpProblem(A=a, C=WholeSpace(5), Q=origin, S=linear_mapping(1e13 * np.eye(5)))
+        deltas = [0.0] * (n - 1) + [1.0] + [0.0] * 10
+        schedule = dataclasses.replace(constant_schedule(), delta=Seq.explicit(deltas))
+        error = f"iterates diverged at step {n}"
+    elif ending == "range":
+        alphas = [0.01] * (n - 1) + [1.5] + [0.01] * 10
+        schedule = dataclasses.replace(schedule, alpha=Seq.explicit(alphas))
+        error = f"(range) alpha({n}) = 1.5 outside [0, 1]"
+    elif ending == "exhausted":
+        schedule = dataclasses.replace(schedule, epsilon=Seq.explicit([0.01] * (n - 1)))
+        error = f"explicit sequence exhausted at n = {n} (length {n - 1})"
+    elif ending == "max_iter":
+        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=n))
+    return problem, schedule, config, x0, error
+
+
+class TestEndingsAtBlockBoundaries:
+    @pytest.mark.parametrize("n", ENDING_STEPS)
+    @pytest.mark.parametrize("ending", ["residual_met", "grad_zero", "divergence", "range", "exhausted", "max_iter"])
+    def test_ending(self, ending, n):
+        if ending == "exhausted" and n == 1:
+            n = 2  # a list has at least one value
+        problem, schedule, config, x0, error = _ending_case(ending, n)
+        history = run(problem, schedule, config, x0)
+        assert (history.termination_reason, history.error) == (
+            "schedule_violation" if ending in ("range", "exhausted") else ending, error)
+        assert history.steps == (n if ending == "max_iter" else n - 1)
+        if history.steps:
+            assert_run_is_written_out_step(problem, schedule, config, x0)
+        if ending in ("residual_met", "grad_zero") and n > 1:
+            # step n - 1 ran with 1 - alpha = 0: no blend v, and psi has coefficient 0
+            last = history.records[-1]
+            assert math.isnan(last.fejer_gap_v) and last.psi == 0.0
+            assert (not math.isnan(last.fejer_gap_y)) == (ending == "residual_met")
 
 
 class TestPsiDiagnostic:
@@ -716,6 +811,32 @@ class TestValidateSchedule:
         schedule = dataclasses.replace(constant_schedule(), **{k: Seq.constant(v) for k, v in values.items()})
         self.assert_run_step_and_validation_agree(s4, schedule, horizon=1)
 
+    def test_first_fail_is_the_earliest_violation(self, s4):
+        # beta breaks its range at n = 1 and alpha at n = 2: run stops at beta(1),
+        # so the report lists it first
+        schedule = dataclasses.replace(constant_schedule(), alpha=Seq.explicit([0.1, 1.5, 0.1]),
+                                       beta=Seq.explicit([-0.1, 0.2, 0.2]))
+        report = validate_schedule(schedule, horizon=3)
+        fails = [e.message for e in report.entries if e.level == "fail"]
+        assert fails == ["beta(1) = -0.1 outside [0, 1]", "alpha(2) = 1.5 outside [0, 1]",
+                         "gamma(2) = -0.7 outside [0, 1]"]
+        assert run(s4, schedule, StepperConfig(), np.ones(5)).error == "(range) " + fails[0]
+
+    @settings(derandomize=True, max_examples=50)
+    @given(values=st.dictionaries(st.sampled_from(StepParams._fields), st.lists(SCHEDULE_VALUES, min_size=3, max_size=3)))
+    @example(values={"alpha": [0.1, 1.5, 0.1], "beta": [-0.1, 0.2, 0.2]})
+    def test_first_flag_is_where_run_stops(self, s4, values):
+        # lists of three values replace those of an admissible schedule; the
+        # report's first fail or rho warning is the violation run stops at
+        schedule = dataclasses.replace(constant_schedule(), **{k: Seq.explicit(v) for k, v in values.items()})
+        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=3)), np.ones(5))
+        report = validate_schedule(schedule, horizon=3)
+        flagged = [e.message for e in report.entries if e.level == "fail" or e.message.startswith("rho(")]
+        if history.termination_reason == "schedule_violation":
+            assert history.error.endswith(" " + flagged[0]), report.text()
+        elif history.termination_reason == "max_iter":
+            assert not flagged, report.text()
+
     def test_cq_schedule_warns_on_vanishing_alpha(self):
         schedule, _ = preset_schedule("cq")
         report = validate_schedule(schedule, horizon=100)
@@ -742,6 +863,48 @@ class TestValidateSchedule:
         schedule, _ = preset_schedule("paper-s4")
         with pytest.raises(ValueError):
             validate_schedule(schedule, horizon=0)
+
+
+class TestSequences:
+    @pytest.mark.parametrize("seq", [Seq.constant(0.3), Seq.power_law(0.5, -0.05), Seq.power_law(0.0, 0.1, 2.5),
+                                     Seq.explicit([0.1, 0.2, 0.3, 0.4])], ids=["constant", "power-1", "power-2.5",
+                                                                              "explicit"])
+    def test_at_is_the_one_row_block(self, seq):
+        expected = {
+            "constant": [seq.value] * 4,
+            "power-law": [seq.const + seq.coeff / float(n) ** seq.power for n in range(1, 5)],  # Python's power
+            "explicit": list(seq.values),
+        }[seq.rule]
+        assert seq.block(1, 5) == expected == [seq.at(n) for n in range(1, 5)]
+        assert seq.block(3, 5) == expected[2:]
+
+    def test_block_stops_at_the_end_of_a_list(self):
+        seq = Seq.explicit([0.1, 0.2])
+        assert seq.block(2, 10) == [0.2]
+        with pytest.raises(ScheduleViolation, match=r"^explicit sequence exhausted at n = 3 \(length 2\)$"):
+            seq.block(3, 10)
+
+    def test_power_law_without_a_value(self, s4):
+        # 2.0 ** 2000 overflows and 2.0 ** -2000 is 0: the values stop before n = 2,
+        # which raises what Python raises
+        seq = Seq.power_law(0.0, 0.1, 2000.0)
+        assert seq.block(1, 5) == [0.1]
+        with pytest.raises(OverflowError):
+            seq.at(2)
+        with pytest.raises(ZeroDivisionError):
+            Seq.power_law(0.0, 0.1, -2000.0).block(2, 5)
+        # a run that stops before n = 2 never needs that value
+        schedule = dataclasses.replace(constant_schedule(), alpha=seq)
+        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=1)), np.ones(5))
+        assert (history.termination_reason, history.steps) == ("max_iter", 1)
+        with pytest.raises(OverflowError):
+            run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=2)), np.ones(5))
+
+    def test_rule_and_index_checked(self):
+        with pytest.raises(ValueError, match="unknown sequence rule 'cubic'"):
+            Seq("cubic")
+        with pytest.raises(ValueError, match="indexed from n = 1"):
+            Seq.constant(1.0).at(0)
 
 
 class TestProblemValidation:
