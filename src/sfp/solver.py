@@ -601,9 +601,11 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
 
     The sum coupling (c5) and closed-range violations are hard failures; the
     asymptotic conditions (c1)-(c4) and the open-interval ranges are checked
-    by finite proxies that can only warn, never prove.  An explicit sequence
-    that runs out fails with the message :func:`run` stops with, and the
-    checks cover the n evaluated before it.
+    by finite proxies that can only warn, never prove.  Each violated
+    constraint is reported at its first n, in order of that n, so the first
+    fail is the message :func:`run` stops with.  An explicit sequence that
+    runs out fails with the message :func:`run` stops with, and the checks
+    cover the n evaluated before it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
