@@ -315,7 +315,11 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-_SET_KINDS = ("box", "ball", "halfspace", "hyperplane", "singleton", "affine_nullspace", "whole_space")
+# each set kind's parameters: its stanza takes these and ``kind``, nothing else
+_SET_KEYS = {"box": ("lower", "upper"), "ball": ("center", "radius"), "halfspace": ("normal", "offset"),
+             "hyperplane": ("normal", "offset"), "singleton": ("point",), "affine_nullspace": ("matrix",),
+             "whole_space": ("dim",)}
+_SET_KINDS = tuple(_SET_KEYS)
 
 
 def set_from_config(obj, path: str) -> ConvexSet:
@@ -323,6 +327,9 @@ def set_from_config(obj, path: str) -> ConvexSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}: expected a mapping with a 'kind' key")
     kind = obj["kind"]
+    if kind not in _SET_KINDS:
+        raise ConfigError(f"{path}.kind: unknown set kind {kind!r} (have {_SET_KINDS})")
+    _reject_unknown_keys(path, obj, ("kind", *_SET_KEYS[kind]))
     try:
         if kind == "box":
             return Box(np.array(obj["lower"], float), np.array(obj["upper"], float))
@@ -336,22 +343,24 @@ def set_from_config(obj, path: str) -> ConvexSet:
             return Singleton(np.array(obj["point"], float))
         if kind == "affine_nullspace":
             return AffineNullspace(LinearMap(np.array(obj["matrix"], float)))
-        if kind == "whole_space":
-            return WholeSpace(_integer(obj["dim"], "dim"))
+        return WholeSpace(_integer(obj["dim"], "dim"))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing parameter {exc.args[0]!r} for kind {kind!r}") from None
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown set kind {kind!r} (have {_SET_KINDS})")
 
 
 def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
-    if isinstance(obj, dict) and "name" in obj:
-        obj = obj["name"]
+    """A mapping from its name or from a stanza with exactly one of ``name`` and ``matrix``."""
+    if isinstance(obj, dict):
+        _reject_unknown_keys(path, obj, ("name", "matrix"))
+        if len(obj) != 1:
+            raise ConfigError(f"{path}: needs exactly one of 'name' or 'matrix', got {sorted(obj)}")
+        obj = obj.get("name", obj)
     try:
         if isinstance(obj, str):
             return mapping_from_name(obj, dim)
-        if isinstance(obj, dict) and "matrix" in obj:
+        if isinstance(obj, dict):
             return linear_mapping(np.array(obj["matrix"], float))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -756,14 +765,14 @@ def compare_to_table1(iterates) -> Table1Report:
     return Table1Report(deviations=deviations, matched=matched, rows_available=len(iterates))
 
 
-def table1_mode_reports(max_rows: int = 34) -> dict[str, Table1Report]:
-    """Run the table-1 preset in every composition mode and compare each."""
+def table1_mode_reports() -> dict[str, Table1Report]:
+    """Run the table-1 preset in every composition mode to the table's last row; compare each."""
     reports = {}
     for mode in MODES:
         cfg = {
             "problem": {"example": "s4"},
             "schedule": {"preset": "table-1"},
-            "stepper": {"mode": mode, "max_iter": max_rows - 1,
+            "stepper": {"mode": mode, "max_iter": max(TABLE1_ROWS),
                         "grad_tol": 1e-300, "residual_tol": 1e-300},
         }
         result = run_experiment(cfg)

@@ -162,7 +162,7 @@ class Seq:
     def block(self, lo: int, hi: int) -> list:
         """The values at n = lo, ..., hi - 1, up to the first n that has none: past
         the end of a list, or where a power law's n**power overflows or vanishes.
-        Raises what that n raises when it is ``lo``."""
+        Raises :class:`ScheduleViolation` when that n is ``lo``."""
         if lo < 1:
             raise ValueError("sequences are indexed from n = 1")
         if self.rule == "constant":
@@ -178,7 +178,8 @@ class Seq:
                 values.append(const + coeff / float(n) ** power)
         except ArithmeticError:
             if not values:
-                raise
+                raise ScheduleViolation(f"power-law sequence has no value at n = {lo} "
+                                        f"({lo}**{power!r} overflows or is 0)") from None
         return values
 
     def at(self, n: int) -> float:
@@ -460,8 +461,8 @@ def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig
          n: int, x_n: np.ndarray, x_prev: np.ndarray):
     """One update x_n -> x_{n+1}; returns (x_next, record).
 
-    Raises :class:`ScheduleViolation` when the schedule breaks a hard
-    constraint at index n.
+    Raises :class:`ScheduleViolation` when the schedule has no value or
+    breaks a hard constraint at index n.
     """
     x_n = as_vector(x_n, problem.dim)
     x_prev = as_vector(x_prev, problem.dim)
@@ -603,9 +604,9 @@ def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleRepo
     asymptotic conditions (c1)-(c4) and the open-interval ranges are checked
     by finite proxies that can only warn, never prove.  Each violated
     constraint is reported at its first n, in order of that n, so the first
-    fail is the message :func:`run` stops with.  An explicit sequence that
-    runs out fails with the message :func:`run` stops with, and the checks
-    cover the n evaluated before it.
+    fail is the message :func:`run` stops with.  A sequence that runs out (an
+    explicit list, or a power law whose n**power overflows or is 0) fails with
+    the message :func:`run` stops with, and the checks cover the n before it.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

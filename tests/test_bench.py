@@ -193,6 +193,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="problem.C.kind"):
             build_from_config(cfg)
 
+    @pytest.mark.parametrize("stanza", [
+        {"kind": "box", "lower": [-1.0], "upper": [1.0]},
+        {"kind": "ball", "center": [0.0], "radius": 1.0},
+        {"kind": "halfspace", "normal": [1.0], "offset": 0.0},
+        {"kind": "hyperplane", "normal": [1.0], "offset": 0.0},
+        {"kind": "singleton", "point": [0.0]},
+        {"kind": "affine_nullspace", "matrix": [[0.0]]},
+        {"kind": "whole_space", "dim": 1},
+    ], ids=lambda stanza: stanza["kind"])
+    def test_set_stanza_takes_only_its_kinds_keys(self, stanza):
+        cfg = {"problem": {"A": [[1.0]], "C": stanza, "Q": {**stanza, "extra": 1}}}
+        with pytest.raises(ConfigError, match=r"^problem\.Q: unknown key\(s\) \['extra'\]$"):
+            build_from_config(cfg)
+        cfg["problem"]["Q"] = stanza
+        build_from_config(cfg)
+
     def test_explicit_problem_and_schedule(self):
         cfg = {
             "problem": {

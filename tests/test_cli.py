@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from sfp import cli as sfp_cli
+from sfp.bench import table1_mode_reports
+from sfp.solver import MODES
 
 CLI = [sys.executable, "-m", "sfp"]
 
@@ -37,6 +39,18 @@ SHORT_SCHEDULE_CONFIG = {
     "schedule": {"preset": "paper-s4", "epsilon": [0.1, 0.05, 0.025]},
     "output": {"csv": "short_schedule.csv"},
 }
+
+
+# a power law whose n**power overflows (2000) or is 0 (-2000) at n = 2
+POWER_LAW_CASES = pytest.mark.parametrize("power", [2000, -2000])
+
+
+def power_law_config(power):
+    return {
+        "problem": {"example": "s4"},
+        "schedule": {"preset": "cq", "alpha": {"rule": "power-law", "coeff": 0.1, "power": power}},
+        "output": {"csv": "power_law.csv"},
+    }
 
 
 # an explicit 2-variable problem whose Q stanza is appended by each use
@@ -90,6 +104,18 @@ MALFORMED_VALUES = [
          "config error: problem: unknown key(s) ['s']"),
         ("example-and-random", "problem: {example: s4, random: 3}\n", "config error: problem: unknown key(s) ['random']"),
         ("example-and-A", "problem: {example: s4, A: [[1.0]]}\n", "config error: problem: unknown key(s) ['A']"),
+        ("box-extra-key", "problem: {A: [[1.0, 0.0], [0.0, 1.0]], Q: {kind: whole_space, dim: 2}, "
+         "C: {kind: box, lower: [-1, -1], upper: [1, 1], lowr: [5, 5]}}\n",
+         "config error: problem.C: unknown key(s) ['lowr']"),
+        ("ball-extra-key", EXPLICIT_PROBLEM + "{kind: ball, center: [0, 0], radius: 1.0, radus: 9}}\n",
+         "config error: problem.Q: unknown key(s) ['radus']"),
+        ("S-name-and-matrix", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, "
+         "S: {name: identity, matrix: [[0.5, 0], [0, 0.5]]}}\n",
+         "config error: problem.S: needs exactly one of 'name' or 'matrix', got ['matrix', 'name']"),
+        ("S={}", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {}}\n",
+         "config error: problem.S: needs exactly one of 'name' or 'matrix', got []"),
+        ("g-extra-key", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, g: {name: zero, modulus: 0.5}}\n",
+         "config error: problem.g: unknown key(s) ['modulus']"),
         ("random-and-Q", "problem: {random: {dim1: 3, dim2: 2}, Q: {kind: whole_space, dim: 2}}\n",
          "config error: problem: unknown key(s) ['Q']"),
     ]
@@ -192,6 +218,15 @@ class TestRunCommand:
         assert "error: explicit sequence exhausted at n = 4 (length 3)" in proc.stderr
         assert len((tmp_path / "short_schedule.csv").read_text().splitlines()) == 1 + 4
 
+    @POWER_LAW_CASES
+    def test_power_law_without_a_value_exits_two_with_partial_csv(self, tmp_path, power):
+        cfg = write_config(tmp_path / "power.yaml", power_law_config(power))
+        proc = cli("run", cfg, "--out", str(tmp_path))
+        assert proc.returncode == 2, proc.stderr
+        assert "reason=schedule_violation steps=1 " in proc.stdout
+        assert proc.stderr == f"error: power-law sequence has no value at n = 2 (2**{power}.0 overflows or is 0)\n"
+        assert len((tmp_path / "power_law.csv").read_text().splitlines()) == 1 + 2
+
     def test_io_error_exits_four(self, tmp_path):
         cfg = write_config(tmp_path / "cq.yaml", CQ_CONFIG)
         blocker = tmp_path / "not_a_dir"
@@ -223,11 +258,17 @@ class TestExampleCommand:
         assert (tmp_path / "example_s4_cq_proof.svg").read_text().startswith("<svg")
 
     def test_mode_all_table1_prints_report(self, tmp_path):
+        # each mode's run prints its summary line, then that mode's report of
+        # bench.table1_mode_reports, which runs to the table's last row (33 steps)
         proc = cli("example-s4", "--preset", "table-1", "--mode", "all",
-                   "--max-iter", "40", "--out", str(tmp_path))
-        assert "max|dev|" in proc.stdout
-        assert "all reference rows matched: False" in proc.stdout
-        for mode in ("proof", "statement", "explore"):
+                   "--max-iter", "33", "--out", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        reports = table1_mode_reports()
+        blocks = proc.stdout.split("example-s4 preset=table-1 mode=")[1:]
+        assert len(blocks) == len(MODES) == len(reports)
+        for mode, block in zip(MODES, blocks):
+            assert block.startswith(f"{mode}: reason=max_iter steps=33 ")
+            assert block.endswith(f"\n{reports[mode].text()}\nall reference rows matched: False\n")
             assert (tmp_path / f"example_s4_table-1_{mode}.csv").exists()
 
 
@@ -266,6 +307,16 @@ class TestValidateCommand:
         assert proc.stderr == ""
         assert proc.stdout.startswith("schedule check over n = 1..3\n")
         assert "  [fail] length: explicit sequence exhausted at n = 4 (length 3)\n" in proc.stdout
+
+    @POWER_LAW_CASES
+    def test_power_law_without_a_value_exits_one(self, tmp_path, power):
+        cfg = write_config(tmp_path / "power.yaml", power_law_config(power))
+        proc = cli("validate-schedule", cfg, "--horizon", "10")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("schedule check over n = 1..1\n")
+        message = f"power-law sequence has no value at n = 2 (2**{power}.0 overflows or is 0)"
+        assert f"  [fail] length: {message}\n" in proc.stdout
 
 
 class TestPropsCommand:

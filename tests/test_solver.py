@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -886,19 +887,30 @@ class TestSequences:
 
     def test_power_law_without_a_value(self, s4):
         # 2.0 ** 2000 overflows and 2.0 ** -2000 is 0: the values stop before n = 2,
-        # which raises what Python raises
-        seq = Seq.power_law(0.0, 0.1, 2000.0)
-        assert seq.block(1, 5) == [0.1]
-        with pytest.raises(OverflowError):
-            seq.at(2)
-        with pytest.raises(ZeroDivisionError):
-            Seq.power_law(0.0, 0.1, -2000.0).block(2, 5)
-        # a run that stops before n = 2 never needs that value
-        schedule = dataclasses.replace(constant_schedule(), alpha=seq)
-        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=1)), np.ones(5))
-        assert (history.termination_reason, history.steps) == ("max_iter", 1)
-        with pytest.raises(OverflowError):
-            run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=2)), np.ones(5))
+        # which ends a run as an exhausted list does
+        for power in (2000.0, -2000.0):
+            seq = Seq.power_law(0.0, 0.1, power)
+            message = f"power-law sequence has no value at n = 2 (2**{power!r} overflows or is 0)"
+            match = f"^{re.escape(message)}$"
+            assert seq.block(1, 5) == [0.1]
+            with pytest.raises(ScheduleViolation, match=match):
+                seq.at(2)
+            with pytest.raises(ScheduleViolation, match=match):
+                seq.block(2, 5)
+            schedule = dataclasses.replace(constant_schedule(), alpha=seq)
+            with pytest.raises(ScheduleViolation, match=match):
+                schedule.at(2)
+            with pytest.raises(ScheduleViolation, match=match):
+                step(s4, schedule, StepperConfig(), 2, np.ones(5), np.ones(5))
+            # a run that stops before n = 2 never needs that value
+            history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=1)), np.ones(5))
+            assert (history.termination_reason, history.steps) == ("max_iter", 1)
+            history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=2)), np.ones(5))
+            assert (history.termination_reason, history.steps, history.error) == ("schedule_violation", 1, message)
+            assert len(history.iterates) == 2
+            report = validate_schedule(schedule, horizon=10)
+            assert not report.ok and report.horizon == 1
+            assert [(e.condition, e.message) for e in report.entries if e.level == "fail"] == [("length", message)]
 
     def test_rule_and_index_checked(self):
         with pytest.raises(ValueError, match="unknown sequence rule 'cubic'"):
