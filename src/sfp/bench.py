@@ -224,31 +224,20 @@ def _preset(name: str) -> tuple[dict, str]:
         raise ConfigError(f"schedule.preset: unknown preset {name!r} (have {sorted(PRESETS)})") from None
 
 
-# the keys a sequence's config mapping takes besides ``rule``: those of
-# ``power-law`` default to its field defaults, the others are required
-_RULE_KEYS = {"constant": ("value",), "power-law": ("const", "coeff", "power"), "explicit": ("values",)}
-
-
 def _sequence(obj) -> Seq:
-    """A number is a constant, a list is explicit, and a mapping names its
-    ``rule`` and takes only that rule's keys."""
+    """A number is a constant, a list is explicit and ``{rule: power-law,
+    const, coeff, power}`` is a power law whose keys other than ``rule``
+    default to :class:`Seq`'s."""
     if isinstance(obj, (int, float)):
         return Seq.constant(_real(obj, "value"))
     if isinstance(obj, (list, tuple)):
         return Seq.explicit([_real(v, "each value") for v in obj])
-    if not isinstance(obj, dict):
-        raise ValueError(f"cannot build a sequence from {obj!r}")
-    rule = obj.get("rule")
-    if rule not in _RULE_KEYS:
-        raise ValueError(f"unknown sequence rule {rule!r}")
-    unknown = set(obj) - {"rule", *_RULE_KEYS[rule]}
+    if not isinstance(obj, dict) or obj.get("rule") != "power-law":
+        raise ValueError(f"expected a number, a list or {{rule: power-law, const, coeff, power}}, got {obj!r}")
+    unknown = set(obj) - {"rule", "const", "coeff", "power"}
     if unknown:
-        raise ValueError(f"unknown key(s) {sorted(unknown)} for rule {rule!r}")
-    if rule != "power-law" and _RULE_KEYS[rule][0] not in obj:
-        raise ValueError(f"rule {rule!r} needs {_RULE_KEYS[rule][0]!r}")
-    if rule == "explicit":
-        return Seq.explicit([_real(v, "each value") for v in obj["values"]])
-    return Seq(rule, **{key: _real(value, key) for key, value in obj.items() if key != "rule"})
+        raise ValueError(f"unknown key(s) {sorted(unknown)} for rule 'power-law'")
+    return Seq("power-law", **{key: _real(value, key) for key, value in obj.items() if key != "rule"})
 
 
 def schedule_from_config(section: dict) -> ParameterSchedule:
@@ -351,20 +340,14 @@ def set_from_config(obj, path: str) -> ConvexSet:
 
 
 def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
-    """A mapping from its name or from a stanza with exactly one of ``name`` and ``matrix``."""
-    if isinstance(obj, dict):
-        _reject_unknown_keys(path, obj, ("name", "matrix"))
-        if len(obj) != 1:
-            raise ConfigError(f"{path}: needs exactly one of 'name' or 'matrix', got {sorted(obj)}")
-        obj = obj.get("name", obj)
+    """A mapping from its registry name, as :func:`mapping_from_name` reads it."""
+    if not isinstance(obj, str):
+        raise ConfigError(f"{path}: expected a mapping name (identity, zero, example-2.2, "
+                          f"contraction-scale:<c> or linear:<json matrix>), got {obj!r}")
     try:
-        if isinstance(obj, str):
-            return mapping_from_name(obj, dim)
-        if isinstance(obj, dict):
-            return linear_mapping(np.array(obj["matrix"], float))
+        return mapping_from_name(obj, dim)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}: expected a mapping name or {{matrix: ...}}")
 
 
 # PyYAML's libyaml-backed safe loader: the same constructor and resolver as

@@ -245,24 +245,21 @@ def mapping_from_name(spec: str, dim: int | None = None) -> Mapping:
     Supported: ``identity``, ``zero``, ``example-2.2``,
     ``contraction-scale:<c>`` and ``linear:<row-major matrix>`` (JSON literal).
     """
-    if spec == "identity":
-        if dim is None:
-            raise ValueError("identity mapping needs a dimension")
-        return identity_map(dim)
-    if spec == "zero":
-        if dim is None:
-            raise ValueError("zero mapping needs a dimension")
-        return zero_map(dim)
     if spec == "example-2.2":
         return unit_interval_jump_map()
-    if spec.startswith("contraction-scale:"):
-        if dim is None:
-            raise ValueError("contraction-scale mapping needs a dimension")
-        return scaling_map(dim, float(spec.split(":", 1)[1]))
     if spec.startswith("linear:"):
         try:
             rows = json.loads(spec.split(":", 1)[1])
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad matrix literal in {spec!r}: {exc}") from exc
         return linear_mapping(rows, name=spec)
-    raise ValueError(f"unknown mapping name {spec!r}")
+    kind = "contraction-scale" if spec.startswith("contraction-scale:") else spec
+    if kind not in ("identity", "zero", "contraction-scale"):
+        raise ValueError(f"unknown mapping name {spec!r}")
+    if dim is None:
+        raise ValueError(f"{kind} mapping needs a dimension")
+    if kind == "identity":
+        return identity_map(dim)
+    if kind == "zero":
+        return zero_map(dim)
+    return scaling_map(dim, float(spec.split(":", 1)[1]))

@@ -291,8 +291,9 @@ class StepperConfig:
     ||grad f||^2 <= GRAD_GUARD) or ``fixed`` (tau = fixed_step, which must lie
     in (0, 2/||A||^2)).  ``tau_numerator`` evaluates the adaptive numerator at
     the extrapolated point (``u``, the default) or at the current iterate
-    (``x``).  These field defaults are also the defaults of a config's
-    ``stepper`` section.
+    (``x``).  ``fixed_step`` goes only with the fixed rule, and ``x`` only
+    with the adaptive one.  These field defaults are also the defaults of a
+    config's ``stepper`` section.
     """
 
     mode: str = "proof"
@@ -310,13 +311,16 @@ class StepperConfig:
             raise ValueError("fixed step rule needs fixed_step > 0")
         if self.tau_numerator not in ("u", "x"):
             raise ValueError("tau_numerator must be 'u' or 'x'")
+        if self.step_rule == "adaptive" and self.fixed_step is not None:
+            raise ValueError("fixed_step is read only by step_rule 'fixed'")
+        if self.step_rule == "fixed" and self.tau_numerator != "u":
+            raise ValueError("tau_numerator 'x' is read only by step_rule 'adaptive'")
 
 
 # --- stepping ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """Scalar diagnostics of step n (NaN where a quantity is undefined).
 
     ``f_u`` and ``grad_norm_u`` are taken at the extrapolated point u, so the

@@ -34,7 +34,7 @@ from sfp.bench import (
     table1_mode_reports,
 )
 from sfp.linalg import BLOCK_VALUES, norm
-from sfp.mappings import fixed_point_residual
+from sfp.mappings import average, fixed_point_residual
 from sfp.sets import check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, StoppingRule, step
 
@@ -143,6 +143,8 @@ stepper:
 """
 
 _RANDOM = {"dim1": 4, "dim2": 3, "family": "box"}
+# the start of the error for a schedule value in none of the three accepted forms
+_SEQUENCE_FORMS = re.escape("expected a number, a list or {rule: power-law, const, coeff, power}, got ")
 EXPLICIT_SCHEDULE = {"alpha": 0.1, "beta": 0.2, "gamma": "complement", "delta": 0.5}
 
 
@@ -313,6 +315,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^stepper: {message}$"):
             build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
 
+    @pytest.mark.parametrize("stepper, message", [
+        ({"fixed_step": 0.01, "max_iter": 50}, "fixed_step is read only by step_rule 'fixed'"),
+        ({"step_rule": "fixed", "fixed_step": 0.01, "tau_numerator": "x"},
+         "tau_numerator 'x' is read only by step_rule 'adaptive'"),
+    ], ids=["fixed_step-with-adaptive", "tau_numerator-with-fixed"])
+    def test_stepper_value_the_step_rule_ignores_rejected(self, stepper, message):
+        with pytest.raises(ConfigError, match=f"^stepper: {message}$"):
+            build_from_config({"problem": {"example": "s4"}, "schedule": {"preset": "cq"}, "stepper": stepper})
+
     def test_infinite_stepper_values_kept(self):
         # an infinite tolerance stops at once; an infinite fixed step is left to run's (0, 2/||A||^2) check
         inf = float("inf")
@@ -337,9 +348,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value, message", [
         ("theta", None, ""),
-        ("alpha", {"rule": "constant"}, "rule 'constant' needs 'value'"),
+        ("alpha", {"rule": "constant"}, _SEQUENCE_FORMS + re.escape("{'rule': 'constant'}")),
         ("alpha", {"rule": "power-law", "coef": 0.1}, r"unknown key\(s\) \['coef'\] for rule 'power-law'"),
-        ("gamma", {"rule": "linear"}, "unknown sequence rule 'linear'"),
+        ("gamma", {"rule": "linear"}, _SEQUENCE_FORMS + re.escape("{'rule': 'linear'}")),
         ("preset", ["cq"], "unknown preset"),
         ("theta", float("nan"), "must be finite and >= 0"),
         ("theta", float("inf"), "must be finite and >= 0"),
@@ -348,8 +359,8 @@ class TestConfig:
         ("delta", True, "value must be a number, got True"),
         ("beta", [True], "each value must be a number, got True"),
         ("alpha", {"rule": "power-law", "coeff": True}, "coeff must be a number, got True"),
-        ("alpha", {"rule": "constant", "value": True}, "value must be a number, got True"),
-        ("beta", {"rule": "explicit", "values": [0.0, True]}, "each value must be a number, got True"),
+        ("alpha", {"rule": "constant", "value": True}, _SEQUENCE_FORMS),
+        ("beta", {"rule": "explicit", "values": [0.0, True]}, _SEQUENCE_FORMS),
     ], ids=["theta=null", "constant-without-value", "misspelled-power-law-key", "unknown-rule", "unhashable-preset",
             "theta=nan", "theta=inf", "theta=true", "lambda=false", "delta=true", "beta=[true]",
             "power-law-coeff=true", "constant-value=true", "explicit-values=[0,true]"])
@@ -793,6 +804,15 @@ class TestTable1Comparison:
             assert set(report.deviations) == set(TABLE1_ROWS)
             # none of the documented compositions regenerates the printed rows
             assert not report.all_matched, mode
+
+    @pytest.mark.parametrize("lam, matched", [(0.7, True), (0.69, False)])
+    def test_rows_are_the_picard_iteration_of_the_averaged_map(self, s4, lam, matched):
+        # x_{n+1} = (1 - lam) x_n + lam S x_n from the all-ones start; only lam = 0.7 prints the table
+        t_fn = average(s4.S, lam).fn
+        iterates = [np.ones(5)]
+        for _ in range(max(TABLE1_ROWS)):
+            iterates.append(t_fn(iterates[-1]))
+        assert compare_to_table1(iterates).all_matched is matched
 
     def test_first_step_proof_mode_hand_computed(self, s4):
         # table-1 weights at n = 1: alpha = 0.1, gamma = 0.9, delta = 1, so the

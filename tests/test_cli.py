@@ -55,6 +55,9 @@ def power_law_config(power):
 
 # an explicit 2-variable problem whose Q stanza is appended by each use
 EXPLICIT_PROBLEM = "problem: {A: [[1.0, 0.0], [0.0, 1.0]], C: {kind: whole_space, dim: 2}, Q: "
+# the start of the error for an S or g that is not a mapping name
+MAPPING_FORMS = ("expected a mapping name (identity, zero, example-2.2, contraction-scale:<c> or "
+                 "linear:<json matrix>), got ")
 
 # Configs with one malformed value, each with the start of its error line;
 # those without a problem section run on the reference example.
@@ -76,6 +79,10 @@ MALFORMED_VALUES = [
         ("fixed_step=nan", "stepper: {step_rule: fixed, fixed_step: .nan}\n",
          "config error: stepper: fixed step rule needs fixed_step > 0"),
         ("max_iter=1.9", "stepper: {max_iter: 1.9}\n", "config error: stepper: max_iter must be an integer, got 1.9"),
+        ("fixed_step-with-adaptive", "schedule: {preset: cq}\nstepper: {fixed_step: 0.01, max_iter: 50}\n",
+         "config error: stepper: fixed_step is read only by step_rule 'fixed'"),
+        ("tau_numerator-with-fixed", "stepper: {step_rule: fixed, fixed_step: 0.01, tau_numerator: x}\n",
+         "config error: stepper: tau_numerator 'x' is read only by step_rule 'adaptive'"),
         ("start=nan", "start: {x1: [.nan, 1, 1, 1, 1]}\n", "config error: start.x1: vector entries must all be finite"),
         ("halfspace-offset=nan", EXPLICIT_PROBLEM + "{kind: halfspace, normal: [1.0, 1.0], offset: .nan}}\n",
          "config error: problem.Q: halfspace offset must be finite, got nan"),
@@ -111,11 +118,11 @@ MALFORMED_VALUES = [
          "config error: problem.Q: unknown key(s) ['radus']"),
         ("S-name-and-matrix", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, "
          "S: {name: identity, matrix: [[0.5, 0], [0, 0.5]]}}\n",
-         "config error: problem.S: needs exactly one of 'name' or 'matrix', got ['matrix', 'name']"),
+         f"config error: problem.S: {MAPPING_FORMS}{{'name': 'identity', 'matrix': [[0.5, 0], [0, 0.5]]}}"),
         ("S={}", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {}}\n",
-         "config error: problem.S: needs exactly one of 'name' or 'matrix', got []"),
+         f"config error: problem.S: {MAPPING_FORMS}{{}}"),
         ("g-extra-key", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, g: {name: zero, modulus: 0.5}}\n",
-         "config error: problem.g: unknown key(s) ['modulus']"),
+         f"config error: problem.g: {MAPPING_FORMS}{{'name': 'zero', 'modulus': 0.5}}"),
         ("random-and-Q", "problem: {random: {dim1: 3, dim2: 2}, Q: {kind: whole_space, dim: 2}}\n",
          "config error: problem: unknown key(s) ['Q']"),
     ]

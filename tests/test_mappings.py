@@ -267,6 +267,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             mapping_from_name("does-not-exist", 2)
 
+    @pytest.mark.parametrize("spec, kind", [("identity", "identity"), ("zero", "zero"),
+                                            ("contraction-scale:0.5", "contraction-scale")])
+    def test_needs_a_dimension(self, spec, kind):
+        with pytest.raises(ValueError, match=f"^{kind} mapping needs a dimension$"):
+            mapping_from_name(spec)
+
     def test_bad_matrix_literal(self):
         with pytest.raises(ValueError):
             mapping_from_name("linear:[[1, 2]", 2)

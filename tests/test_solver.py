@@ -516,8 +516,7 @@ def assert_run_is_step_loop(problem, schedule, config, x0):
     for n, record in enumerate(history.records, start=1):
         x_next, expected = step(problem, schedule, config, n, x_n, x_prev)
         assert history.iterates[n].tobytes() == x_next.tobytes()
-        assert [float(v).hex() for v in dataclasses.astuple(record)] == \
-            [float(v).hex() for v in dataclasses.astuple(expected)]
+        assert [float(v).hex() for v in tuple(record)] == [float(v).hex() for v in tuple(expected)]
         x_prev, x_n = x_n, x_next
     if history.termination_reason != "max_iter":
         # the loop stopped because the next step's gradient passed the test
@@ -596,7 +595,7 @@ def assert_run_is_written_out_step(problem, schedule, config, x0):
     for n, record in enumerate(history.records, start=1):
         x_next, fields = written_out_step(problem, schedule, config, n, x_n, x_prev)
         assert history.iterates[n].tobytes() == x_next.tobytes()
-        assert [float(v).hex() for v in dataclasses.astuple(record)] == [float(v).hex() for v in fields]
+        assert [float(v).hex() for v in tuple(record)] == [float(v).hex() for v in fields]
         x_prev, x_n = x_n, x_next
     return history
 
@@ -986,6 +985,14 @@ class TestConfigValidation:
     def test_fixed_step_requires_value(self):
         with pytest.raises(ValueError):
             StepperConfig(step_rule="fixed")
+
+    def test_values_the_step_rule_ignores_rejected(self):
+        with pytest.raises(ValueError, match="^fixed_step is read only by step_rule 'fixed'$"):
+            StepperConfig(fixed_step=0.01)
+        with pytest.raises(ValueError, match="^tau_numerator 'x' is read only by step_rule 'adaptive'$"):
+            StepperConfig(step_rule="fixed", fixed_step=0.01, tau_numerator="x")
+        assert StepperConfig(step_rule="fixed", fixed_step=0.01, tau_numerator="u").fixed_step == 0.01
+        assert StepperConfig(tau_numerator="x").fixed_step is None
 
     def test_stopping_rule_positive(self):
         with pytest.raises(ValueError):
