@@ -253,9 +253,9 @@ def mapping_from_name(spec: str, dim: int | None = None) -> Mapping:
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad matrix literal in {spec!r}: {exc}") from exc
         return linear_mapping(rows, name=spec)
-    kind = "contraction-scale" if spec.startswith("contraction-scale:") else spec
-    if kind not in ("identity", "zero", "contraction-scale"):
+    if spec not in ("identity", "zero") and not spec.startswith("contraction-scale:"):
         raise ValueError(f"unknown mapping name {spec!r}")
+    kind = spec.split(":", 1)[0]
     if dim is None:
         raise ValueError(f"{kind} mapping needs a dimension")
     if kind == "identity":

@@ -12,9 +12,6 @@ import numpy as np
 import pytest
 
 from sfp.bench import (
-    TABLE1_ROWS,
-    build_example_s4,
-    compare_to_table1,
     generate_random_sfp,
     gradient_property_suite,
     mapping_property_suite,
@@ -23,7 +20,6 @@ from sfp.bench import (
     run_experiment,
     table1_mode_reports,
 )
-from sfp.mappings import average
 from sfp.solver import ParameterSchedule, Seq, StepperConfig, StoppingRule, run
 
 X_STAR = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
@@ -67,14 +63,8 @@ def test_criterion_2_reference_table_reports():
         matched = sum(report.matched[n] for n in later_rows)
         status = "achieved" if matched == len(later_rows) else "not achieved"
         details.append(f"{mode}: rows n>=1 digit-level match {status} ({matched}/{len(later_rows)})")
-    # the printed rows are the Picard iteration x_{n+1} = 0.3 x_n + 0.7 S x_n of the averaged map
-    t_fn = average(build_example_s4().S, 0.7).fn
-    picard = [np.ones(5)]
-    for _ in range(max(TABLE1_ROWS)):
-        picard.append(t_fn(picard[-1]))
-    picard_report = compare_to_table1(picard)
-    details.append(f"Picard iteration of (1 - 0.7) I + 0.7 S from (1, ..., 1): all rows matched "
-                   f"{picard_report.all_matched} (max |dev| {max(picard_report.deviations.values()):.2e})")
+    details.append("the printed rows are the Picard iteration x_{n+1} = 0.3 x_n + 0.7 S x_n from (1, ..., 1), "
+                   "which no preset runs (TestTable1Comparison asserts the match)")
     ok = produced and row0
     _verdict(2, "reference-table comparison report", ok,
              "row 0 exact in every mode; " + "; ".join(details))

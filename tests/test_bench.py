@@ -805,7 +805,7 @@ class TestTable1Comparison:
             # none of the documented compositions regenerates the printed rows
             assert not report.all_matched, mode
 
-    @pytest.mark.parametrize("lam, matched", [(0.7, True), (0.69, False)])
+    @pytest.mark.parametrize("lam, matched", [(0.7, True), (0.69, False), (0.71, False)])
     def test_rows_are_the_picard_iteration_of_the_averaged_map(self, s4, lam, matched):
         # x_{n+1} = (1 - lam) x_n + lam S x_n from the all-ones start; only lam = 0.7 prints the table
         t_fn = average(s4.S, lam).fn

@@ -102,6 +102,8 @@ MALFORMED_VALUES = [
          "config error: problem.S: "),
         ("S-name=3", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {name: 3}}\n",
          "config error: problem.S: expected a mapping name"),
+        ("S=contraction-scale", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: contraction-scale}\n",
+         "config error: problem.S: unknown mapping name 'contraction-scale'"),
         ("S=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: 0}\n",
          "config error: problem.S: expected a mapping name"),
         ("csv=[a]", "output: {csv: [a]}\n", "config error: output.csv: must be a file name, got ['a']"),

@@ -267,6 +267,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             mapping_from_name("does-not-exist", 2)
 
+    @pytest.mark.parametrize("dim", [2, None])
+    def test_contraction_scale_without_a_factor_is_unknown(self, dim):
+        with pytest.raises(ValueError, match="^unknown mapping name 'contraction-scale'$"):
+            mapping_from_name("contraction-scale", dim)
+
     @pytest.mark.parametrize("spec, kind", [("identity", "identity"), ("zero", "zero"),
                                             ("contraction-scale:0.5", "contraction-scale")])
     def test_needs_a_dimension(self, spec, kind):
