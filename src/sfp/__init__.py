@@ -33,7 +33,6 @@ from .solver import (
     Seq,
     SfpProblem,
     StepperConfig,
-    StoppingRule,
     run,
     step,
     validate_schedule,

@@ -34,7 +34,6 @@ from .solver import (
     Seq,
     SfpProblem,
     StepperConfig,
-    StoppingRule,
     run,
 )
 
@@ -277,7 +276,7 @@ def _reject_unknown_keys(path: str, section: dict, known) -> None:
 
 def preset_schedule(name: str):
     """Return (ParameterSchedule, stepper keyword defaults) for a named preset."""
-    return schedule_from_config({"preset": name}), {"mode": _preset(name)[1], "step_rule": "adaptive"}
+    return schedule_from_config({"preset": name}), {"mode": _preset(name)[1]}
 
 
 # --- config parsing ----------------------------------------------------------
@@ -367,19 +366,15 @@ def parse_config(text: str) -> dict:
     return raw
 
 
-# The stepper section is flat: StepperConfig's fields with StoppingRule's in
-# place of ``stopping``.  Its defaults are the two dataclasses' own.
-_STEPPER_FIELDS = [f.name for f in fields(StepperConfig) if f.name != "stopping"]
-_DEFAULT_STEPPER = {f.name: f.default for cls in (StepperConfig, StoppingRule)
-                    for f in fields(cls) if f.name != "stopping"}
+_DEFAULT_STEPPER = {f.name: f.default for f in fields(StepperConfig)}
 
 
 def _section(raw: dict, name: str, default: dict | None = None) -> dict:
-    """A copy of an optional top-level section; empty or missing gives ``default``."""
-    section = raw.get(name) or default or {}
-    if not isinstance(section, dict):
+    """A copy of an optional top-level section; missing, null or ``{}`` gives ``default``."""
+    section = raw.get(name)
+    if not isinstance(section, (dict, type(None))):
         raise ConfigError(f"{name}: must be a mapping")
-    return dict(section)
+    return dict(section or default or {})
 
 
 def normalize_config(raw: dict) -> dict:
@@ -531,13 +526,14 @@ def build_from_config(raw: dict) -> BuiltConfig:
     st = cfg["stepper"]
     try:
         # float() also reads the strings YAML makes of 1e-12
-        stopping = StoppingRule(grad_tol=_real(st["grad_tol"], "grad_tol"),
-                                residual_tol=_real(st["residual_tol"], "residual_tol"),
-                                max_iter=_integer(st["max_iter"], "max_iter"))
-        values = {name: st[name] for name in _STEPPER_FIELDS}
+        stop = {"grad_tol": _real(st["grad_tol"], "grad_tol"),
+                "residual_tol": _real(st["residual_tol"], "residual_tol"),
+                "max_iter": _integer(st["max_iter"], "max_iter")}
+        StepperConfig(**stop)  # a bad stop value is reported before fixed_step is read
+        values = dict(st, **stop)
         if values["fixed_step"] is not None:
             values["fixed_step"] = _real(values["fixed_step"], "fixed_step")
-        stepper = StepperConfig(**values, stopping=stopping)
+        stepper = StepperConfig(**values)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"stepper: {exc}") from exc
 
@@ -869,6 +865,8 @@ def mapping_property_suite() -> list[SuiteResult]:
 
 def run_property_suites(samples: int = 1000, seed: int = 0) -> tuple[bool, str]:
     """Run all suites; returns (all_passed, printable report)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     lines = []
     ok = True
     for title, results in (

@@ -27,7 +27,6 @@ __all__ = [
     "Seq",
     "ParameterSchedule",
     "StepParams",
-    "StoppingRule",
     "StepperConfig",
     "StepRecord",
     "RunHistory",
@@ -264,19 +263,6 @@ def _admissible(rows, lo: int, need_rho: bool) -> tuple[int, str | None]:
 
 
 @dataclass(frozen=True)
-class StoppingRule:
-    grad_tol: float = 1e-12
-    residual_tol: float = 1e-9
-    max_iter: int = 100_000
-
-    def __post_init__(self):
-        if not (self.grad_tol > 0 and self.residual_tol > 0):  # nan fails too
-            raise ValueError("stopping tolerances must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class StepperConfig:
     """How a step is composed and when the loop stops.
 
@@ -292,17 +278,24 @@ class StepperConfig:
     in (0, 2/||A||^2)).  ``tau_numerator`` evaluates the adaptive numerator at
     the extrapolated point (``u``, the default) or at the current iterate
     (``x``).  ``fixed_step`` goes only with the fixed rule, and ``x`` only
-    with the adaptive one.  These field defaults are also the defaults of a
-    config's ``stepper`` section.
+    with the adaptive one.  ``grad_tol``, ``residual_tol`` and ``max_iter``
+    are the stop values of ``run``.  These field defaults are also the
+    defaults of a config's ``stepper`` section.
     """
 
     mode: str = "proof"
     step_rule: str = "adaptive"
     fixed_step: float | None = None
     tau_numerator: str = "u"
-    stopping: StoppingRule = StoppingRule()
+    grad_tol: float = 1e-12
+    residual_tol: float = 1e-9
+    max_iter: int = 100_000
 
     def __post_init__(self):
+        if not (self.grad_tol > 0 and self.residual_tol > 0):  # nan fails too
+            raise ValueError("stopping tolerances must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.step_rule not in ("adaptive", "fixed"):
@@ -537,8 +530,7 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
     """
     advance = _stepper(problem, schedule, config)
     need_rho = config.step_rule == "adaptive"
-    stopping = config.stopping
-    grad_tol, max_iter = stopping.grad_tol, stopping.max_iter
+    grad_tol, max_iter = config.grad_tol, config.max_iter
     size = max(1, BLOCK_VALUES // problem.dim)
     n, reason, error = 1, None, None
     while reason is None:
@@ -554,7 +546,7 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
             x_next, step_kept = advance(p, x_cur, x_prev)
             if math.sqrt(step_kept[-1]) <= grad_tol:
                 res = problem.combined_residual(x_cur, schedule.lam)
-                reason = "residual_met" if res <= stopping.residual_tol else "grad_zero"
+                reason = "residual_met" if res <= config.residual_tol else "grad_zero"
                 break
             if not norm(x_next) <= DIVERGENCE_LIMIT:  # also true for nan and inf entries
                 reason, error = "divergence", f"iterates diverged at step {n}"

@@ -20,7 +20,7 @@ from sfp.bench import (
     run_experiment,
     table1_mode_reports,
 )
-from sfp.solver import ParameterSchedule, Seq, StepperConfig, StoppingRule, run
+from sfp.solver import ParameterSchedule, Seq, StepperConfig, run
 
 X_STAR = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
 
@@ -107,7 +107,7 @@ def test_criterion_5_mapping_taxonomy():
 
 def test_criterion_6_fejer_monitors():
     schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=150))
+    config = StepperConfig(**kwargs, max_iter=150)
     families = ("box", "ball", "halfspace")
     dims = ((4, 3), (5, 5), (3, 6), (6, 4))
     gated = 0
@@ -143,7 +143,7 @@ def test_criterion_7_cq_equivalence():
         )
         config = StepperConfig(
             step_rule="fixed", fixed_step=gamma,
-            stopping=StoppingRule(grad_tol=1e-300, residual_tol=1e-300, max_iter=100),
+            grad_tol=1e-300, residual_tol=1e-300, max_iter=100,
         )
         x1 = np.zeros(problem.dim)
         history = run(problem, schedule, config, x1)

@@ -36,7 +36,7 @@ from sfp.bench import (
 from sfp.linalg import BLOCK_VALUES, norm
 from sfp.mappings import average, fixed_point_residual
 from sfp.sets import check_projection_characterization, membership_residual
-from sfp.solver import Seq, StepperConfig, StoppingRule, step
+from sfp.solver import Seq, StepperConfig, step
 
 from test_cli import CQ_CONFIG, DIVERGE_CONFIG, MALFORMED_VALUES, MALFORMED_YAML, SHORT_SCHEDULE_CONFIG
 
@@ -153,7 +153,7 @@ class TestConfig:
         raw = parse_config(BASE_CONFIG)
         built = build_from_config(raw)
         assert built.problem.dim == 5
-        assert built.stepper.stopping.max_iter == 1000
+        assert built.stepper.max_iter == 1000
         assert np.array_equal(built.x1, np.ones(5))
 
     def test_round_trip_is_semantically_stable(self):
@@ -306,6 +306,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^stepper: "):
             build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
 
+    @pytest.mark.parametrize("stepper", [
+        {"max_iter": 0, "mode": "bogus"},
+        {"max_iter": 0, "step_rule": "fixed", "fixed_step": "abc"},
+        {"max_iter": 0, "step_rule": "fixed", "fixed_step": True},
+    ], ids=["mode", "fixed_step=abc", "fixed_step=true"])
+    def test_stop_value_reported_before_other_stepper_values(self, stepper):
+        with pytest.raises(ConfigError, match="^stepper: max_iter must be >= 1$"):
+            build_from_config({"problem": {"example": "s4"}, "stepper": stepper})
+
     @pytest.mark.parametrize("stepper, message", [
         ({"grad_tol": float("nan")}, "stopping tolerances must be > 0"),
         ({"residual_tol": float("nan")}, "stopping tolerances must be > 0"),
@@ -328,7 +337,7 @@ class TestConfig:
         # an infinite tolerance stops at once; an infinite fixed step is left to run's (0, 2/||A||^2) check
         inf = float("inf")
         cfg = {"problem": {"example": "s4"}, "stepper": {"grad_tol": inf, "residual_tol": inf}}
-        assert build_from_config(cfg).stepper.stopping.grad_tol == inf
+        assert build_from_config(cfg).stepper.grad_tol == inf
         cfg = {"problem": {"example": "s4"}, "stepper": {"step_rule": "fixed", "fixed_step": inf}}
         with pytest.raises(ValueError, match=r"^fixed step inf outside \(0, 2/\|\|A\|\|\^2\)"):
             run_experiment(cfg)
@@ -339,6 +348,17 @@ class TestConfig:
     def test_section_must_be_a_mapping(self, section, value):
         with pytest.raises(ConfigError, match=f"^{section}: must be a mapping$"):
             normalize_config({"problem": {"example": "s4"}, section: value})
+
+    @pytest.mark.parametrize("value", [0, [], False, ""], ids=["0", "[]", "false", "empty-string"])
+    @pytest.mark.parametrize("section", ["schedule", "stepper", "start", "output"])
+    def test_falsy_section_is_not_the_default(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section}: must be a mapping$"):
+            normalize_config({"problem": {"example": "s4"}, section: value})
+
+    @pytest.mark.parametrize("value", [None, {}], ids=["null", "{}"])
+    @pytest.mark.parametrize("section", ["schedule", "stepper", "start", "output"])
+    def test_null_or_empty_section_is_the_default(self, section, value):
+        assert config_fingerprint({"problem": {"example": "s4"}, section: value}) == "b0ba8dba8583572e"
 
     @pytest.mark.parametrize("key", ["x0", "x1"])
     def test_bad_start_vector_names_its_field(self, key):
@@ -408,7 +428,7 @@ class TestConfig:
         built = build_from_config({"problem": {"random": {**_RANDOM, "dim1": 4.0, "seed": "7",
                                                           "include_fixed_point_map": True}},
                                    "stepper": {"max_iter": 2.0}})
-        assert (built.problem.dim, built.stepper.stopping.max_iter) == (4, 2)
+        assert (built.problem.dim, built.stepper.max_iter) == (4, 2)
         assert np.array_equal(built.problem.A.matrix, generate_random_sfp(4, 3, "box", 7).A.matrix)
         assert built.problem.S is not None
 
@@ -418,9 +438,17 @@ class TestConfig:
             build_from_config(cfg)
 
 
-def _readme_config() -> str:
+def _readme_block(heading: str, language: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("## Config format\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    return readme.split(f"## {heading}\n\n```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_use_runs(capsys):
+    namespace = {}
+    exec(_readme_block("Library use", "python"), namespace)
+    history = namespace["history"]
+    assert (history.termination_reason, history.error) == ("residual_met", None)
+    assert capsys.readouterr().out.startswith("residual_met [")
 
 
 def _workload_configs() -> list:
@@ -463,7 +491,7 @@ class TestParseConfig:
         pytest.param("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n", id="fixed-step"),
         pytest.param("problem:\n  A: [[1.0]]\n  C: {kind: boxx}\n  Q: {kind: whole_space, dim: 1}\n",
                      id="bad-set-kind"),
-        pytest.param(_readme_config(), id="readme"),
+        pytest.param(_readme_block("Config format", "yaml"), id="readme"),
         *(pytest.param(text, id=f"workload-{k:02d}") for k, text in enumerate(_workload_configs())),
         pytest.param(YAML_FEATURES, id="features"),
     ])
@@ -501,7 +529,7 @@ class TestSingleSources:
 
     def test_config_stepper_is_library_default(self):
         built = build_from_config(parse_config(BASE_CONFIG))
-        assert built.stepper == StepperConfig(stopping=StoppingRule(max_iter=1000))
+        assert built.stepper == StepperConfig(max_iter=1000)
         assert built.fingerprint == config_fingerprint(parse_config(BASE_CONFIG))
 
     @pytest.mark.parametrize("cfg, reason", [
@@ -929,7 +957,7 @@ def test_reference_preset_converges_end_to_end(s4, x_star):
     # reach 1e-6; driven through run's step loop one block of steps at a time,
     # keeping no history, so memory stays flat
     schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=700_000))
+    config = StepperConfig(**kwargs, max_iter=700_000)
     start = np.ones(5)
     steps, reached = 0, None
     for iterates, _, reason, _ in solver._blocks(s4, schedule, config, start, start):

@@ -334,6 +334,12 @@ class TestPropsCommand:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "all property suites passed" in proc.stdout
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, samples):
+        proc = cli("props", "--samples", samples)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: samples must be >= 1\n"
+
 
 class TestSweepCommand:
     def test_runs_every_config(self, tmp_path):

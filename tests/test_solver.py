@@ -21,7 +21,6 @@ from sfp.solver import (
     SfpProblem,
     StepParams,
     StepperConfig,
-    StoppingRule,
     run,
     step,
     validate_schedule,
@@ -341,7 +340,7 @@ class TestRun:
 
     def test_cq_preset_converges(self, s4, x_star):
         schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=1000))
+        config = StepperConfig(**kwargs, max_iter=1000)
         history = run(s4, schedule, config, np.ones(5))
         assert history.termination_reason == "residual_met"
         assert np.max(np.abs(history.final - x_star)) <= 1e-10
@@ -350,13 +349,13 @@ class TestRun:
         schedule, kwargs = preset_schedule("cq")
         for seed, family in ((1, "box"), (2, "ball"), (3, "halfspace")):
             problem = generate_random_sfp(5, 4, family, seed=seed)
-            config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=10_000))
+            config = StepperConfig(**kwargs, max_iter=10_000)
             history = run(problem, schedule, config, np.zeros(5))
             assert problem.f_value(history.final) <= 1e-10
 
     def test_determinism_bitwise(self, s4):
         schedule, kwargs = preset_schedule("fast")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=300))
+        config = StepperConfig(**kwargs, max_iter=300)
         h1 = run(s4, schedule, config, np.ones(5))
         h2 = run(s4, schedule, config, np.ones(5))
         assert h1.termination_reason == h2.termination_reason
@@ -375,7 +374,7 @@ class TestRun:
             S=linear_mapping([[3.0]], name="expanding"),
         )
         schedule = constant_schedule(delta=0.9, lam=1.0)
-        history = run(problem, schedule, StepperConfig(stopping=StoppingRule(max_iter=500)), np.array([2.0]))
+        history = run(problem, schedule, StepperConfig(max_iter=500), np.array([2.0]))
         assert history.termination_reason == "divergence"
         assert history.steps > 0
         assert history.error == f"iterates diverged at step {history.steps + 1}"
@@ -406,7 +405,7 @@ class TestRun:
 
     def test_max_iter_reason(self, s4):
         schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=5))
+        config = StepperConfig(**kwargs, max_iter=5)
         history = run(s4, schedule, config, np.ones(5))
         assert history.termination_reason == "max_iter" and history.error is None
         assert history.steps == 5
@@ -414,7 +413,7 @@ class TestRun:
 
     def test_fejer_monitors_on_reference_problem(self, s4):
         schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=400))
+        config = StepperConfig(**kwargs, max_iter=400)
         history = run(s4, schedule, config, np.ones(5))
         checked = 0
         for rec in history.records:
@@ -433,7 +432,7 @@ class TestRun:
 
     def test_fixed_step_bound_sees_all_singular_directions(self):
         problem = SfpProblem(A=LinearMap(np.array([[1.0, -1.0]])), C=WholeSpace(2), Q=Singleton(np.zeros(1)))
-        config = StepperConfig(step_rule="fixed", fixed_step=5.0, stopping=StoppingRule(max_iter=20))
+        config = StepperConfig(step_rule="fixed", fixed_step=5.0, max_iter=20)
         with pytest.raises(ValueError, match="fixed step"):  # the limit is 2 / ||A||^2 = 1
             run(problem, constant_schedule(), config, np.array([1.0, 0.0]))
 
@@ -447,7 +446,7 @@ class TestRun:
         x1 = rng.standard_normal(cols)
 
         def one_step(fixed_step):
-            config = StepperConfig(step_rule="fixed", fixed_step=fixed_step, stopping=StoppingRule(max_iter=1))
+            config = StepperConfig(step_rule="fixed", fixed_step=fixed_step, max_iter=1)
             return run(problem, constant_schedule(), config, x1)
 
         with pytest.raises(ValueError, match="fixed step"):
@@ -468,10 +467,10 @@ class TestRun:
         x1 = rng.standard_normal(cols)
         assume(problem.f_value(x1) > 0.0)  # a start with A x1 in Q stops before any step
         tau = 0.9 * fixed_step_limit(a)
-        stopping = StoppingRule(max_iter=20, grad_tol=1e-300, residual_tol=1e-300)
+        stop = {"max_iter": 20, "grad_tol": 1e-300, "residual_tol": 1e-300}
 
         def iterates(mode, **rule):
-            config = StepperConfig(mode=mode, stopping=stopping, **rule)
+            config = StepperConfig(mode=mode, **stop, **rule)
             return np.array(run(problem, constant_schedule(delta=0.0), config, x1).iterates)
 
         for rule in ({"step_rule": "adaptive"}, {"step_rule": "fixed", "fixed_step": tau}):
@@ -493,7 +492,7 @@ class TestRun:
             S=unit_interval_jump_map(),  # demicontractive, modulus 2/3
         )
         run(problem, constant_schedule(delta=0.5, lam=lam),
-            StepperConfig(stopping=StoppingRule(max_iter=2)), np.array([0.4]))
+            StepperConfig(max_iter=2), np.array([0.4]))
 
     def test_lambda_warning_for_declared_modulus(self):
         with pytest.warns(UserWarning, match="averaging weight"):
@@ -521,7 +520,7 @@ def assert_run_is_step_loop(problem, schedule, config, x0):
     if history.termination_reason != "max_iter":
         # the loop stopped because the next step's gradient passed the test
         _, next_record = step(problem, schedule, config, history.steps + 1, x_n, x_prev)
-        assert next_record.grad_norm_u <= config.stopping.grad_tol
+        assert next_record.grad_norm_u <= config.grad_tol
 
 
 class TestRunIsStepLoop:
@@ -530,14 +529,14 @@ class TestRunIsStepLoop:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_reference_problem(self, s4, preset, mode, numerator):
         schedule, _ = preset_schedule(preset)
-        config = StepperConfig(mode=mode, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         assert_run_is_step_loop(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("numerator", ["u", "x"])
     def test_random_problem_with_fixed_point_map(self, numerator):
         problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
         schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        config = StepperConfig(**kwargs, tau_numerator=numerator, max_iter=50)
         x0 = np.random.default_rng(9).standard_normal(6)
         assert_run_is_step_loop(problem, schedule, config, x0)
 
@@ -606,20 +605,20 @@ class TestRunMatchesWrittenOutStep:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_reference_problem(self, s4, preset, mode, numerator):
         schedule, _ = preset_schedule(preset)
-        config = StepperConfig(mode=mode, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("numerator", ["u", "x"])
     def test_random_problem_with_fixed_point_map(self, numerator):
         problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
         schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, tau_numerator=numerator, stopping=StoppingRule(max_iter=50))
+        config = StepperConfig(**kwargs, tau_numerator=numerator, max_iter=50)
         assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(6))
 
     @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
     def test_fixed_step_rule(self, s4, mode):
         schedule, _ = preset_schedule("paper-s4")
-        config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, stopping=StoppingRule(max_iter=50))
+        config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, max_iter=50)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
 
@@ -633,7 +632,7 @@ class TestBlocks:
     @pytest.mark.parametrize("preset", ["paper-s4", "fast"])
     def test_several_blocks_at_dim_five(self, s4, preset):
         schedule, kwargs = preset_schedule(preset)
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=2 * BLOCK_S4 + 40))
+        config = StepperConfig(**kwargs, max_iter=2 * BLOCK_S4 + 40)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("dim, block", [(341, 3), (600, 1)])
@@ -641,14 +640,14 @@ class TestBlocks:
         assert BLOCK_VALUES // dim == block
         problem = generate_random_sfp(dim, dim // 2, "box", seed=8, include_fixed_point_map=True)
         schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=3 * block + 2))
+        config = StepperConfig(**kwargs, max_iter=3 * block + 2)
         assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(dim))
 
     def test_vanishing_gradient_records(self, s4):
         # with a grad_tol below 1e-12 the run keeps steps whose ||grad f||^2 is at
         # most GRAD_GUARD: tau = 0 and psi has no gradient term
         schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(**kwargs, stopping=StoppingRule(grad_tol=1e-300, residual_tol=1e-300, max_iter=1500))
+        config = StepperConfig(**kwargs, grad_tol=1e-300, residual_tol=1e-300, max_iter=1500)
         history = assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
         guarded = [r for r in history.records if r.grad_norm_u ** 2 <= GRAD_GUARD]
         assert len(guarded) > BLOCK_S4 and all(r.tau == 0.0 for r in guarded)
@@ -692,7 +691,7 @@ def _ending_case(ending, n):
         schedule = dataclasses.replace(schedule, epsilon=Seq.explicit([0.01] * (n - 1)))
         error = f"explicit sequence exhausted at n = {n} (length {n - 1})"
     elif ending == "max_iter":
-        config = StepperConfig(**kwargs, stopping=StoppingRule(max_iter=n))
+        config = StepperConfig(**kwargs, max_iter=n)
     return problem, schedule, config, x0, error
 
 
@@ -773,7 +772,7 @@ class TestValidateSchedule:
     def assert_run_step_and_validation_agree(s4, schedule, horizon):
         """``run``'s error, ``step``'s violation at n = 1 and the report's first
         fail (else its ``rho(`` warning) name the same violation, or none."""
-        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=horizon)), np.ones(5))
+        history = run(s4, schedule, StepperConfig(max_iter=horizon), np.ones(5))
         try:
             step(s4, schedule, StepperConfig(), 1, np.ones(5), np.ones(5))
             raised = None
@@ -829,7 +828,7 @@ class TestValidateSchedule:
         # lists of three values replace those of an admissible schedule; the
         # report's first fail or rho warning is the violation run stops at
         schedule = dataclasses.replace(constant_schedule(), **{k: Seq.explicit(v) for k, v in values.items()})
-        history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=3)), np.ones(5))
+        history = run(s4, schedule, StepperConfig(max_iter=3), np.ones(5))
         report = validate_schedule(schedule, horizon=3)
         flagged = [e.message for e in report.entries if e.level == "fail" or e.message.startswith("rho(")]
         if history.termination_reason == "schedule_violation":
@@ -902,9 +901,9 @@ class TestSequences:
             with pytest.raises(ScheduleViolation, match=match):
                 step(s4, schedule, StepperConfig(), 2, np.ones(5), np.ones(5))
             # a run that stops before n = 2 never needs that value
-            history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=1)), np.ones(5))
+            history = run(s4, schedule, StepperConfig(max_iter=1), np.ones(5))
             assert (history.termination_reason, history.steps) == ("max_iter", 1)
-            history = run(s4, schedule, StepperConfig(stopping=StoppingRule(max_iter=2)), np.ones(5))
+            history = run(s4, schedule, StepperConfig(max_iter=2), np.ones(5))
             assert (history.termination_reason, history.steps, history.error) == ("schedule_violation", 1, message)
             assert len(history.iterates) == 2
             report = validate_schedule(schedule, horizon=10)
@@ -995,10 +994,15 @@ class TestConfigValidation:
         assert StepperConfig(tau_numerator="x").fixed_step is None
 
     def test_stopping_rule_positive(self):
-        with pytest.raises(ValueError):
-            StoppingRule(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            StoppingRule(max_iter=0)
+        for values, message in [
+            ({"grad_tol": 0.0}, "stopping tolerances must be > 0"),
+            ({"grad_tol": math.nan}, "stopping tolerances must be > 0"),
+            ({"residual_tol": math.nan}, "stopping tolerances must be > 0"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"max_iter": 0, "mode": "bogus"}, "max_iter must be >= 1"),  # the stop values are checked first
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                StepperConfig(**values)
 
     def test_schedule_pickles(self):
         schedule, _ = preset_schedule("paper-s4")
