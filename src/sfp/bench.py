@@ -28,7 +28,6 @@ from .sets import (
     membership_residual,
 )
 from .solver import (
-    MODES,
     ParameterSchedule,
     RunHistory,
     Seq,
@@ -377,12 +376,24 @@ def _section(raw: dict, name: str, default: dict | None = None) -> dict:
     return dict(section or default or {})
 
 
+def _plain(obj):
+    """``obj`` with ``str`` keys, lists for tuples and Python numbers for numpy scalars."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    return obj
+
+
 def normalize_config(raw: dict) -> dict:
     """Fill defaults and canonicalize a parsed config (used for fingerprints).
 
     The result contains only plain scalars/lists/dicts, so its sorted JSON
-    dump is a stable canonical form.
+    dump is a stable canonical form; every check sees its ``str`` keys.
     """
+    raw = _plain(raw)
     known = {"problem", "schedule", "stepper", "start", "output"}
     unknown = set(raw) - known
     if unknown:
@@ -402,23 +413,13 @@ def normalize_config(raw: dict) -> dict:
     _reject_unknown_keys("stepper", stepper, _DEFAULT_STEPPER)
     _reject_unknown_keys("start", start, ("x0", "x1"))
     _reject_unknown_keys("output", output, ("csv",))
-
-    def plain(obj):
-        if isinstance(obj, dict):
-            return {str(k): plain(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [plain(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        return obj
-
-    return plain({
+    return {
         "problem": problem,
         "schedule": schedule,
         "stepper": stepper,
         "start": start,
         "output": output,
-    })
+    }
 
 
 def _canonical_json(normalized: dict) -> str:
@@ -544,7 +545,7 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     fingerprint = _fingerprint(cfg)
     csv_name = cfg["output"].get("csv") or f"run_{fingerprint}.csv"
-    if not isinstance(csv_name, str):
+    if not isinstance(csv_name, str) or csv_name in (".", "..") or Path(csv_name).name != csv_name:
         raise ConfigError(f"output.csv: must be a file name, got {csv_name!r}")
     return BuiltConfig(
         problem=problem, schedule=schedule, stepper=stepper,
@@ -744,21 +745,6 @@ def compare_to_table1(iterates) -> Table1Report:
     return Table1Report(deviations=deviations, matched=matched, rows_available=len(iterates))
 
 
-def table1_mode_reports() -> dict[str, Table1Report]:
-    """Run the table-1 preset in every composition mode to the table's last row; compare each."""
-    reports = {}
-    for mode in MODES:
-        cfg = {
-            "problem": {"example": "s4"},
-            "schedule": {"preset": "table-1"},
-            "stepper": {"mode": mode, "max_iter": max(TABLE1_ROWS),
-                        "grad_tol": 1e-300, "residual_tol": 1e-300},
-        }
-        result = run_experiment(cfg)
-        reports[mode] = compare_to_table1(result.history.iterates)
-    return reports
-
-
 # --- property suites (shared by the CLI and the acceptance tests) ---------------
 
 
@@ -867,6 +853,8 @@ def run_property_suites(samples: int = 1000, seed: int = 0) -> tuple[bool, str]:
     """Run all suites; returns (all_passed, printable report)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     lines = []
     ok = True
     for title, results in (

@@ -38,6 +38,8 @@ def _run_and_report(label: str, raw: dict, out_dir: Path, svg: bool = False) -> 
         print(f"error: {result.history.error}", file=sys.stderr)
     if svg:
         svg_path = result.csv_path.with_suffix(".svg")
+        if svg_path == result.csv_path:
+            raise ConfigError(f"output.csv: --svg would write its plot over the CSV {svg_path.name!r}")
         bench.emit_convergence_svg(result.csv_path, svg_path)
         print(f"convergence curve: {svg_path}")
     return result
@@ -70,7 +72,7 @@ def _cmd_example_s4(args) -> int:
         result = _run_and_report(f"example-s4 preset={args.preset} mode={mode}", cfg,
                                  _out_dir(args.out), args.svg)
         if args.preset == "table-1":
-            report = bench.compare_to_table1(result.history.iterates)
+            report = bench.compare_to_table1(bench.read_csv_iterates(result.csv_path))
             print(report.text())
             print(f"all reference rows matched: {report.all_matched}")
         code = max(code, EXIT_BY_REASON[result.history.termination_reason])

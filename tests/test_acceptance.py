@@ -18,7 +18,6 @@ from sfp.bench import (
     preset_schedule,
     projection_property_suite,
     run_experiment,
-    table1_mode_reports,
 )
 from sfp.solver import ParameterSchedule, Seq, StepperConfig, run
 
@@ -53,8 +52,9 @@ def test_criterion_1_reference_convergence():
     assert ok, detail
 
 
-def test_criterion_2_reference_table_reports():
-    reports = table1_mode_reports()
+def test_criterion_2_reference_table_reports(table1_run):
+    # the reports of the CSVs that `sfp example-s4 --preset table-1 --mode all --max-iter 33` wrote
+    reports = table1_run.reports
     produced = set(reports) == {"proof", "statement", "explore"}
     row0 = all(r.row0_exact for r in reports.values())
     details = []

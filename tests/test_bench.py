@@ -31,7 +31,6 @@ from sfp.bench import (
     representative_sets,
     run_experiment,
     run_property_suites,
-    table1_mode_reports,
 )
 from sfp.linalg import BLOCK_VALUES, norm
 from sfp.mappings import average, fixed_point_residual
@@ -359,6 +358,24 @@ class TestConfig:
     @pytest.mark.parametrize("section", ["schedule", "stepper", "start", "output"])
     def test_null_or_empty_section_is_the_default(self, section, value):
         assert config_fingerprint({"problem": {"example": "s4"}, section: value}) == "b0ba8dba8583572e"
+
+    @pytest.mark.parametrize("section", [None, "schedule", "stepper", "start", "output"],
+                             ids=["top-level", "schedule", "stepper", "start", "output"])
+    def test_non_string_keys_are_named_as_strings(self, section):
+        # YAML reads `1: 2` as an int key; the message lists it as '1', sorted with the others
+        extra = {1: 2, "foo": 3}
+        if section is None:
+            cfg, message = {"problem": {"example": "s4"}, **extra}, "unknown top-level section(s):"
+        else:
+            cfg, message = {"problem": {"example": "s4"}, section: extra}, f"{section}: unknown key(s)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)} \\['1', 'foo'\\]$"):
+            build_from_config(cfg)
+
+    @pytest.mark.parametrize("name", ["../up.csv", "/abs/x.csv", "sub/x.csv", "x.csv/", ".", ".."])
+    def test_csv_name_with_a_directory_part_rejected(self, name):
+        cfg = {"problem": {"example": "s4"}, "output": {"csv": name}}
+        with pytest.raises(ConfigError, match=f"^output\\.csv: must be a file name, got {re.escape(repr(name))}$"):
+            build_from_config(cfg)
 
     @pytest.mark.parametrize("key", ["x0", "x1"])
     def test_bad_start_vector_names_its_field(self, key):
@@ -824,8 +841,8 @@ class TestTable1Comparison:
         assert set(report.deviations) == {0}
         assert report.rows_available == 1
 
-    def test_mode_sweep_reports(self):
-        reports = table1_mode_reports()
+    def test_mode_sweep_reports(self, table1_run):
+        reports = table1_run.reports
         assert set(reports) == {"proof", "statement", "explore"}
         for mode, report in reports.items():
             assert report.row0_exact, mode

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
 from sfp import cli as sfp_cli
-from sfp.bench import table1_mode_reports
-from sfp.solver import MODES
+from sfp.bench import compare_to_table1, preset_schedule
+from sfp.solver import MODES, StepperConfig, run
 
 CLI = [sys.executable, "-m", "sfp"]
 
@@ -236,6 +239,21 @@ class TestRunCommand:
         assert proc.stderr == f"error: power-law sequence has no value at n = 2 (2**{power}.0 overflows or is 0)\n"
         assert len((tmp_path / "power_law.csv").read_text().splitlines()) == 1 + 2
 
+    @pytest.mark.parametrize("name", ["../up.csv", "sub/up.csv", "./up.csv", ".."])
+    def test_csv_name_with_a_directory_part_exits_two(self, tmp_path, name):
+        cfg = write_config(tmp_path / "escape.yaml", dict(CQ_CONFIG, output={"csv": name}))
+        proc = cli("run", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"config error: output.csv: must be a file name, got {name!r}\n"
+        assert not list(tmp_path.rglob("*.csv"))  # "../up.csv" would land in tmp_path
+
+    def test_svg_over_the_csv_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path / "svg.yaml", dict(CQ_CONFIG, output={"csv": "run.svg"}))
+        proc = cli("run", cfg, "--out", str(tmp_path), "--svg")
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: output.csv: --svg would write its plot over the CSV 'run.svg'\n"
+        assert (tmp_path / "run.svg").read_text().startswith("n,x1,")  # the CSV, kept
+
     def test_io_error_exits_four(self, tmp_path):
         cfg = write_config(tmp_path / "cq.yaml", CQ_CONFIG)
         blocker = tmp_path / "not_a_dir"
@@ -266,19 +284,27 @@ class TestExampleCommand:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "example_s4_cq_proof.svg").read_text().startswith("<svg")
 
-    def test_mode_all_table1_prints_report(self, tmp_path):
-        # each mode's run prints its summary line, then that mode's report of
-        # bench.table1_mode_reports, which runs to the table's last row (33 steps)
-        proc = cli("example-s4", "--preset", "table-1", "--mode", "all",
-                   "--max-iter", "33", "--out", str(tmp_path))
-        assert proc.returncode == 1, proc.stderr
-        reports = table1_mode_reports()
-        blocks = proc.stdout.split("example-s4 preset=table-1 mode=")[1:]
+    def test_mode_all_table1_prints_report(self, table1_run, s4):
+        # each mode's run prints its summary line, then the report of the CSV
+        # it wrote, which runs to the table's last row (33 steps)
+        assert table1_run.code == 1
+        reports = table1_run.reports
+        blocks = table1_run.stdout.split("example-s4 preset=table-1 mode=")[1:]
         assert len(blocks) == len(MODES) == len(reports)
+        schedule, _ = preset_schedule("table-1")
         for mode, block in zip(MODES, blocks):
             assert block.startswith(f"{mode}: reason=max_iter steps=33 ")
             assert block.endswith(f"\n{reports[mode].text()}\nall reference rows matched: False\n")
-            assert (tmp_path / f"example_s4_table-1_{mode}.csv").exists()
+            assert table1_run.csvs[mode].exists()
+            # the same table as `sfp compare-table1` prints for that CSV
+            compared = io.StringIO()
+            with contextlib.redirect_stdout(compared):
+                assert sfp_cli.main(["compare-table1", str(table1_run.csvs[mode])]) == 0
+            assert block.endswith(f"\n{compared.getvalue()}all reference rows matched: False\n")
+            # and the deviations of the solver's own iterates, not read back from a CSV
+            history = run(s4, schedule, StepperConfig(mode=mode, max_iter=33), np.ones(5))
+            assert history.steps == 33
+            assert compare_to_table1(history.iterates).deviations == reports[mode].deviations
 
 
 class TestCompareCommand:
@@ -339,6 +365,11 @@ class TestPropsCommand:
         proc = cli("props", "--samples", samples)
         assert proc.returncode == 2
         assert proc.stderr == "error: samples must be >= 1\n"
+
+    def test_negative_seed_rejected(self):
+        proc = cli("props", "--seed", "-1", "--samples", "5")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: seed must be >= 0\n"
 
 
 class TestSweepCommand:
