@@ -4,7 +4,7 @@ nonexpansive-type mappings, a hybrid inertial self-adaptive solver and a
 reproducible benchmark harness.
 """
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, inner, norm
+from .linalg import DimensionMismatch, LinearMap, as_vector, norm
 from .sets import (
     AffineNullspace,
     Ball,

@@ -47,7 +47,6 @@ __all__ = [
     "schedule_from_config",
     "parse_config",
     "normalize_config",
-    "canonical_text",
     "config_fingerprint",
     "build_from_config",
     "run_experiment",
@@ -223,13 +222,19 @@ def _preset(name: str) -> tuple[dict, str]:
 
 
 def _sequence(obj) -> Seq:
-    """A number is a constant, a list is explicit and ``{rule: power-law,
-    const, coeff, power}`` is a power law whose keys other than ``rule``
-    default to :class:`Seq`'s."""
+    """A number (or a string that :func:`_real` reads: YAML leaves ``1e-1`` a
+    string) is a constant, a list is explicit and ``{rule: power-law, const,
+    coeff, power}`` is a power law whose keys other than ``rule`` default to
+    :class:`Seq`'s."""
     if isinstance(obj, (int, float)):
         return Seq.constant(_real(obj, "value"))
     if isinstance(obj, (list, tuple)):
         return Seq.explicit([_real(v, "each value") for v in obj])
+    if isinstance(obj, str):
+        try:
+            return Seq.constant(_real(obj, "value"))
+        except ValueError:
+            pass
     if not isinstance(obj, dict) or obj.get("rule") != "power-law":
         raise ValueError(f"expected a number, a list or {{rule: power-law, const, coeff, power}}, got {obj!r}")
     unknown = set(obj) - {"rule", "const", "coeff", "power"}
@@ -422,17 +427,10 @@ def normalize_config(raw: dict) -> dict:
     }
 
 
-def _canonical_json(normalized: dict) -> str:
-    return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
-
-
-def canonical_text(config: dict) -> str:
-    """Canonical serialization (sorted-key JSON of the normalized config)."""
-    return _canonical_json(normalize_config(config))
-
-
 def _fingerprint(normalized: dict) -> str:
-    return hashlib.sha256(_canonical_json(normalized).encode()).hexdigest()[:16]
+    """SHA-256 prefix of the normalized config as sorted-key, compact JSON."""
+    canonical = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def config_fingerprint(config: dict) -> str:
@@ -669,7 +667,9 @@ def emit_convergence_svg(csv_path, path) -> None:
 def read_csv_iterates(path) -> list[np.ndarray]:
     """Read back the iterate columns of an emitted CSV, ordered by n."""
     rows = _csv_rows(path)
-    header = next(rows)
+    header = next(rows, None)
+    if header is None:
+        raise ValueError(f"empty CSV file {str(path)!r}: no header row")
     x_cols = [i for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
     return [np.array([float(row[i]) for i in x_cols]) for row in rows]
 
@@ -784,7 +784,7 @@ def projection_property_suite(samples: int = 1000, seed: int = 0) -> list[SuiteR
         x, y = pairs[:, 0], pairs[:, 1]
         px, py = cset.project(x), cset.project(y)
         dproj = row_norms(px - py)
-        char = check_projection_characterization(
+        nearest = check_projection_characterization(
             cset, 3.0 * np.random.default_rng(seed + 1).standard_normal(cset.dim),
             samples=samples, seed=seed + 2,
         )
@@ -793,7 +793,7 @@ def projection_property_suite(samples: int = 1000, seed: int = 0) -> list[SuiteR
             SuiteResult(f"{cset.kind}: nonexpansive", float(np.max(dproj - row_norms(x - y))), 1e-10),
             SuiteResult(f"{cset.kind}: firmly nonexpansive",
                         float(np.max(dproj**2 - row_dots(x - y, px - py))), 1e-10),
-            SuiteResult(f"{cset.kind}: nearest-point characterization", char.max_violation, 1e-10),
+            SuiteResult(f"{cset.kind}: nearest-point characterization", nearest, 1e-10),
         ])
     return results
 
@@ -839,13 +839,13 @@ def mapping_property_suite() -> list[SuiteResult]:
     fixed = np.array([0.875])
     grid = np.linspace(0.0, 1.0, 10001)[:, None]
     k_hat = estimate_demicontractive_modulus(jump, fixed, grid)
-    base_report = verify_quasi_nonexpansive(jump, fixed, grid)
-    avg_report = verify_quasi_nonexpansive(average(jump, 0.25), fixed, grid)
+    base_slack = verify_quasi_nonexpansive(jump, fixed, grid)
+    avg_slack = verify_quasi_nonexpansive(average(jump, 0.25), fixed, grid)
     return [
         SuiteResult("jump map: demicontractive modulus |k - 2/3|", abs(k_hat - 2.0 / 3.0), 1e-3),
         SuiteResult("jump map: NOT quasi-nonexpansive (slack 1/2 expected)",
-                    abs(base_report.max_slack - 0.5), 1e-12),
-        SuiteResult("averaged jump map (weight 0.25): quasi-nonexpansive", avg_report.max_slack, 1e-10),
+                    abs(base_slack - 0.5), 1e-12),
+        SuiteResult("averaged jump map (weight 0.25): quasi-nonexpansive", avg_slack, 1e-10),
     ]
 
 

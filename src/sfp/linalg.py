@@ -8,8 +8,8 @@ a ``(k, dim)`` stack of vectors and act on each row.  A stack is computed
 with one BLAS call per row (numpy's stacked ``matmul`` issues the ``ddot`` or
 ``gemv`` that the single vector gets), so row i carries the same bits as the
 result for that row alone.  A matrix-matrix product (gemm) or ``einsum``
-would not.  ``inner`` and ``norm`` take single vectors only: the solver's
-step calls ``norm`` twice per step.
+would not.  ``norm`` takes single vectors only: the solver's step calls it
+twice per step.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "DimensionMismatch",
     "as_vector",
-    "inner",
     "norm",
     "within",
     "row_dots",
@@ -57,13 +56,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got {v.size}")
     v.flags.writeable = False
     return v
-
-
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Euclidean inner product; raises DimensionMismatch on length mismatch."""
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"inner product needs equal dimensions, got {x.size} and {y.size}")
-    return float(np.dot(x, y))
 
 
 def norm(x: np.ndarray) -> float:
@@ -119,10 +111,6 @@ class LinearMap:
     @property
     def cols(self) -> int:
         return self.matrix.shape[1]
-
-    @classmethod
-    def identity(cls, dim: int) -> "LinearMap":
-        return cls(np.eye(dim))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product, one per row of a stack; x's last axis must

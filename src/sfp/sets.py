@@ -32,7 +32,6 @@ __all__ = [
     "WholeSpace",
     "membership_residual",
     "check_projection_characterization",
-    "CharacterizationReport",
 ]
 
 
@@ -233,22 +232,9 @@ def membership_residual(cset: ConvexSet, x: np.ndarray):
     return row_norms(x - cset.project(x))
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
-    """Result of sampling the variational characterization of a projection."""
-
-    max_violation: float
-    samples: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= 1e-10
-
-
 def check_projection_characterization(
     cset: ConvexSet, x: np.ndarray, samples: int = 100, seed: int = 0
-) -> CharacterizationReport:
+) -> float:
     """Sample-check that z = P(x) satisfies <x - z, y - z> <= 0 for members y.
 
     Members are drawn by projecting ambient Gaussian points.  Returns the
@@ -261,5 +247,4 @@ def check_projection_characterization(
     z = cset.project(x)
     rng = np.random.default_rng(seed)
     members = cset.project(rng.standard_normal((samples, cset.dim)) * (1.0 + norm(x)))
-    worst = np.max(row_dots(members - z, x - z))
-    return CharacterizationReport(max_violation=float(worst), samples=samples, seed=seed)
+    return float(np.max(row_dots(members - z, x - z)))

@@ -130,7 +130,7 @@ class Seq:
 
     Rules: ``constant`` (value), ``power-law`` (const + coeff / n**power) and
     ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the values
-    at n = lo, ..., hi - 1, and ``at(n)`` the one at n >= 1.
+    at n = lo, ..., hi - 1.
     """
 
     rule: str
@@ -180,9 +180,6 @@ class Seq:
                 raise ScheduleViolation(f"power-law sequence has no value at n = {lo} "
                                         f"({lo}**{power!r} overflows or is 0)") from None
         return values
-
-    def at(self, n: int) -> float:
-        return self.block(n, n + 1)[0]
 
 
 class StepParams(NamedTuple):
@@ -581,10 +578,6 @@ class ScheduleReport:
     @property
     def ok(self) -> bool:
         return all(e.level != "fail" for e in self.entries)
-
-    @property
-    def warnings(self) -> list:
-        return [e for e in self.entries if e.level == "warn"]
 
     def text(self) -> str:
         lines = [f"schedule check over n = 1..{self.horizon}"]

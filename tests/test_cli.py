@@ -109,6 +109,9 @@ MALFORMED_VALUES = [
          "config error: problem.S: unknown mapping name 'contraction-scale'"),
         ("S=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: 0}\n",
          "config error: problem.S: expected a mapping name"),
+        *((f"S=linear:{literal}", EXPLICIT_PROBLEM + f"{{kind: whole_space, dim: 2}}, S: 'linear:{literal}'}}\n",
+           "config error: problem.S: matrix entries must all be finite")
+          for literal in ("[[NaN, 0], [0, 1]]", "[[1, 0], [0, Infinity]]")),
         ("csv=[a]", "output: {csv: [a]}\n", "config error: output.csv: must be a file name, got ['a']"),
         ("misspelled-problem-key", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, knwon_solution: [0, 0]}\n",
          "config error: problem: unknown key(s) ['knwon_solution']"),
@@ -184,6 +187,7 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_fixed_step_with_close_top_singular_values(self, tmp_path):
         # ||A|| = 1 with a second singular value 0.99995, so the step 1.0 is inside (0, 2)
@@ -315,6 +319,16 @@ class TestCompareCommand:
         proc2 = cli("compare-table1", str(csv))
         assert proc2.returncode == 0, proc2.stderr
         assert "0.000000e+00" in proc2.stdout  # row 0 deviation
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "error: empty CSV file '{}': no header row"),
+        ("n,x1,x2,x3,x4,x5\n", "error: empty trajectory"),
+    ], ids=["empty-file", "header-only"])
+    def test_csv_without_iterates_exits_two(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "empty.csv"
+        csv.write_text(text)
+        assert sfp_cli.main(["compare-table1", str(csv)]) == 2
+        assert capsys.readouterr().err == message.format(csv) + "\n"
 
 
 class TestValidateCommand:

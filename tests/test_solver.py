@@ -781,7 +781,7 @@ class TestValidateSchedule:
         report = validate_schedule(schedule, horizon=horizon)
         # rho's range only warns, as the step rule is unknown to the validator
         flagged = ([e.message for e in report.entries if e.level == "fail"]
-                   or [e.message for e in report.warnings if e.message.startswith("rho(")])
+                   or [e.message for e in report.entries if e.level == "warn" and e.message.startswith("rho(")])
         assert history.error == raised
         assert (raised is None) == (not flagged), report.text()
         if raised is not None:
@@ -840,7 +840,7 @@ class TestValidateSchedule:
         schedule, _ = preset_schedule("cq")
         report = validate_schedule(schedule, horizon=100)
         assert report.ok
-        warned = {e.condition for e in report.warnings}
+        warned = {e.condition for e in report.entries if e.level == "warn"}
         assert "(c2)" in warned and "(c3)" in warned
 
     def test_explicit_sequence_exhaustion(self, s4):
@@ -874,7 +874,7 @@ class TestSequences:
             "power-law": [seq.const + seq.coeff / float(n) ** seq.power for n in range(1, 5)],  # Python's power
             "explicit": list(seq.values),
         }[seq.rule]
-        assert seq.block(1, 5) == expected == [seq.at(n) for n in range(1, 5)]
+        assert seq.block(1, 5) == expected == [seq.block(n, n + 1)[0] for n in range(1, 5)]
         assert seq.block(3, 5) == expected[2:]
 
     def test_block_stops_at_the_end_of_a_list(self):
@@ -891,8 +891,6 @@ class TestSequences:
             message = f"power-law sequence has no value at n = 2 (2**{power!r} overflows or is 0)"
             match = f"^{re.escape(message)}$"
             assert seq.block(1, 5) == [0.1]
-            with pytest.raises(ScheduleViolation, match=match):
-                seq.at(2)
             with pytest.raises(ScheduleViolation, match=match):
                 seq.block(2, 5)
             schedule = dataclasses.replace(constant_schedule(), alpha=seq)
@@ -914,7 +912,7 @@ class TestSequences:
         with pytest.raises(ValueError, match="unknown sequence rule 'cubic'"):
             Seq("cubic")
         with pytest.raises(ValueError, match="indexed from n = 1"):
-            Seq.constant(1.0).at(0)
+            Seq.constant(1.0).block(0, 1)
 
 
 class TestProblemValidation:
