@@ -226,15 +226,11 @@ def _sequence(obj) -> Seq:
     string) is a constant, a list is explicit and ``{rule: power-law, const,
     coeff, power}`` is a power law whose keys other than ``rule`` default to
     :class:`Seq`'s."""
+    obj = _read_number(obj)
     if isinstance(obj, (int, float)):
         return Seq.constant(_real(obj, "value"))
     if isinstance(obj, (list, tuple)):
         return Seq.explicit([_real(v, "each value") for v in obj])
-    if isinstance(obj, str):
-        try:
-            return Seq.constant(_real(obj, "value"))
-        except ValueError:
-            pass
     if not isinstance(obj, dict) or obj.get("rule") != "power-law":
         raise ValueError(f"expected a number, a list or {{rule: power-law, const, coeff, power}}, got {obj!r}")
     unknown = set(obj) - {"rule", "const", "coeff", "power"}
@@ -299,6 +295,33 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _read_number(value, read=float):
+    """``read(value)`` (``float`` or ``int``) for a string that it reads as a
+    number (YAML leaves ``1e-1`` a string), else ``value`` as it is."""
+    if isinstance(value, str):
+        try:
+            return read(value)
+        except ValueError:
+            pass
+    return value
+
+
+def _read_numbers(schedule: dict, stepper: dict) -> None:
+    """Write, in place, each schedule and stepper value that :func:`_real` or
+    :func:`_integer` reads from a string as that number, so that ``1e-1``
+    and ``0.1`` give one fingerprint; other strings stay for the checks."""
+    for key, value in schedule.items():
+        if key not in (*_SEQUENCE_KEYS, "theta", "lambda"):
+            continue
+        if isinstance(value, list):
+            value = [_read_number(v) for v in value]
+        elif isinstance(value, dict) and value.get("rule") == "power-law":
+            value = {k: v if k == "rule" else _read_number(v) for k, v in value.items()}
+        schedule[key] = _read_number(value)
+    for key in ("grad_tol", "residual_tol", "fixed_step", "max_iter"):
+        stepper[key] = _read_number(stepper[key], int if key == "max_iter" else float)
 
 
 def _flag(value, name: str) -> bool:
@@ -418,6 +441,7 @@ def normalize_config(raw: dict) -> dict:
     _reject_unknown_keys("stepper", stepper, _DEFAULT_STEPPER)
     _reject_unknown_keys("start", start, ("x0", "x1"))
     _reject_unknown_keys("output", output, ("csv",))
+    _read_numbers(schedule, stepper)
     return {
         "problem": problem,
         "schedule": schedule,
@@ -524,7 +548,6 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     st = cfg["stepper"]
     try:
-        # float() also reads the strings YAML makes of 1e-12
         stop = {"grad_tol": _real(st["grad_tol"], "grad_tol"),
                 "residual_tol": _real(st["residual_tol"], "residual_tol"),
                 "max_iter": _integer(st["max_iter"], "max_iter")}

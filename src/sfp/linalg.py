@@ -8,14 +8,17 @@ a ``(k, dim)`` stack of vectors and act on each row.  A stack is computed
 with one BLAS call per row (numpy's stacked ``matmul`` issues the ``ddot`` or
 ``gemv`` that the single vector gets), so row i carries the same bits as the
 result for that row alone.  A matrix-matrix product (gemm) or ``einsum``
-would not.  ``norm`` takes single vectors only: the solver's step calls it
-twice per step.
+would not.  A single vector goes through the bound method ``ndarray.dot``:
+the same ``ddot`` or ``gemv`` as ``@`` and ``np.dot``, without the ``matmul``
+ufunc or ``np.dot``'s dispatcher, which cost more than the product itself at
+dim 5.  ``norm`` takes single vectors only: the solver's step calls it twice
+per step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +63,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def norm(x: np.ndarray) -> float:
     """Euclidean norm, sqrt(<x, x>)."""
-    return math.sqrt(float(np.dot(x, x)))
+    return math.sqrt(float(x.dot(x)))
 
 
 def within(residual: float, point: np.ndarray, tol: float) -> bool:
@@ -75,7 +78,7 @@ def row_dots(x: np.ndarray, y: np.ndarray):
     same shape or one vector (one ddot per row); a single vector ``x`` gives
     its inner product with ``y``."""
     if x.ndim == 1:
-        return float(np.dot(x, y))
+        return float(x.dot(y))
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
@@ -86,7 +89,7 @@ def row_norms(x: np.ndarray):
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The product ``m @ x``; for a stack, ``m @ x_i`` for each row (one gemv per row)."""
-    return m @ x if x.ndim == 1 else np.matmul(m, x[..., None])[..., 0]
+    return m.dot(x) if x.ndim == 1 else np.matmul(m, x[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +97,7 @@ class LinearMap:
     """Dense real matrix acting as a bounded linear operator with adjoint."""
 
     matrix: np.ndarray
+    adjoint: np.ndarray = field(init=False, repr=False)  # the view matrix.T, made once
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -103,6 +107,7 @@ class LinearMap:
             raise ValueError("matrix entries must all be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "adjoint", m.T)
 
     @property
     def rows(self) -> int:
@@ -124,7 +129,7 @@ class LinearMap:
         have length ``rows``."""
         if y.ndim == 0 or y.shape[-1] != self.matrix.shape[0]:
             raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got shape {y.shape}")
-        return matvec(self.matrix.T, y)
+        return matvec(self.adjoint, y)
 
     def operator_norm(self) -> float:
         """The spectral norm ||M||, the largest singular value (LAPACK's SVD)."""

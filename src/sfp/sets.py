@@ -190,6 +190,7 @@ class AffineNullspace(ConvexSet):
     map: LinearMap
     rank_tol: float = field(init=False)
     basis: np.ndarray = field(init=False, repr=False)
+    basis_t: np.ndarray = field(init=False, repr=False)  # the view basis.T, made once
     kind = "affine_nullspace"
 
     def __post_init__(self):
@@ -200,13 +201,14 @@ class AffineNullspace(ConvexSet):
         basis.flags.writeable = False
         object.__setattr__(self, "rank_tol", tol)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis_t", basis.T)
         object.__setattr__(self, "dim", self.map.cols)
 
     def project(self, x):
         x = self._check(x)
         if self.basis.shape[1] == 0:
             return np.zeros(x.shape)
-        return matvec(self.basis, matvec(self.basis.T, x))
+        return matvec(self.basis, matvec(self.basis_t, x))
 
 
 @dataclass(frozen=True, eq=False)

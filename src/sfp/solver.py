@@ -395,7 +395,7 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         ax = apply(u)
         r = ax - project_q(ax)
         gvec = apply_adjoint(r)
-        f_u, gg = 0.5 * float(np.dot(r, r)), float(np.dot(gvec, gvec))
+        f_u, gg = 0.5 * float(r.dot(r)), float(gvec.dot(gvec))
 
         if not adaptive:
             tau = fixed_step
@@ -426,29 +426,30 @@ def _records(xs: np.ndarray | None, lo: int, params: list, kept: list) -> list[S
     k = len(kept)
     if not k:
         return []
-    params = params[:k]
+    alpha, beta, gamma, delta, rho, _ = np.array(params[:k]).T
     vectors = np.array([kept_step[:5] for kept_step in kept])  # (k, 5, dim)
     u, y, t_u, tau_g, blend_residual = vectors.transpose(1, 0, 2)
     drift = t_u - u + tau_g
-    drift_sq, blend_sq = row_dots(drift, drift).tolist(), row_dots(blend_residual, blend_residual).tolist()
     if xs is None:
         gap_y = gap_v = qne_slack = [math.nan] * k
     else:
-        alpha, beta, gamma = (np.array(column)[:, None] for column in list(zip(*params))[:3])
         # the blend v = (beta u + gamma y) / (1 - alpha), nan where 1 - alpha <= 1e-300
-        v = (beta * u + gamma * y) / np.where(1.0 - alpha > 1e-300, 1.0 - alpha, math.nan)
+        keep = 1.0 - alpha[:, None]
+        v = (beta[:, None] * u + gamma[:, None] * y) / np.where(keep > 1e-300, keep, math.nan)
         du = row_norms(u - xs)
         gap_y, gap_v, qne_slack = ((row_norms(w - xs) - du).tolist() for w in (y, v, t_u))
     _, _, _, _, _, theta_n, tau, f_u, gg = zip(*kept)
 
-    records = []
-    for n, (alpha, _, gamma, delta, rho, _), theta, step_tau, f, g2, gy, gv, slack, d2, b2 in zip(
-            range(lo, lo + k), params, theta_n, tau, f_u, gg, gap_y, gap_v, qne_slack, drift_sq, blend_sq):
-        coef = gamma / (1.0 - alpha) if 1.0 - alpha > 1e-300 else 0.0
-        term1 = (1.0 - delta) * coef * rho * (4.0 - rho) * f * f / g2 if g2 > GRAD_GUARD else 0.0
-        psi = term1 + delta * (1.0 - delta) * coef * d2 + coef * b2
-        records.append(StepRecord(n, theta, step_tau, f, math.sqrt(g2), gy, gv, slack, psi))
-    return records
+    # psi over the block in the operation order of the one-step formula, so
+    # with its bits; Python floats overflow to inf in silence, numpy warns
+    f, g2 = np.array(f_u), np.array(gg)
+    with np.errstate(all="ignore"):
+        coef = np.where(1.0 - alpha > 1e-300, gamma / (1.0 - alpha), 0.0)
+        term1 = np.where(g2 > GRAD_GUARD, (1.0 - delta) * coef * rho * (4.0 - rho) * f * f / g2, 0.0)
+        psi = (term1 + delta * (1.0 - delta) * coef * row_dots(drift, drift)
+               + coef * row_dots(blend_residual, blend_residual))
+    return list(map(StepRecord._make, zip(range(lo, lo + k), theta_n, tau, f_u, np.sqrt(g2).tolist(),
+                                         gap_y, gap_v, qne_slack, psi.tolist())))
 
 
 def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,

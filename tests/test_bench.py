@@ -428,6 +428,31 @@ class TestConfig:
                 for value, name in (("1e-1", "exponent"), ("0.1", "decimal"))]
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
+    @pytest.mark.parametrize("section, key, text, number", [
+        ("schedule", "delta", "1e-1", 0.1),
+        ("schedule", "delta", ["1e-1", 0.2], [0.1, 0.2]),
+        ("schedule", "alpha", {"rule": "power-law", "const": "0e0", "coeff": "1e-1", "power": "2"},
+         {"rule": "power-law", "const": 0.0, "coeff": 0.1, "power": 2.0}),
+        ("schedule", "theta", "5e-1", 0.5),
+        ("schedule", "lambda", "5e-1", 0.5),
+        ("stepper", "grad_tol", "1e-12", 1e-12),
+        ("stepper", "residual_tol", "1e-9", 1e-9),
+        ("stepper", "max_iter", "20", 20),
+    ], ids=["scalar", "list", "power-law", "theta", "lambda", "grad_tol", "residual_tol", "max_iter"])
+    def test_number_left_a_string_has_the_fingerprint_of_the_number(self, section, key, text, number):
+        # YAML leaves 1e-1 a string; the run it spells is the run of 0.1, with one fingerprint
+        def fingerprint(value):
+            stanza = {"preset": "cq", key: value} if section == "schedule" else {key: value}
+            return config_fingerprint({"problem": {"example": "s4"}, section: stanza})
+        assert fingerprint(text) == fingerprint(number)
+
+    def test_fixed_step_left_a_string_has_the_fingerprint_of_the_number(self):
+        fixed = {"problem": {"example": "s4"}, "stepper": {"step_rule": "fixed", "fixed_step": 0.01}}
+        assert config_fingerprint(fixed) == config_fingerprint(
+            parse_config("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n"))
+        default = {"problem": {"example": "s4"}, "stepper": {"grad_tol": "1e-12"}}
+        assert config_fingerprint(default) == "b0ba8dba8583572e"
+
     @pytest.mark.parametrize("problem, stepper, message", [
         ({"random": {**_RANDOM, "include_fixed_point_map": "false"}}, {},
          "problem.random: include_fixed_point_map must be true or false, got 'false'"),

@@ -739,6 +739,19 @@ class TestPsiDiagnostic:
             u = rng.standard_normal(4) * 2.0
             assert record_at(problem, schedule, u, n).psi >= -1e-12
 
+    def test_overflow_to_inf_without_a_warning(self):
+        # f_u * f_u overflows: Python floats give inf in silence, and the
+        # per-block arithmetic must not warn where the scalar formula did not
+        problem = SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=Singleton(np.zeros(2)))
+        schedule, kwargs = preset_schedule("cq")
+        config = StepperConfig(**kwargs, max_iter=3)
+        x0 = np.array([1e80, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            history = assert_run_is_written_out_step(problem, schedule, config, x0)
+        assert (history.termination_reason, history.steps) == ("residual_met", 1)
+        assert history.records[0].f_u == 5e159 and history.records[0].psi == math.inf
+
 
 class TestValidateSchedule:
     def test_reference_schedule_passes(self):

@@ -4,13 +4,15 @@ The CSV rows are computed from stacks of iterates, and their bytes must equal
 an evaluation one iterate at a time; these tests pin that per operation.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfp.bench import generate_random_sfp
-from sfp.linalg import DimensionMismatch, LinearMap, norm, row_dots, row_norms
+from sfp.linalg import DimensionMismatch, LinearMap, matvec, norm, row_dots, row_norms
 from sfp.mappings import average, identity_map, linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import (
     AffineNullspace,
@@ -78,6 +80,35 @@ def test_operator_products_row_by_row(k, dim, seed, scale, cols):
     _same_rows(row_dots(x, x[0]), lambda i: float(np.dot(x[i], x[0])), k)
     _same_rows(row_dots(y, 2.0 * y), lambda i: float(np.dot(y[i], 2.0 * y[i])), k)
     assert row_norms(y[0]) == norm(y[0]) and row_dots(x[0], x[-1]) == float(np.dot(x[0], x[-1]))
+
+
+def _same_as_matmul_and_np_dot(m, x, y):
+    """The single-vector products give the bits of ``m @ x``, ``m.T @ y``
+    and ``np.dot``, which they call through ``ndarray.dot``."""
+    a = LinearMap(m)
+    assert matvec(m, x).tobytes() == (m @ x).tobytes()
+    assert a.apply(x).tobytes() == (m @ x).tobytes()
+    assert a.apply_adjoint(y).tobytes() == (m.T @ y).tobytes()
+    for v, w in ((x, x), (y, y), (y, m @ x)):
+        assert row_dots(v, w).hex() == float(np.dot(v, w)).hex()
+        assert norm(v).hex() == math.sqrt(float(np.dot(v, v))).hex()
+
+
+@stacks
+@given(dim=shapes["dim"], cols=st.integers(1, 7), seed=shapes["seed"], scale=shapes["scale"])
+def test_single_vector_products_keep_the_bits_of_matmul(dim, cols, seed, scale):
+    rng = np.random.default_rng(seed)
+    m = scale * rng.standard_normal((dim, cols))
+    _same_as_matmul_and_np_dot(m, rng.standard_normal(cols), rng.standard_normal(dim))
+    # strided views, as a column or a row block of a stack is
+    x, y = rng.standard_normal(2 * cols), rng.standard_normal(2 * dim)
+    _same_as_matmul_and_np_dot(m, x[::2], y[::2])
+
+
+def test_single_vector_products_keep_the_bits_of_matmul_at_box_2000_shape():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((1500, 2000))
+    _same_as_matmul_and_np_dot(m, rng.standard_normal(2000), rng.standard_normal(1500))
 
 
 @stacks
