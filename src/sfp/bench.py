@@ -47,7 +47,6 @@ __all__ = [
     "schedule_from_config",
     "parse_config",
     "normalize_config",
-    "config_fingerprint",
     "build_from_config",
     "run_experiment",
     "ExperimentResult",
@@ -222,11 +221,11 @@ def _preset(name: str) -> tuple[dict, str]:
 
 
 def _sequence(obj) -> Seq:
-    """A number (or a string that :func:`_real` reads: YAML leaves ``1e-1`` a
-    string) is a constant, a list is explicit and ``{rule: power-law, const,
-    coeff, power}`` is a power law whose keys other than ``rule`` default to
-    :class:`Seq`'s."""
-    obj = _read_number(obj)
+    """A number is a constant, a list is explicit and ``{rule: power-law,
+    const, coeff, power}`` is a power law whose keys other than ``rule``
+    default to :class:`Seq`'s.  ``obj`` is a value of a normalized section, in
+    which :func:`normalize_config` has written a number that YAML leaves a
+    string (``1e-1``) as that number."""
     if isinstance(obj, (int, float)):
         return Seq.constant(_real(obj, "value"))
     if isinstance(obj, (list, tuple)):
@@ -242,6 +241,8 @@ def _sequence(obj) -> Seq:
 def schedule_from_config(section: dict) -> ParameterSchedule:
     """Build a schedule from its config section: defaults < preset < explicit keys.
 
+    ``section`` is a normalized section (``normalize_config(raw)["schedule"]``)
+    or a preset's, so a number that YAML leaves a string is already a number.
     ``gamma: complement`` stands for gamma = 1 - alpha - beta.
     """
     merged = dict(_SCHEDULE_DEFAULTS)
@@ -254,13 +255,12 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
         if key not in merged:
             raise ConfigError(f"schedule.{key}: sequence is required")
         value = merged[key]
-        try:
-            if key in ("theta", "lambda"):
-                values[key] = _real(value, key)
-            else:
-                values[key] = None if key == "gamma" and value == "complement" else _sequence(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"schedule.{key}: {exc}") from exc
+        if key == "gamma" and value == "complement":
+            values[key] = None
+        elif key in ("theta", "lambda"):
+            values[key] = _read(f"schedule.{key}", _real, value, key)
+        else:
+            values[key] = _read(f"schedule.{key}", _sequence, value)
     lam = values.pop("lambda")
     try:
         return ParameterSchedule(**values, lam=lam)
@@ -280,6 +280,17 @@ def preset_schedule(name: str):
 
 
 # --- config parsing ----------------------------------------------------------
+
+
+def _read(path: str, read, *args, errors=(ValueError, TypeError)):
+    """``read(*args)``, with an exception of ``errors`` from it reported as a
+    ``ConfigError`` at the field ``path``; a ``ConfigError`` passes as it is."""
+    try:
+        return read(*args)
+    except ConfigError:
+        raise
+    except errors as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _integer(value, name: str) -> int:
@@ -330,11 +341,20 @@ def _flag(value, name: str) -> bool:
     return value
 
 
-# each set kind's parameters: its stanza takes these and ``kind``, nothing else
-_SET_KEYS = {"box": ("lower", "upper"), "ball": ("center", "radius"), "halfspace": ("normal", "offset"),
-             "hyperplane": ("normal", "offset"), "singleton": ("point",), "affine_nullspace": ("matrix",),
-             "whole_space": ("dim",)}
-_SET_KINDS = tuple(_SET_KEYS)
+# each set kind's constructor and parameters, read in this order: its stanza
+# takes these and ``kind``, nothing else
+_SETS = {"box": (Box, ("lower", "upper")), "ball": (Ball, ("center", "radius")),
+         "halfspace": (Halfspace, ("normal", "offset")), "hyperplane": (Hyperplane, ("normal", "offset")),
+         "singleton": (Singleton, ("point",)), "affine_nullspace": (AffineNullspace, ("matrix",)),
+         "whole_space": (WholeSpace, ("dim",))}
+
+
+def _set_parameter(value, name: str):
+    if name in ("radius", "offset"):
+        return _real(value, name)
+    if name == "dim":
+        return _integer(value, name)
+    return LinearMap(value) if name == "matrix" else np.array(value, float)
 
 
 def set_from_config(obj, path: str) -> ConvexSet:
@@ -342,27 +362,16 @@ def set_from_config(obj, path: str) -> ConvexSet:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{path}: expected a mapping with a 'kind' key")
     kind = obj["kind"]
-    if kind not in _SET_KINDS:
-        raise ConfigError(f"{path}.kind: unknown set kind {kind!r} (have {_SET_KINDS})")
-    _reject_unknown_keys(path, obj, ("kind", *_SET_KEYS[kind]))
-    try:
-        if kind == "box":
-            return Box(np.array(obj["lower"], float), np.array(obj["upper"], float))
-        if kind == "ball":
-            return Ball(np.array(obj["center"], float), _real(obj["radius"], "radius"))
-        if kind == "halfspace":
-            return Halfspace(np.array(obj["normal"], float), _real(obj["offset"], "offset"))
-        if kind == "hyperplane":
-            return Hyperplane(np.array(obj["normal"], float), _real(obj["offset"], "offset"))
-        if kind == "singleton":
-            return Singleton(np.array(obj["point"], float))
-        if kind == "affine_nullspace":
-            return AffineNullspace(LinearMap(np.array(obj["matrix"], float)))
-        return WholeSpace(_integer(obj["dim"], "dim"))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing parameter {exc.args[0]!r} for kind {kind!r}") from None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(kind, str) or kind not in _SETS:
+        raise ConfigError(f"{path}.kind: unknown set kind {kind!r} (have {tuple(_SETS)})")
+    make, names = _SETS[kind]
+    _reject_unknown_keys(path, obj, ("kind", *names))
+    params = []
+    for name in names:
+        if name not in obj:
+            raise ConfigError(f"{path}: missing parameter {name!r} for kind {kind!r}")
+        params.append(_read(path, _set_parameter, obj[name], name))
+    return _read(path, make, *params)
 
 
 def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
@@ -370,10 +379,7 @@ def _mapping_from_config(obj, dim: int, path: str) -> Mapping:
     if not isinstance(obj, str):
         raise ConfigError(f"{path}: expected a mapping name (identity, zero, example-2.2, "
                           f"contraction-scale:<c> or linear:<json matrix>), got {obj!r}")
-    try:
-        return mapping_from_name(obj, dim)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _read(path, mapping_from_name, obj, dim)
 
 
 # PyYAML's libyaml-backed safe loader: the same constructor and resolver as
@@ -457,10 +463,6 @@ def _fingerprint(normalized: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def config_fingerprint(config: dict) -> str:
-    return _fingerprint(normalize_config(config))
-
-
 @dataclass
 class BuiltConfig:
     problem: SfpProblem
@@ -470,13 +472,6 @@ class BuiltConfig:
     x1: np.ndarray
     csv_name: str
     fingerprint: str
-
-
-def _start_vector(start: dict, key: str, default) -> np.ndarray:
-    try:
-        return as_vector(start.get(key, default))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"start.{key}: {exc}") from exc
 
 
 def _example_problem(pr: dict) -> tuple[SfpProblem, list]:
@@ -490,38 +485,26 @@ def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
     if not isinstance(spec, dict):
         raise ConfigError("problem.random: must be a mapping")
     _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
-    try:
-        problem = generate_random_sfp(
-            _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
-            _integer(spec.get("seed", 0), "seed"),
-            include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False), "include_fixed_point_map"),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"problem.random: {exc}") from exc
+    problem = _read("problem.random", lambda: generate_random_sfp(
+        _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
+        _integer(spec.get("seed", 0), "seed"),
+        include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False), "include_fixed_point_map"),
+    ), errors=(KeyError, ValueError, TypeError))
     return problem, [0.0] * problem.dim
 
 
 def _explicit_problem(pr: dict) -> tuple[SfpProblem, list]:
     if "A" not in pr:
         raise ConfigError("problem.A: matrix is required for an explicit problem")
-    try:
-        a_map = LinearMap(np.array(pr["A"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"problem.A: {exc}") from exc
+    a_map = _read("problem.A", LinearMap, pr["A"])
     c_set = set_from_config(pr.get("C"), "problem.C")
     q_set = set_from_config(pr.get("Q"), "problem.Q")
     s_map = _mapping_from_config(pr["S"], a_map.cols, "problem.S") if pr.get("S") is not None else None
     g_map = _mapping_from_config(pr.get("g", "zero"), a_map.cols, "problem.g")
     known = pr.get("known_solution")
     if known is not None:
-        try:
-            known = as_vector(known, a_map.cols)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"problem.known_solution: {exc}") from exc
-    try:
-        problem = SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_map, g=g_map, known_solution=known)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+        known = _read("problem.known_solution", as_vector, known, a_map.cols)
+    problem = _read("problem", SfpProblem, a_map, c_set, q_set, s_map, g_map, known, errors=(ValueError,))
     return problem, [0.0] * problem.dim
 
 
@@ -535,6 +518,17 @@ _PROBLEM_FORMS = {
 }
 
 
+def _stepper_from_config(st: dict) -> StepperConfig:
+    stop = {"grad_tol": _real(st["grad_tol"], "grad_tol"),
+            "residual_tol": _real(st["residual_tol"], "residual_tol"),
+            "max_iter": _integer(st["max_iter"], "max_iter")}
+    StepperConfig(**stop)  # a bad stop value is reported before fixed_step is read
+    values = dict(st, **stop)
+    if values["fixed_step"] is not None:
+        values["fixed_step"] = _real(values["fixed_step"], "fixed_step")
+    return StepperConfig(**values)
+
+
 def build_from_config(raw: dict) -> BuiltConfig:
     """Turn a config dict into runnable objects, reporting errors by field path."""
     cfg = normalize_config(raw)
@@ -546,21 +540,11 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     schedule = schedule_from_config(cfg["schedule"])
 
-    st = cfg["stepper"]
-    try:
-        stop = {"grad_tol": _real(st["grad_tol"], "grad_tol"),
-                "residual_tol": _real(st["residual_tol"], "residual_tol"),
-                "max_iter": _integer(st["max_iter"], "max_iter")}
-        StepperConfig(**stop)  # a bad stop value is reported before fixed_step is read
-        values = dict(st, **stop)
-        if values["fixed_step"] is not None:
-            values["fixed_step"] = _real(values["fixed_step"], "fixed_step")
-        stepper = StepperConfig(**values)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"stepper: {exc}") from exc
+    stepper = _read("stepper", _stepper_from_config, cfg["stepper"], errors=(KeyError, ValueError, TypeError))
 
-    x1 = _start_vector(cfg["start"], "x1", default_start)
-    x0 = _start_vector(cfg["start"], "x0", x1)
+    start = cfg["start"]
+    x1 = _read("start.x1", as_vector, start.get("x1", default_start))
+    x0 = _read("start.x0", as_vector, start.get("x0", x1))
     if x1.size != problem.dim or x0.size != problem.dim:
         raise ConfigError(f"start: vectors must have dimension {problem.dim}")
 

@@ -52,8 +52,8 @@ class Mapping:
     calls it directly.  The built-in maps' ``fn`` also map a ``(k, dim)``
     stack row by row, with the same bits per row as for that row alone.
     ``known_fixed_points`` entries are validated at construction (residual
-    <= 1e-10 * max(1, ||p||)).  ``demiclosed_assumed`` records the analytic
-    demiclosedness assumption; it is user-supplied and never verified
+    <= 1e-10 * max(1, ||p||)).  Demiclosedness is an analytic assumption of
+    the convergence theory; no field records it and nothing verifies it
     numerically.
     """
 
@@ -62,7 +62,6 @@ class Mapping:
     class_tag: str = "generic"
     modulus: float | None = None
     known_fixed_points: tuple = ()
-    demiclosed_assumed: bool = False
     name: str = ""
 
     def __post_init__(self):

@@ -18,7 +18,6 @@ from sfp.bench import (
     build_example_s4,
     build_from_config,
     compare_to_table1,
-    config_fingerprint,
     emit_csv,
     generate_random_sfp,
     gradient_property_suite,
@@ -141,6 +140,7 @@ stepper:
 """
 
 _RANDOM = {"dim1": 4, "dim2": 3, "family": "box"}
+_KINDS = "('box', 'ball', 'halfspace', 'hyperplane', 'singleton', 'affine_nullspace', 'whole_space')"
 # the start of the error for a schedule value in none of the three accepted forms
 _SEQUENCE_FORMS = re.escape("expected a number, a list or {rule: power-law, const, coeff, power}, got ")
 EXPLICIT_SCHEDULE = {"alpha": 0.1, "beta": 0.2, "gamma": "complement", "delta": 0.5}
@@ -159,16 +159,16 @@ class TestConfig:
         normalized = normalize_config(raw)
         rehydrated = normalize_config(parse_config(yaml.safe_dump(normalized)))
         assert rehydrated == normalized
-        assert config_fingerprint(raw) == config_fingerprint(normalized)
+        assert build_from_config(raw).fingerprint == build_from_config(normalized).fingerprint
 
     def test_fingerprint_ignores_formatting_but_not_content(self):
-        fp1 = config_fingerprint(parse_config(BASE_CONFIG))
-        fp3 = config_fingerprint(parse_config(BASE_CONFIG.replace("1000", "2000")))
+        fp1 = build_from_config(parse_config(BASE_CONFIG)).fingerprint
+        fp3 = build_from_config(parse_config(BASE_CONFIG.replace("1000", "2000"))).fingerprint
         assert fp1 != fp3
-        assert fp1 == config_fingerprint(
+        assert fp1 == build_from_config(
             {"problem": {"example": "s4"}, "schedule": {"preset": "cq"}, "stepper": {"max_iter": 1000}}
-        )
-        assert fp1 != config_fingerprint(parse_config(BASE_CONFIG.replace("1000", "1000.0")))
+        ).fingerprint
+        assert fp1 != build_from_config(parse_config(BASE_CONFIG.replace("1000", "1000.0"))).fingerprint
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
@@ -356,7 +356,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [None, {}], ids=["null", "{}"])
     @pytest.mark.parametrize("section", ["schedule", "stepper", "start", "output"])
     def test_null_or_empty_section_is_the_default(self, section, value):
-        assert config_fingerprint({"problem": {"example": "s4"}, section: value}) == "b0ba8dba8583572e"
+        assert build_from_config({"problem": {"example": "s4"}, section: value}).fingerprint == "b0ba8dba8583572e"
 
     @pytest.mark.parametrize("section", [None, "schedule", "stepper", "start", "output"],
                              ids=["top-level", "schedule", "stepper", "start", "output"])
@@ -443,15 +443,15 @@ class TestConfig:
         # YAML leaves 1e-1 a string; the run it spells is the run of 0.1, with one fingerprint
         def fingerprint(value):
             stanza = {"preset": "cq", key: value} if section == "schedule" else {key: value}
-            return config_fingerprint({"problem": {"example": "s4"}, section: stanza})
+            return build_from_config({"problem": {"example": "s4"}, section: stanza}).fingerprint
         assert fingerprint(text) == fingerprint(number)
 
     def test_fixed_step_left_a_string_has_the_fingerprint_of_the_number(self):
         fixed = {"problem": {"example": "s4"}, "stepper": {"step_rule": "fixed", "fixed_step": 0.01}}
-        assert config_fingerprint(fixed) == config_fingerprint(
-            parse_config("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n"))
+        assert build_from_config(fixed).fingerprint == build_from_config(
+            parse_config("problem: {example: s4}\nstepper: {step_rule: fixed, fixed_step: 1e-2}\n")).fingerprint
         default = {"problem": {"example": "s4"}, "stepper": {"grad_tol": "1e-12"}}
-        assert config_fingerprint(default) == "b0ba8dba8583572e"
+        assert build_from_config(default).fingerprint == "b0ba8dba8583572e"
 
     @pytest.mark.parametrize("problem, stepper, message", [
         ({"random": {**_RANDOM, "include_fixed_point_map": "false"}}, {},
@@ -493,6 +493,51 @@ class TestConfig:
     def test_start_dimension_checked(self):
         cfg = {"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}
         with pytest.raises(ConfigError, match="start"):
+            build_from_config(cfg)
+
+    @pytest.mark.parametrize("stanza, message", [
+        # the parameters are read in the kind's order, so a bad lower is reported before a missing upper
+        ({"kind": "box", "lower": ["a"]}, "problem.C: could not convert string to float: 'a'"),
+        ({"kind": "box", "upper": [1.0]}, "problem.C: missing parameter 'lower' for kind 'box'"),
+        ({"kind": "ball", "radius": 1.0}, "problem.C: missing parameter 'center' for kind 'ball'"),
+        ({"kind": "halfspace", "normal": [1.0]}, "problem.C: missing parameter 'offset' for kind 'halfspace'"),
+        ({"kind": "hyperplane", "offset": 0.0}, "problem.C: missing parameter 'normal' for kind 'hyperplane'"),
+        ({"kind": "singleton"}, "problem.C: missing parameter 'point' for kind 'singleton'"),
+        ({"kind": "affine_nullspace"}, "problem.C: missing parameter 'matrix' for kind 'affine_nullspace'"),
+        ({"kind": "whole_space"}, "problem.C: missing parameter 'dim' for kind 'whole_space'"),
+        ({"kind": "ball", "center": [0.0], "radius": True}, "problem.C: radius must be a number, got True"),
+        ({"kind": "whole_space", "dim": 2.5}, "problem.C: dim must be an integer, got 2.5"),
+        ({"kind": "whole_space", "dim": 0}, "problem.C: dimension must be >= 1"),
+        ({"kind": "cube"}, f"problem.C.kind: unknown set kind 'cube' (have {_KINDS})"),
+        ({"kind": ["box"]}, f"problem.C.kind: unknown set kind ['box'] (have {_KINDS})"),
+        ({"lower": [0.0]}, "problem.C: expected a mapping with a 'kind' key"),
+        ([1, 2], "problem.C: expected a mapping with a 'kind' key"),
+    ], ids=["box-bad-lower-no-upper", "box-no-lower", "ball-no-center", "halfspace-no-offset",
+            "hyperplane-no-normal", "singleton-no-point", "affine_nullspace-no-matrix", "whole_space-no-dim",
+            "ball.radius=true", "whole_space.dim=2.5", "whole_space.dim=0", "kind=cube", "kind=[box]",
+            "no-kind", "list"])
+    def test_malformed_set_stanza_message(self, stanza, message):
+        problem = {"A": [[1.0]], "C": stanza, "Q": {"kind": "whole_space", "dim": 1}}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_from_config({"problem": problem})
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"problem": {"example": 5}}, "problem.example: unknown example 5"),
+        ({"problem": {"random": {**_RANDOM, "family": "cube"}}}, "problem.random: unknown set family 'cube'"),
+        ({"problem": {"random": {**_RANDOM, "seed": -1}}}, "problem.random: expected non-negative integer"),
+        ({"problem": {"A": []}}, "problem.A: expected a 2-D matrix, got shape (0,)"),
+        ({"problem": {"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "whole_space", "dim": 1},
+                      "known_solution": [0.0, 0.0]}},
+         "problem.known_solution: expected a vector of dimension 1, got 2"),
+        ({"problem": {"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "whole_space", "dim": 2}}},
+         "problem: Q has dimension 2, operator maps into 1"),
+        ({"problem": {"example": "s4"}, "start": {"x1": 1.0}},
+         "start.x1: expected a 1-D vector with >= 1 entry, got shape ()"),
+        ({"problem": {"example": "s4"}, "stepper": {"mode": 3}},
+         "stepper: mode must be one of ('proof', 'statement', 'explore'), got 3"),
+    ], ids=["example=5", "family=cube", "seed=-1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3"])
+    def test_malformed_field_message(self, cfg, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)
 
 
@@ -582,13 +627,12 @@ class TestSingleSources:
     """Values pinned so that stepper defaults and run results keep one home."""
 
     def test_fingerprints(self):
-        assert config_fingerprint({"problem": {"example": "s4"}}) == "b0ba8dba8583572e"
-        assert config_fingerprint(parse_config(BASE_CONFIG)) == "ad709091c3ab6922"
+        assert build_from_config({"problem": {"example": "s4"}}).fingerprint == "b0ba8dba8583572e"
+        assert build_from_config(parse_config(BASE_CONFIG)).fingerprint == "ad709091c3ab6922"
 
     def test_config_stepper_is_library_default(self):
         built = build_from_config(parse_config(BASE_CONFIG))
         assert built.stepper == StepperConfig(max_iter=1000)
-        assert built.fingerprint == config_fingerprint(parse_config(BASE_CONFIG))
 
     @pytest.mark.parametrize("cfg, reason", [
         (parse_config(BASE_CONFIG), "residual_met"),

@@ -212,11 +212,6 @@ class TestMappingType:
             with pytest.raises(ValueError, match="declared fixed point"):
                 linear_mapping([[0.3, 0.7], [0.7, 0.3]], known_fixed_points=[point])
 
-    def test_demiclosedness_is_an_assumption_flag(self):
-        m = Mapping(fn=lambda x: x.copy(), dim=2, demiclosed_assumed=True)
-        assert m.demiclosed_assumed
-        assert not identity_map(2).demiclosed_assumed
-
     def test_dimension_check(self):
         with pytest.raises(Exception):
             identity_map(2)(np.ones(3))
