@@ -143,6 +143,8 @@ def generate_random_sfp(dim1: int, dim2: int, family: str, seed: int,
         raise ValueError("dimensions must be >= 1")
     if family not in ("box", "ball", "halfspace"):
         raise ValueError(f"unknown set family {family!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((dim2, dim1))
     x_hat = rng.standard_normal(dim1)
@@ -485,11 +487,15 @@ def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
     if not isinstance(spec, dict):
         raise ConfigError("problem.random: must be a mapping")
     _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
+    dims = []
+    for name in ("dim1", "dim2"):
+        if name not in spec:
+            raise ConfigError(f"problem.random: missing parameter {name!r}")
+        dims.append(_read("problem.random", _integer, spec[name], name))
     problem = _read("problem.random", lambda: generate_random_sfp(
-        _integer(spec["dim1"], "dim1"), _integer(spec["dim2"], "dim2"), spec.get("family", "box"),
-        _integer(spec.get("seed", 0), "seed"),
+        *dims, spec.get("family", "box"), _integer(spec.get("seed", 0), "seed"),
         include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False), "include_fixed_point_map"),
-    ), errors=(KeyError, ValueError, TypeError))
+    ))
     return problem, [0.0] * problem.dim
 
 
@@ -518,14 +524,22 @@ _PROBLEM_FORMS = {
 }
 
 
+def _stepper_number(st: dict, key: str):
+    """The stepper value ``key`` as its field's type; a value that does not
+    read as one is reported by its key, as a bool is."""
+    integer = key == "max_iter"
+    try:
+        return (_integer if integer else _real)(st[key], key)
+    except (ValueError, TypeError):
+        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {st[key]!r}") from None
+
+
 def _stepper_from_config(st: dict) -> StepperConfig:
-    stop = {"grad_tol": _real(st["grad_tol"], "grad_tol"),
-            "residual_tol": _real(st["residual_tol"], "residual_tol"),
-            "max_iter": _integer(st["max_iter"], "max_iter")}
+    stop = {key: _stepper_number(st, key) for key in ("grad_tol", "residual_tol", "max_iter")}
     StepperConfig(**stop)  # a bad stop value is reported before fixed_step is read
     values = dict(st, **stop)
     if values["fixed_step"] is not None:
-        values["fixed_step"] = _real(values["fixed_step"], "fixed_step")
+        values["fixed_step"] = _stepper_number(st, "fixed_step")
     return StepperConfig(**values)
 
 
@@ -593,17 +607,17 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     yield header
     t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
-    records = history.records
+    records, iterates = history.records, history.iterates
     # row k reports step k's theta_n and tau_n (0 at the start point) and, when
     # step k + 1 ran with theta = 0, takes f and ||grad f|| from that step
-    theta_n = np.array([0.0] + [r.theta for r in records])
-    tau_n = np.array([0.0] + [r.tau for r in records])
-    f_next = np.array([r.f_u for r in records] + [0.0])
-    grad_next = np.array([r.grad_norm_u for r in records] + [0.0])
+    theta_n = np.concatenate(([0.0], records.theta))
+    tau_n = np.concatenate(([0.0], records.tau))
+    f_next = np.concatenate((records.f_u, [0.0]))
+    grad_next = np.concatenate((records.grad_norm_u, [0.0]))
     reused = np.append(theta_n[1:] == 0.0, False)
     size = max(1, BLOCK_VALUES // len(header))  # a block of iterates is one (k, dim) stack
-    for lo in range(0, len(history.iterates), size):
-        x = np.array(history.iterates[lo:lo + size])
+    for lo in range(0, len(iterates), size):
+        x = iterates[lo:lo + size]
         rows = slice(lo, lo + len(x))
         reuse, f, grad_n = reused[rows], f_next[rows], grad_next[rows]
         res_q = np.sqrt(2.0 * f)

@@ -470,6 +470,11 @@ class TestConfig:
         ({"example": "s4"}, {"residual_tol": True}, "stepper: residual_tol must be a number, got True"),
         ({"example": "s4"}, {"step_rule": "fixed", "fixed_step": True},
          "stepper: fixed_step must be a number, got True"),
+        ({"example": "s4"}, {"max_iter": "abc"}, "stepper: max_iter must be an integer, got 'abc'"),
+        ({"example": "s4"}, {"grad_tol": [1]}, "stepper: grad_tol must be a number, got [1]"),
+        ({"example": "s4"}, {"residual_tol": {}}, "stepper: residual_tol must be a number, got {}"),
+        ({"example": "s4"}, {"step_rule": "fixed", "fixed_step": "abc"},
+         "stepper: fixed_step must be a number, got 'abc'"),
         ({"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "ball", "center": [0.0], "radius": True}},
          {}, "problem.Q: radius must be a number, got True"),
         ({"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "halfspace", "normal": [1.0],
@@ -477,7 +482,7 @@ class TestConfig:
          {}, "problem.Q: offset must be a number, got True"),
     ], ids=["flag=str", "flag=int", "seed=1.7", "dim1=true", "dim2=3.5", "whole_space.dim=2.5",
             "max_iter=1.9", "max_iter=true", "max_iter=inf", "grad_tol=true", "residual_tol=true", "fixed_step=true",
-            "ball.radius=true", "halfspace.offset=true"])
+            "max_iter=abc", "grad_tol=[1]", "residual_tol={}", "fixed_step=abc", "ball.radius=true", "halfspace.offset=true"])
     def test_wrongly_typed_integer_or_flag(self, problem, stepper, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config({"problem": problem, "stepper": stepper})
@@ -524,7 +529,9 @@ class TestConfig:
     @pytest.mark.parametrize("cfg, message", [
         ({"problem": {"example": 5}}, "problem.example: unknown example 5"),
         ({"problem": {"random": {**_RANDOM, "family": "cube"}}}, "problem.random: unknown set family 'cube'"),
-        ({"problem": {"random": {**_RANDOM, "seed": -1}}}, "problem.random: expected non-negative integer"),
+        ({"problem": {"random": {**_RANDOM, "seed": -1}}},
+         "problem.random: seed must be a non-negative integer, got -1"),
+        ({"problem": {"random": {"dim2": 3}}}, "problem.random: missing parameter 'dim1'"),
         ({"problem": {"A": []}}, "problem.A: expected a 2-D matrix, got shape (0,)"),
         ({"problem": {"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1}, "Q": {"kind": "whole_space", "dim": 1},
                       "known_solution": [0.0, 0.0]}},
@@ -535,7 +542,7 @@ class TestConfig:
          "start.x1: expected a 1-D vector with >= 1 entry, got shape ()"),
         ({"problem": {"example": "s4"}, "stepper": {"mode": 3}},
          "stepper: mode must be one of ('proof', 'statement', 'explore'), got 3"),
-    ], ids=["example=5", "family=cube", "seed=-1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3"])
+    ], ids=["example=5", "family=cube", "seed=-1", "no-dim1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3"])
     def test_malformed_field_message(self, cfg, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)

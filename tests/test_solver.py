@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -651,6 +652,36 @@ class TestBlocks:
         history = assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
         guarded = [r for r in history.records if r.grad_norm_u ** 2 <= GRAD_GUARD]
         assert len(guarded) > BLOCK_S4 and all(r.tau == 0.0 for r in guarded)
+
+
+class TestHistoryArrays:
+    """A run's history is one iterate array and one column per record field."""
+
+    def test_a_long_run_holds_few_bytes_per_step(self, s4):
+        schedule, kwargs = preset_schedule("paper-s4")
+        run(s4, schedule, StepperConfig(**kwargs, max_iter=300), np.ones(5))  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            history = run(s4, schedule, StepperConfig(**kwargs, max_iter=20_000), np.ones(5))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (history.termination_reason, history.steps) == ("max_iter", 20_000)
+        # 40 bytes of iterate and 72 of record per step; one array and one
+        # StepRecord of Python floats per step held 513
+        assert held / history.steps <= 128
+        assert history.iterates.shape == (20_001, 5) and history.iterates.dtype == np.float64
+        assert history.records.theta.shape == (20_000,)
+        assert (history.records[0].n, history.records[-1].n) == (1, 20_000)
+
+    def test_a_run_without_steps(self, s4, x_star):
+        schedule, kwargs = preset_schedule("paper-s4")
+        broken = dataclasses.replace(schedule, alpha=Seq.explicit([1.5]))
+        for history in (run(s4, schedule, StepperConfig(**kwargs), x_star),
+                        run(s4, broken, StepperConfig(**kwargs), np.ones(5))):
+            assert history.iterates.shape == (1, 5) and len(history.records) == 0
+        assert history.error == "(range) alpha(1) = 1.5 outside [0, 1]"
 
 
 # the step n at which each ending is placed: the first, a middle and the last
