@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -28,6 +30,7 @@ from .sets import (
     membership_residual,
 )
 from .solver import (
+    RECORD_DTYPE,
     ParameterSchedule,
     RunHistory,
     Seq,
@@ -588,11 +591,17 @@ def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
     return float(np.max(np.abs(x - xs))) if xs is not None else float("nan")
 
 
-def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: RunHistory):
-    """Yield the CSV header, then one row per iterate (row 0 is the start point).
+def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, blocks):
+    """Yield the CSV header, then one row per iterate: row 0 is ``start``, and
+    ``blocks`` gives the rest as ``run`` hands them to ``on_block``, each an
+    (iterates, records) pair of k iterates and the records of the k steps
+    that made them.
 
-    Rows come in blocks of consecutive iterates, each row a list of floats
-    (``n`` integral).  Each derived column of a block is one stacked call of
+    Row k reads step k + 1's record, so a row is made once the block after
+    its iterate's has come, and the last row when ``blocks`` ends.  Rows come
+    in chunks of ``BLOCK_VALUES // width`` consecutive iterates, counted from
+    row 0 whatever the blocks, each row a list of floats (``n`` integral).
+    Each derived column of a chunk is one stacked call of
     the same operation (the projections, ``A``, ``A^T``, the averaged map and
     the norms act on each row of a stack with the bits of one point), so the
     rows are those of an evaluation at one iterate at a time.
@@ -607,33 +616,44 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, history: Run
     yield header
     t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
-    records, iterates = history.records, history.iterates
-    # row k reports step k's theta_n and tau_n (0 at the start point) and, when
-    # step k + 1 ran with theta = 0, takes f and ||grad f|| from that step
-    theta_n = np.concatenate(([0.0], records.theta))
-    tau_n = np.concatenate(([0.0], records.tau))
-    f_next = np.concatenate((records.f_u, [0.0]))
-    grad_next = np.concatenate((records.grad_norm_u, [0.0]))
-    reused = np.append(theta_n[1:] == 0.0, False)
-    size = max(1, BLOCK_VALUES // len(header))  # a block of iterates is one (k, dim) stack
-    for lo in range(0, len(iterates), size):
-        x = iterates[lo:lo + size]
-        rows = slice(lo, lo + len(x))
-        reuse, f, grad_n = reused[rows], f_next[rows], grad_next[rows]
-        res_q = np.sqrt(2.0 * f)
-        fresh = np.flatnonzero(~(reuse & (f > sys.float_info.min)))  # rows whose residual is evaluated
-        if fresh.size:
-            d = problem.residual(x[fresh])
-            dd = row_dots(d, d)
-            res_q[fresh] = np.sqrt(dd)
-            own = ~reuse[fresh]  # of those, the rows that take f and ||grad f|| from it too
-            f[fresh[own]] = 0.5 * dd[own]
-            grad_n[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
-        res_c = membership_residual(problem.C, x)
-        res_fix = row_norms(t_fn(x) - x) if problem.S is not None else np.zeros(len(x))
-        err = np.max(np.abs(x - xs), axis=1) if xs is not None else np.full(len(x), np.nan)
-        yield from np.column_stack((np.arange(lo, rows.stop), x, f, grad_n, theta_n[rows], tau_n[rows],
-                                    res_c, res_q, res_fix, err)).tolist()
+    size = max(1, BLOCK_VALUES // len(header))  # a chunk of iterates is one (k, dim) stack
+
+    def rows(lo, x, theta_n, tau_n, f, grad_n, reused):
+        # row lo + i is x[i] with the theta_n and tau_n of the step that made it
+        # and, when the step after it ran with theta = 0 (reused[i]), f[i] and
+        # grad_n[i] from that step; f and grad_n are filled in place otherwise
+        for c in range(0, len(x), size):
+            chunk = slice(c, c + size)
+            xc, reuse, fc, gc = x[chunk], reused[chunk], f[chunk], grad_n[chunk]
+            res_q = np.sqrt(2.0 * fc)
+            fresh = np.flatnonzero(~(reuse & (fc > sys.float_info.min)))  # rows whose residual is evaluated
+            if fresh.size:
+                d = problem.residual(xc[fresh])
+                dd = row_dots(d, d)
+                res_q[fresh] = np.sqrt(dd)
+                own = ~reuse[fresh]  # of those, the rows that take f and ||grad f|| from it too
+                fc[fresh[own]] = 0.5 * dd[own]
+                gc[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
+            res_c = membership_residual(problem.C, xc)
+            res_fix = row_norms(t_fn(xc) - xc) if problem.S is not None else np.zeros(len(xc))
+            err = np.max(np.abs(xc - xs), axis=1) if xs is not None else np.full(len(xc), np.nan)
+            yield from np.column_stack((np.arange(lo + c, lo + c + len(xc)), xc, fc, gc, theta_n[chunk],
+                                        tau_n[chunk], res_c, res_q, res_fix, err)).tolist()
+
+    # the rows not written yet, from row lo on, as the columns of rows(): every
+    # row but the last has its next step's record, and whole chunks of those
+    # are written as each block arrives, so the chunks are the same however
+    # the blocks fall
+    lo, pending = 0, [np.asarray(start)[None], np.zeros(1), np.zeros(1), np.empty(0), np.empty(0), np.empty(0, bool)]
+    for iterates, records in blocks:
+        theta = records["theta"]
+        pending = [np.concatenate(pair) for pair in zip(pending, (
+            iterates, theta, records["tau"], records["f_u"], records["grad_norm_u"], theta == 0.0))]
+        ready = len(pending[3]) - len(pending[3]) % size
+        yield from rows(lo, *(column[:ready] for column in pending))
+        lo, pending = lo + ready, [column[ready:] for column in pending]
+    x, theta_n, tau_n, f, grad_n, reused = pending
+    yield from rows(lo, x, theta_n, tau_n, np.append(f, 0.0), np.append(grad_n, 0.0), np.append(reused, False))
 
 
 def emit_csv(rows, path) -> None:
@@ -695,20 +715,174 @@ def read_csv_iterates(path) -> list[np.ndarray]:
     return [np.array([float(row[i]) for i in x_cols]) for row in rows]
 
 
+# A run whose CSV has reached this many values while it still steps is written
+# by a forked process, which builds and formats the rows beside the solve.
+_FORK_VALUES = 2**16
+_END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
+
+
+class _Aborted(Exception):
+    """The block pipe ended without the end marker: the run raised."""
+
+
+def _single_threaded() -> bool:
+    """Whether this process runs one OS thread, so that it may fork: a child
+    has only the forking thread, and a lock that another thread (a BLAS
+    pool, say) held stays held there.  False where /proc cannot tell."""
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _CsvWriter:
+    """The ``on_block`` hook of :func:`run_experiment`, and the writer of its CSV.
+
+    It keeps the run's blocks until they hold ``_FORK_VALUES`` CSV values.
+    Then, in a process with one OS thread, it forks a writer process that
+    inherits the problem and the blocks so far, reads each later block from
+    a pipe as raw bytes and writes every row through ``_history_rows`` and
+    ``emit_csv`` while the parent steps on.  A shorter run, or a run in a
+    process with more threads, is written in process by :meth:`finish`.
+    The rows and bytes are the same either way.
+    """
+
+    def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
+        self.problem, self.schedule, self.start, self.path = problem, schedule, start, path
+        self.blocks = []
+        self.values = problem.dim + 9  # the start point's row
+        self.may_fork = True
+        self.pid = self.data = self.errors = None  # the writer's pid and the parent's pipe ends
+
+    def __call__(self, iterates: np.ndarray, records: np.ndarray) -> None:
+        if self.pid is not None:
+            self._send(len(records).to_bytes(8, "little", signed=True) + iterates.tobytes() + records.tobytes())
+            return
+        self.blocks.append((iterates, records))
+        self.values += len(records) * (self.problem.dim + 9)
+        if self.may_fork and self.values >= _FORK_VALUES:
+            self.may_fork = False
+            if _single_threaded():
+                self._fork()
+
+    def _fork(self) -> None:
+        data_r, data_w = os.pipe()
+        errors_r, errors_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: finish writes the CSV in process
+            for fd in (data_r, data_w, errors_r, errors_w):
+                os.close(fd)
+            return
+        if pid == 0:
+            os.close(data_w)
+            os.close(errors_r)
+            self._write(data_r, errors_w)  # never returns
+        os.close(data_r)
+        os.close(errors_w)
+        self.pid, self.data, self.errors, self.blocks = pid, data_w, errors_r, None
+
+    def _send(self, data: bytes) -> None:
+        if self.data is None:  # the writer has failed; stop reports why
+            return
+        try:
+            _write_all(self.data, data)
+        except BrokenPipeError:
+            os.close(self.data)
+            self.data = None
+
+    def _received(self, fd: int):
+        """The writer's blocks: those made before the fork, then those read from ``fd``."""
+        yield from self.blocks
+        with open(fd, "rb") as pipe:
+            def read(count: int) -> bytes:
+                data = pipe.read(count)
+                if len(data) < count:
+                    raise _Aborted
+                return data
+
+            while (k := int.from_bytes(read(8), "little", signed=True)) >= 0:
+                iterates = np.frombuffer(read(k * self.problem.dim * 8), np.float64).reshape(k, self.problem.dim)
+                yield iterates, np.frombuffer(read(k * RECORD_DTYPE.itemsize), RECORD_DTYPE)
+
+    def _write(self, data: int, errors: int) -> None:
+        """The writer process: write the CSV, send any exception back on ``errors``
+        and exit.  A run that raised leaves no CSV behind."""
+        code = 1
+        try:
+            try:
+                emit_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), self.path)
+                code = 0
+            except _Aborted:
+                self.path.unlink(missing_ok=True)
+            except BaseException as exc:  # each failure is the parent's to raise
+                try:
+                    report = pickle.dumps(exc)
+                    pickle.loads(report)  # an exception class with other arguments does not load
+                except Exception:
+                    report = pickle.dumps(RuntimeError(f"CSV writer: {type(exc).__name__}: {exc}"))
+                _write_all(errors, report)
+        finally:
+            os._exit(code)
+
+    def finish(self) -> None:
+        """Complete the CSV of a run that returned: write it in process, or
+        end the writer's stream, wait for it and raise its exception."""
+        if self.pid is None:
+            emit_csv(_history_rows(self.problem, self.schedule, self.start, self.blocks), self.path)
+            return
+        self._send(_END)
+        error = self.stop()
+        if error is not None:
+            raise error
+
+    def stop(self) -> BaseException | None:
+        """Wait for a writer still running and return its exception (None
+        without one).  Its stream ends here; without the end marker that
+        :meth:`finish` sends, the writer takes the run as failed."""
+        if self.pid is None:
+            return None
+        if self.data is not None:
+            os.close(self.data)
+            self.data = None
+        report = b""
+        while chunk := os.read(self.errors, 1 << 16):
+            report += chunk
+        os.close(self.errors)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if report:
+            return pickle.loads(report)
+        return OSError(f"CSV writer process ended with wait status {status}") if status else None
+
+
 def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     """Build, run, time and persist one experiment.
 
     A run that ends in divergence or a schedule violation is written up to
-    its last iterate, like any other.
+    its last iterate, like any other.  The CSV is complete when this
+    returns; a long run's rows are built and written by a forked process
+    while it steps (see :class:`_CsvWriter`), and no such process outlives
+    the call.
     """
     built = build_from_config(raw_config)
-    t0 = time.perf_counter()
-    history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1)
-    wall = time.perf_counter() - t0
-    csv_path = None
-    if out_dir is not None:
-        csv_path = Path(out_dir) / built.csv_name
-        emit_csv(_history_rows(built.problem, built.schedule, history), csv_path)
+    csv_path = None if out_dir is None else Path(out_dir) / built.csv_name
+    writer = None if csv_path is None else _CsvWriter(built.problem, built.schedule, built.x1, csv_path)
+    try:
+        t0 = time.perf_counter()
+        history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1, on_block=writer)
+        wall = time.perf_counter() - t0
+        if writer is not None:
+            writer.finish()
+    finally:
+        if writer is not None:
+            writer.stop()
     final_error = _max_error(history.final, built.problem.known_solution)
     return ExperimentResult(history, wall, built.fingerprint, csv_path, final_error)
 

@@ -501,7 +501,7 @@ def _warn_lambda_vs_modulus(problem: SfpProblem, lam: float) -> None:
 
 
 def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
-        x0, x1=None) -> RunHistory:
+        x0, x1=None, *, on_block=None) -> RunHistory:
     """Iterate until the gradient and feasibility tolerances are met.
 
     The loop stops with reason ``residual_met`` when ||grad f(u_n)|| <=
@@ -514,6 +514,14 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     steps taken before and put their message on ``error``.
 
     ``x1`` defaults to ``x0`` (two seeds are needed by the inertial term).
+
+    ``on_block``, when given, is called once per block of steps, as the block
+    ends, with the block's iterates (a ``(k, dim)`` float64 array; the start
+    point is in no block) and its k records (``RECORD_DTYPE``), record i that
+    of the step that made iterate i; k is 0 for a block that ended before its
+    first step.  In order, the blocks make up the history that ``run``
+    returns, and a hook that raises ends the run with its exception.
+    ``bench.run_experiment`` streams its CSV rows this way.
     """
     x_prev = as_vector(x0, problem.dim)
     x_cur = as_vector(x1, problem.dim) if x1 is not None else x_prev
@@ -528,8 +536,10 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     _warn_lambda_vs_modulus(problem, schedule.lam)
     iterates, records = [x_cur[None]], []
     for block_iterates, block_records, reason, error in _blocks(problem, schedule, config, x_prev, x_cur):
-        if block_iterates:
-            iterates.append(np.array(block_iterates))
+        block = np.array(block_iterates).reshape(-1, problem.dim)
+        if on_block is not None:
+            on_block(block, block_records)
+        iterates.append(block)
         records.append(block_records)
     return RunHistory(np.concatenate(iterates), np.concatenate(records).view(np.recarray), reason, error)
 

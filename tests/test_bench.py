@@ -904,7 +904,9 @@ class TestCsvBytes:
         cfg = _ROW_CASES["box-paper-s4"]
         built = build_from_config(cfg)
         result = run_experiment(cfg, out_dir=tmp_path)
-        header, *rows = bench._history_rows(built.problem, built.schedule, result.history)
+        history = result.history
+        header, *rows = bench._history_rows(built.problem, built.schedule, history.iterates[0],
+                                            [(history.iterates[1:], history.records)])
         assert header == _csv_header(built.problem.dim)
         assert result.csv_path.read_bytes() == _joined_csv(header, rows)
 

@@ -16,6 +16,7 @@ from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, ze
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
     GRAD_GUARD,
+    RECORD_DTYPE,
     ParameterSchedule,
     ScheduleViolation,
     Seq,
@@ -744,6 +745,30 @@ class TestEndingsAtBlockBoundaries:
             last = history.records[-1]
             assert math.isnan(last.fejer_gap_v) and last.psi == 0.0
             assert (not math.isnan(last.fejer_gap_y)) == (ending == "residual_met")
+
+
+class TestOnBlock:
+    @pytest.mark.parametrize("n", ENDING_STEPS)
+    @pytest.mark.parametrize("ending", ["residual_met", "divergence", "exhausted", "max_iter"])
+    def test_blocks_make_up_the_history(self, ending, n):
+        problem, schedule, config, x0, _ = _ending_case(ending, max(n, 2))
+        blocks = []
+        history = run(problem, schedule, config, x0, on_block=lambda *block: blocks.append(block))
+        for iterates, records in blocks:
+            assert iterates.shape == (len(records), 5) and iterates.dtype == np.float64
+            assert records.dtype == RECORD_DTYPE
+        assert np.array_equal(np.concatenate([history.iterates[:1]] + [b[0] for b in blocks]), history.iterates)
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == history.records.tobytes()  # nan included
+
+    def test_a_hook_that_raises_ends_the_run(self, s4):
+        schedule, kwargs = preset_schedule("paper-s4")
+
+        def hook(iterates, records):
+            if records["n"][0] > BLOCK_S4:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run(s4, schedule, StepperConfig(**kwargs, max_iter=3 * BLOCK_S4), np.ones(5), on_block=hook)
 
 
 class TestPsiDiagnostic:
