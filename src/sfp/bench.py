@@ -601,10 +601,10 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     its iterate's has come, and the last row when ``blocks`` ends.  Rows come
     in chunks of ``BLOCK_VALUES // width`` consecutive iterates, counted from
     row 0 whatever the blocks, each row a list of floats (``n`` integral).
-    Each derived column of a chunk is one stacked call of
-    the same operation (the projections, ``A``, ``A^T``, the averaged map and
-    the norms act on each row of a stack with the bits of one point), so the
-    rows are those of an evaluation at one iterate at a time.
+    Each derived column of a chunk is one stacked call of the same operation
+    (the projections, ``A``, ``A^T``, the averaged map and the norms act on
+    each row of a stack with the bits of one point), so the rows are those of
+    an evaluation at one iterate at a time.
 
     A step that ran with theta_n = 0 extrapolated to u = x_n, so its record
     already holds f and ||grad f|| at the row's iterate.  The Q-residual norm
@@ -756,7 +756,8 @@ class _CsvWriter:
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
         self.problem, self.schedule, self.start, self.path = problem, schedule, start, path
         self.blocks = []
-        self.values = problem.dim + 9  # the start point's row
+        self.width = problem.dim + 9  # values per CSV row
+        self.values = self.width  # the start point's row
         self.may_fork = True
         self.pid = self.data = self.errors = None  # the writer's pid and the parent's pipe ends
 
@@ -765,7 +766,7 @@ class _CsvWriter:
             self._send(len(records).to_bytes(8, "little", signed=True) + iterates.tobytes() + records.tobytes())
             return
         self.blocks.append((iterates, records))
-        self.values += len(records) * (self.problem.dim + 9)
+        self.values += len(records) * self.width
         if self.may_fork and self.values >= _FORK_VALUES:
             self.may_fork = False
             if _single_threaded():
