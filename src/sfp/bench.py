@@ -717,6 +717,10 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 
 # A run whose CSV has reached this many values while it still steps is written
 # by a forked process, which builds and formats the rows beside the solve.
+# Forking at a run's first block paid off from about 10k values on (2-vCPU
+# host, BLAS on one thread: 1.2x slower at 4.2k values of paper-s4, 0.85x at
+# 14k, 0.79x from 28k; box-2000 rows 1.02x at 8k, 0.94x at 22k), so a run
+# that forks here has at least six times that.
 _FORK_VALUES = 2**16
 _END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
 
@@ -725,14 +729,20 @@ class _Aborted(Exception):
     """The block pipe ended without the end marker: the run raised."""
 
 
-def _single_threaded() -> bool:
-    """Whether this process runs one OS thread, so that it may fork: a child
-    has only the forking thread, and a lock that another thread (a BLAS
-    pool, say) held stays held there.  False where /proc cannot tell."""
+def _may_fork() -> bool:
+    """Whether a writer process can run beside the solve: this process runs
+    one OS thread, so that a child, which has only the forking thread, finds
+    no lock that another thread (a BLAS pool, say) held; and a second CPU is
+    free for it.  A solve whose BLAS runs threads already keeps the other
+    CPUs busy, and on one CPU the writer only takes turns with the solve:
+    forked all the same, box-2000 with OpenBLAS on two threads took 1.1 to
+    1.4 times as long, and runs held to one CPU 1.03 to 1.05 times."""
     try:
-        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # no /proc or no affinity: unknown
         return False
+    return hasattr(os, "fork") and threads == 1 and cpus > 1
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -745,12 +755,13 @@ class _CsvWriter:
     """The ``on_block`` hook of :func:`run_experiment`, and the writer of its CSV.
 
     It keeps the run's blocks until they hold ``_FORK_VALUES`` CSV values.
-    Then, in a process with one OS thread, it forks a writer process that
-    inherits the problem and the blocks so far, reads each later block from
-    a pipe as raw bytes and writes every row through ``_history_rows`` and
-    ``emit_csv`` while the parent steps on.  A shorter run, or a run in a
-    process with more threads, is written in process by :meth:`finish`.
-    The rows and bytes are the same either way.
+    Then, where :func:`_may_fork`, it forks a writer process that inherits
+    the problem and the blocks so far, reads each later block from a pipe as
+    raw bytes and writes every row through ``_history_rows`` and
+    ``emit_csv`` while the parent steps on.  A shorter run, a run in a
+    process with more threads or one CPU, and a run whose CSV path is a
+    link or a special file, is written in process by :meth:`finish`.  The
+    rows and bytes are the same either way.
     """
 
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
@@ -769,7 +780,10 @@ class _CsvWriter:
         self.values += len(records) * self.width
         if self.may_fork and self.values >= _FORK_VALUES:
             self.may_fork = False
-            if _single_threaded():
+            # the writer renames its file over the path, which would replace a
+            # link or a device where the in-process path writes through it
+            path = self.path
+            if _may_fork() and not path.is_symlink() and (path.is_file() or not path.exists()):
                 self._fork()
 
     def _fork(self) -> None:
@@ -813,16 +827,20 @@ class _CsvWriter:
                 yield iterates, np.frombuffer(read(k * RECORD_DTYPE.itemsize), RECORD_DTYPE)
 
     def _write(self, data: int, errors: int) -> None:
-        """The writer process: write the CSV, send any exception back on ``errors``
-        and exit.  A run that raised leaves no CSV behind."""
+        """The writer process: write the CSV to a file beside it, rename that
+        over the CSV once the run has returned, send any exception back on
+        ``errors`` and exit.  A run that raised, or a write that failed,
+        leaves the CSV's path as it was."""
+        part = self.path.with_name(f".{self.path.name}.{os.getpid()}.part")
         code = 1
         try:
             try:
-                emit_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), self.path)
+                emit_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), part)
+                os.replace(part, self.path)
                 code = 0
             except _Aborted:
-                self.path.unlink(missing_ok=True)
-            except BaseException as exc:  # each failure is the parent's to raise
+                pass
+            except BaseException as exc:  # each failure, Ctrl-C too, is the parent's to raise
                 try:
                     report = pickle.dumps(exc)
                     pickle.loads(report)  # an exception class with other arguments does not load
@@ -830,7 +848,11 @@ class _CsvWriter:
                     report = pickle.dumps(RuntimeError(f"CSV writer: {type(exc).__name__}: {exc}"))
                 _write_all(errors, report)
         finally:
-            os._exit(code)
+            try:
+                if code:
+                    part.unlink(missing_ok=True)
+            finally:
+                os._exit(code)
 
     def finish(self) -> None:
         """Complete the CSV of a run that returned: write it in process, or
@@ -853,11 +875,13 @@ class _CsvWriter:
             os.close(self.data)
             self.data = None
         report = b""
-        while chunk := os.read(self.errors, 1 << 16):
-            report += chunk
-        os.close(self.errors)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
+        try:
+            while chunk := os.read(self.errors, 1 << 16):
+                report += chunk
+        finally:
+            os.close(self.errors)
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
         if report:
             return pickle.loads(report)
         return OSError(f"CSV writer process ended with wait status {status}") if status else None
@@ -868,7 +892,7 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
 
     A run that ends in divergence or a schedule violation is written up to
     its last iterate, like any other.  The CSV is complete when this
-    returns; a long run's rows are built and written by a forked process
+    returns; a long run's rows may be built and written by a forked process
     while it steps (see :class:`_CsvWriter`), and no such process outlives
     the call.
     """

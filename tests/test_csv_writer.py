@@ -1,16 +1,18 @@
 """The CSV writer process of ``run_experiment``.
 
 A long run's CSV is written by a forked process only where the process runs
-one OS thread, and pytest's BLAS is not pinned to one thread, so each test
-runs its experiment in a fresh interpreter with BLAS on one thread, under
-this interpreter's ``-X dev`` and ``-W`` options.  The script reports what
-it saw as one JSON line on standard output.
+one OS thread and has a second CPU, and pytest's BLAS is not pinned to one
+thread, so each test runs its experiment in a fresh interpreter with BLAS on
+one thread, under this interpreter's ``-X dev`` and ``-W`` options.  The
+script reports what it saw as one JSON line on standard output.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ import pytest
 import sfp
 
 SRC = Path(sfp.__file__).resolve().parent.parent
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+needs_two_cpus = pytest.mark.skipif(len(CPUS) < 2, reason="the writer process needs a second CPU")
 
 # Counts the forks of the experiment, and after it reports whether a child
 # process is left and how many Python threads are alive.
@@ -49,12 +53,15 @@ def report(**facts):
 # The experiment's CSV, and the same rows written in process from its history.
 BYTES = PRELUDE + """
 cfg = json.loads(sys.argv[2])
-if len(sys.argv) > 3:  # a second thread: the process may not fork
+mode = sys.argv[3] if len(sys.argv) > 3 else None
+if mode == "thread":  # a second thread: the process may not fork
     gate = threading.Event()
     waiter = threading.Thread(target=gate.wait)
     waiter.start()
+elif mode == "one-cpu":  # no CPU for a writer
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 result = bench.run_experiment(cfg, out_dir=out)
-if len(sys.argv) > 3:
+if mode == "thread":
     gate.set()
     waiter.join()
 h = result.history
@@ -64,11 +71,25 @@ bench.emit_csv(bench._history_rows(built.problem, built.schedule, h.iterates[0],
 report(csv=str(result.csv_path), steps=h.steps)
 """
 
-# One ``sfp run`` through cli.main; its standard error goes to the test.
+# One ``sfp run`` through cli.main, its files limited to argv[4] bytes if
+# given; its standard error goes to the test.
 CLI_RUN = PRELUDE + """
+import resource
 bench._FORK_VALUES = int(sys.argv[3])
+if len(sys.argv) > 4:
+    resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[4]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 code = cli.main(["run", sys.argv[2], "--out", out])
 report(code=code)
+"""
+
+# As CLI_RUN, for a run that Ctrl-C stops.
+CLI_RUN_INTERRUPTED = PRELUDE + """
+bench._FORK_VALUES = int(sys.argv[3])
+try:
+    cli.main(["run", sys.argv[2], "--out", out])
+    report(interrupted=False)
+except KeyboardInterrupt:
+    report(interrupted=True)
 """
 
 # As CLI_RUN, with a run that raises after its second block, once its writer
@@ -89,14 +110,23 @@ report(code=code)
 """
 
 
-def _run_pinned(script, *args):
+def _pinned(script, *args):
+    """The command and environment that run ``script`` with BLAS on one thread."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     options = (["-X", "dev"] if sys.flags.dev_mode else []) + [f"-W{option}" for option in sys.warnoptions]
-    done = subprocess.run([sys.executable, *options, "-c", script, *map(str, args)], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.stdout, done.stderr
-    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+    return [sys.executable, *options, "-c", script, *map(str, args)], env
+
+
+def _facts(stdout, stderr):
+    assert stdout, stderr
+    return json.loads(stdout.splitlines()[-1]), stderr
+
+
+def _run_pinned(script, *args):
+    command, env = _pinned(script, *args)
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    return _facts(done.stdout, done.stderr)
 
 
 def _write_config(path, cfg):
@@ -118,6 +148,7 @@ JUMP_MAP = {"problem": {"A": [[1.0]], "C": {"kind": "whole_space", "dim": 1},
 
 
 class TestPipelinedCsv:
+    @needs_two_cpus
     @pytest.mark.parametrize("name", PIPELINED)
     def test_forked_writer_writes_the_in_process_bytes(self, tmp_path, name):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED[name]))
@@ -131,6 +162,12 @@ class TestPipelinedCsv:
         assert (facts["forks"], facts["child_left"]) == (0, False), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
+    @pytest.mark.skipif(not CPUS, reason="needs sched_setaffinity")
+    def test_one_cpu_keeps_the_csv_in_process(self, tmp_path):
+        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "one-cpu")
+        assert (facts["forks"], facts["child_left"]) == (0, False), stderr
+        assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+
     def test_a_short_run_is_written_in_process(self, tmp_path):
         cfg = {**S4, "schedule": {"preset": "paper-s4"}, "stepper": {"max_iter": 4000}}  # 56,014 values
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(cfg))
@@ -138,17 +175,32 @@ class TestPipelinedCsv:
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestWriterErrors:
-    @pytest.mark.parametrize("max_iter, forks", [(100, 0), (5000, 1)], ids=["in-process", "forked"])
-    def test_a_full_disk_is_an_io_error(self, tmp_path, max_iter, forks):
+    # a CSV path that is a link is written through in process, however long the run
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("max_iter", [100, 5000])
+    def test_a_full_disk_is_an_io_error(self, tmp_path, max_iter):
         (tmp_path / "full.csv").symlink_to("/dev/full")
         config = _write_config(tmp_path / "full.yaml", {**S4, "schedule": {"preset": "paper-s4"},
                                                         "stepper": {"max_iter": max_iter},
                                                         "output": {"csv": "full.csv"}})
         facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, 2**16)
-        assert (facts["code"], facts["forks"], facts["child_left"]) == (4, forks, False)
+        assert (facts["code"], facts["forks"], facts["child_left"]) == (4, 0, False)
         assert stderr == "i/o error: [Errno 28] No space left on device\n"
+
+    # the in-process path leaves the part it wrote, as before; the writer
+    # leaves the CSV's path as it was
+    @pytest.mark.parametrize("max_iter, forks, left", [(100, 0, ["big.csv", "big.yaml"]),
+                                                       pytest.param(5000, 1, ["big.yaml"], marks=needs_two_cpus)],
+                             ids=["in-process", "forked"])
+    def test_a_file_size_limit_is_an_io_error(self, tmp_path, max_iter, forks, left):
+        config = _write_config(tmp_path / "big.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                       "stepper": {"max_iter": max_iter},
+                                                       "output": {"csv": "big.csv"}})
+        facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, 2**16, 2**14)
+        assert (facts["code"], facts["forks"], facts["child_left"]) == (4, forks, False)
+        assert stderr == "i/o error: [Errno 27] File too large\n"
+        assert sorted(os.listdir(tmp_path)) == left
 
 
 class TestAbortedRun:
@@ -159,8 +211,8 @@ class TestAbortedRun:
         assert stderr == "error: jump map is defined on [0, 1]\n"
         assert not (tmp_path / "jump.csv").exists()
 
-    def test_a_run_that_raises_after_the_fork_leaves_no_csv(self, tmp_path):
-        # unlike the in-process path, the writer removes a CSV left at the path by an earlier run
+    @needs_two_cpus
+    def test_a_run_that_raises_after_the_fork_keeps_the_earlier_csv(self, tmp_path):
         (tmp_path / "s4.csv").write_text("an earlier run's CSV\n")
         config = _write_config(tmp_path / "s4.yaml", {**S4, "schedule": {"preset": "paper-s4"},
                                                       "stepper": {"max_iter": 5000},
@@ -168,4 +220,25 @@ class TestAbortedRun:
         facts, stderr = _run_pinned(CLI_RUN_FAILING, tmp_path, config, 1)
         assert (facts["code"], facts["forks"], facts["child_left"]) == (2, 1, False)
         assert stderr == "error: stopped after two blocks\n"
-        assert not (tmp_path / "s4.csv").exists()
+        assert sorted(os.listdir(tmp_path)) == ["s4.csv", "s4.yaml"]
+        assert (tmp_path / "s4.csv").read_text() == "an earlier run's CSV\n"
+
+    @needs_two_cpus
+    def test_ctrl_c_after_the_fork_keeps_the_earlier_csv(self, tmp_path):
+        (tmp_path / "s4.csv").write_text("an earlier run's CSV\n")
+        config = _write_config(tmp_path / "s4.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                      "stepper": {"max_iter": 200_000},
+                                                      "output": {"csv": "s4.csv"}})
+        command, env = _pinned(CLI_RUN_INTERRUPTED, tmp_path, config, 1)
+        # a session of its own, so that Ctrl-C reaches the run and its writer as from a terminal
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              start_new_session=True) as proc:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob(".s4.csv.*.part")):  # the writer has begun its file
+                assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            facts, stderr = _facts(*proc.communicate(timeout=60))
+        assert (facts["interrupted"], facts["forks"], facts["child_left"]) == (True, 1, False), stderr
+        assert sorted(os.listdir(tmp_path)) == ["s4.csv", "s4.yaml"]
+        assert (tmp_path / "s4.csv").read_text() == "an earlier run's CSV\n"
