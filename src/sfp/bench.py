@@ -760,8 +760,9 @@ class _CsvWriter:
     raw bytes and writes every row through ``_history_rows`` and
     ``emit_csv`` while the parent steps on.  A shorter run, a run in a
     process with more threads or one CPU, and a run whose CSV path is a
-    link or a special file, is written in process by :meth:`finish`.  The
-    rows and bytes are the same either way.
+    link or a special file, is written in process from its history by
+    :meth:`finish`, and the blocks are let go once the writer is ruled out.
+    The rows and bytes are the same either way.
     """
 
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
@@ -776,15 +777,18 @@ class _CsvWriter:
         if self.pid is not None:
             self._send(len(records).to_bytes(8, "little", signed=True) + iterates.tobytes() + records.tobytes())
             return
+        if not self.may_fork:
+            return
         self.blocks.append((iterates, records))
         self.values += len(records) * self.width
-        if self.may_fork and self.values >= _FORK_VALUES:
+        if self.values >= _FORK_VALUES:
             self.may_fork = False
             # the writer renames its file over the path, which would replace a
             # link or a device where the in-process path writes through it
             path = self.path
             if _may_fork() and not path.is_symlink() and (path.is_file() or not path.exists()):
                 self._fork()
+            self.blocks = None
 
     def _fork(self) -> None:
         data_r, data_w = os.pipe()
@@ -801,7 +805,7 @@ class _CsvWriter:
             self._write(data_r, errors_w)  # never returns
         os.close(data_r)
         os.close(errors_w)
-        self.pid, self.data, self.errors, self.blocks = pid, data_w, errors_r, None
+        self.pid, self.data, self.errors = pid, data_w, errors_r
 
     def _send(self, data: bytes) -> None:
         if self.data is None:  # the writer has failed; stop reports why
@@ -854,11 +858,15 @@ class _CsvWriter:
             finally:
                 os._exit(code)
 
-    def finish(self) -> None:
-        """Complete the CSV of a run that returned: write it in process, or
-        end the writer's stream, wait for it and raise its exception."""
+    def finish(self, history: RunHistory) -> None:
+        """Complete the CSV of a run that returned: write it in process from
+        ``history``, or end the writer's stream, wait for it and raise its
+        exception."""
         if self.pid is None:
-            emit_csv(_history_rows(self.problem, self.schedule, self.start, self.blocks), self.path)
+            # slices of about _FORK_VALUES values, which the row builder copies one at a time
+            x, records, n = history.iterates[1:], history.records, _FORK_VALUES // self.width + 1
+            blocks = ((x[i:i + n], records[i:i + n]) for i in range(0, len(records), n))
+            emit_csv(_history_rows(self.problem, self.schedule, self.start, blocks), self.path)
             return
         self._send(_END)
         error = self.stop()
@@ -904,7 +912,7 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
         history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1, on_block=writer)
         wall = time.perf_counter() - t0
         if writer is not None:
-            writer.finish()
+            writer.finish(history)
     finally:
         if writer is not None:
             writer.stop()
