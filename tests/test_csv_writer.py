@@ -157,14 +157,11 @@ class TestPipelinedCsv:
         assert written == (tmp_path / "in-process.csv").read_bytes()
         assert written.count(b"\n") == facts["steps"] + 2  # the header and the start point
 
-    def test_a_second_thread_keeps_the_csv_in_process(self, tmp_path):
-        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "thread")
-        assert (facts["forks"], facts["child_left"]) == (0, False), stderr
-        assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
-
-    @pytest.mark.skipif(not CPUS, reason="needs sched_setaffinity")
-    def test_one_cpu_keeps_the_csv_in_process(self, tmp_path):
-        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "one-cpu")
+    # a second thread rules out the fork, and one CPU leaves none for the writer
+    @pytest.mark.parametrize("mode", ["thread", pytest.param("one-cpu", marks=pytest.mark.skipif(
+        not CPUS, reason="needs sched_setaffinity"))])
+    def test_no_spare_cpu_keeps_the_csv_in_process(self, tmp_path, mode):
+        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), mode)
         assert (facts["forks"], facts["child_left"]) == (0, False), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
