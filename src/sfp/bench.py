@@ -723,6 +723,7 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 # that forks here has at least six times that.
 _FORK_VALUES = 2**16
 _END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
+_PIPE_BYTES = 1 << 20  # Linux's default pipe-max-size, the most an unprivileged process may ask
 
 
 class _Aborted(Exception):
@@ -758,7 +759,9 @@ class _CsvWriter:
     Then, where :func:`_may_fork`, it forks a writer process that inherits
     the problem and the blocks so far, reads each later block from a pipe as
     raw bytes and writes every row through ``_history_rows`` and
-    ``emit_csv`` while the parent steps on.  A shorter run, a run in a
+    ``emit_csv`` while the parent steps on.  The pipe holds up to 1 MiB where
+    the kernel allows it, so that the solve does not wait while the writer
+    catches up on the rows made before the fork.  A shorter run, a run in a
     process with more threads or one CPU, and a run whose CSV path is a
     link or a special file, is written in process from its history by
     :meth:`finish`, and the blocks are let go once the writer is ruled out.
@@ -791,8 +794,17 @@ class _CsvWriter:
             self.blocks = None
 
     def _fork(self) -> None:
+        import fcntl  # POSIX only, as is fork
+
         data_r, data_w = os.pipe()
         errors_r, errors_w = os.pipe()
+        try:
+            # room for the blocks that the solve sends while the writer builds
+            # the rows kept before the fork: up to about 270 KB on 20,000
+            # paper-s4 steps, where the default 64 KiB made the solve wait
+            fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (OSError, AttributeError):  # refused, or not Linux: the default size
+            pass
         try:
             pid = os.fork()
         except OSError:  # no process to spare: finish writes the CSV in process

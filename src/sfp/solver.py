@@ -541,7 +541,8 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             on_block(block, block_records)
         iterates.append(block)
         records.append(block_records)
-    return RunHistory(np.concatenate(iterates), np.concatenate(records).view(np.recarray), reason, error)
+    iterates = np.concatenate(iterates)  # its blocks go before the records are joined
+    return RunHistory(iterates, np.concatenate(records).view(np.recarray), reason, error)
 
 
 def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,

@@ -52,23 +52,44 @@ def report(**facts):
 
 # The experiment's CSV, and the same rows written in process from its history.
 BYTES = PRELUDE + """
+import fcntl, time
 cfg = json.loads(sys.argv[2])
 mode = sys.argv[3] if len(sys.argv) > 3 else None
+history_rows = bench._history_rows
+refused = []
 if mode == "thread":  # a second thread: the process may not fork
     gate = threading.Event()
     waiter = threading.Thread(target=gate.wait)
     waiter.start()
 elif mode == "one-cpu":  # no CPU for a writer
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+elif mode == "slow-writer":  # a fork at the first block, and a writer that starts 2 s late
+    bench._FORK_VALUES = 1
+
+    def slow_rows(*args):
+        time.sleep(2)
+        yield from history_rows(*args)
+
+    bench._history_rows = slow_rows
+elif mode == "pipe-size-refused":
+    _fcntl = fcntl.fcntl
+
+    def refusing(fd, command, *args):
+        if command == fcntl.F_SETPIPE_SZ:
+            refused.append(fd)
+            raise PermissionError(1, "Operation not permitted")
+        return _fcntl(fd, command, *args)
+
+    fcntl.fcntl = refusing
 result = bench.run_experiment(cfg, out_dir=out)
 if mode == "thread":
     gate.set()
     waiter.join()
 h = result.history
 built = bench.build_from_config(cfg)
-bench.emit_csv(bench._history_rows(built.problem, built.schedule, h.iterates[0],
-                                   [(h.iterates[1:], h.records)]), os.path.join(out, "in-process.csv"))
-report(csv=str(result.csv_path), steps=h.steps)
+bench.emit_csv(history_rows(built.problem, built.schedule, h.iterates[0],
+                            [(h.iterates[1:], h.records)]), os.path.join(out, "in-process.csv"))
+report(csv=str(result.csv_path), steps=h.steps, wall=result.wall_time, refused=len(refused))
 """
 
 # One ``sfp run`` through cli.main, its files limited to argv[4] bytes if
@@ -163,6 +184,21 @@ class TestPipelinedCsv:
     def test_no_spare_cpu_keeps_the_csv_in_process(self, tmp_path, mode):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), mode)
         assert (facts["forks"], facts["child_left"]) == (0, False), stderr
+        assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+
+    # the blocks of 5,000 steps, about 560 KB, wait in the pipe while the
+    # writer sleeps: with the default 64 KiB pipe the run took 2.15 s
+    @needs_two_cpus
+    def test_a_slow_writer_does_not_hold_up_the_run(self, tmp_path):
+        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "slow-writer")
+        assert (facts["forks"], facts["child_left"]) == (1, False), stderr
+        assert facts["wall"] < 1.0
+        assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+
+    @needs_two_cpus
+    def test_a_refused_pipe_size_keeps_the_default_pipe(self, tmp_path):
+        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "pipe-size-refused")
+        assert (facts["refused"], facts["forks"], facts["child_left"]) == (1, 1, False), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
     def test_a_short_run_is_written_in_process(self, tmp_path):
