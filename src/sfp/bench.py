@@ -718,8 +718,9 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 # A run whose CSV has reached this many values while it still steps is written
 # by a forked process, which builds and formats the rows beside the solve.
 # Forking at a run's first block paid off from about 10k values on (2-vCPU
-# host, BLAS on one thread: 1.2x slower at 4.2k values of paper-s4, 0.85x at
-# 14k, 0.79x from 28k; box-2000 rows 1.02x at 8k, 0.94x at 22k), so a run
+# host, BLAS on one thread, the run and its CSV without the build: 1.1-1.2x
+# slower at 4.2k values of paper-s4, 0.85-0.9x at 14k, 0.8x at 28k, 0.75x at
+# 70k; box-2000 rows 1.1x at 8k, 0.85-0.9x at 22k, 0.75x at 62k), so a run
 # that forks here has at least six times that.
 _FORK_VALUES = 2**16
 _END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
