@@ -187,7 +187,7 @@ class TestPipelinedCsv:
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
     # the blocks of 5,000 steps, about 560 KB, wait in the pipe while the
-    # writer sleeps: with the default 64 KiB pipe the run took 2.15 s
+    # writer sleeps: with the default 64 KiB pipe the run took about 2.1 s
     @needs_two_cpus
     def test_a_slow_writer_does_not_hold_up_the_run(self, tmp_path):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "slow-writer")
