@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import BLOCK_VALUES, LinearMap, as_vector, norm, row_dots, row_norms
+from .linalg import LinearMap, as_vector, block_rows, norm, row_dots, row_norms
 from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
@@ -599,8 +599,9 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
 
     Row k reads step k + 1's record, so a row is made once the block after
     its iterate's has come, and the last row when ``blocks`` ends.  Rows come
-    in chunks of ``BLOCK_VALUES // width`` consecutive iterates, counted from
-    row 0 whatever the blocks, each row a list of floats (``n`` integral).
+    in chunks of ``block_rows(width)`` consecutive iterates (73 at dim 5, 16
+    at dim 2,000), counted from row 0 whatever the blocks, each row a list of
+    floats (``n`` integral).
     Each derived column of a chunk is one stacked call of the same operation
     (the projections, ``A``, ``A^T``, the averaged map and the norms act on
     each row of a stack with the bits of one point), so the rows are those of
@@ -616,7 +617,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     yield header
     t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
-    size = max(1, BLOCK_VALUES // len(header))  # a chunk of iterates is one (k, dim) stack
+    size = block_rows(len(header))  # a chunk of iterates is one (k, dim) stack
 
     def rows(lo, x, theta_n, tau_n, f, grad_n, reused):
         # row lo + i is x[i] with the theta_n and tau_n of the step that made it
@@ -717,11 +718,14 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 
 # A run whose CSV has reached this many values while it still steps is written
 # by a forked process, which builds and formats the rows beside the solve.
-# Forking at a run's first block paid off from about 10k values on (2-vCPU
-# host, BLAS on one thread, the run and its CSV without the build: 1.1-1.2x
-# slower at 4.2k values of paper-s4, 0.85-0.9x at 14k, 0.8x at 28k, 0.75x at
-# 70k; box-2000 rows 1.1x at 8k, 0.85-0.9x at 22k, 0.75x at 62k), so a run
-# that forks here has at least six times that.
+# Forking at a run's first block paid off from about 10k values on for
+# paper-s4 (2-vCPU host, BLAS on one thread, the run and its CSV without the
+# build: 1.1-1.2x slower at 4.2k values, 0.85-0.9x at 14k, 0.8x at 28k, 0.75x
+# at 70k), so a run that forks here has at least six times that.  box-2000
+# rows, whose first block is 16 steps, paid off from about 40k (1.3x at 10k,
+# 1.15-1.2x at 34k, where the run is one block, 0.9-1.0x at 42k and 64k,
+# 0.8-0.9x at 129k); there a run forks here after 32 steps, as it did with
+# blocks of one step.
 _FORK_VALUES = 2**16
 _END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
 _PIPE_BYTES = 1 << 20  # Linux's default pipe-max-size, the most an unprivileged process may ask
@@ -853,6 +857,10 @@ class _CsvWriter:
         try:
             try:
                 emit_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), part)
+                try:  # the CSV it replaces keeps its permission bits, as a file written in place does
+                    os.chmod(part, os.stat(self.path).st_mode & 0o777)
+                except FileNotFoundError:  # a new CSV: the mode that the umask gives
+                    pass
                 os.replace(part, self.path)
                 code = 0
             except _Aborted:

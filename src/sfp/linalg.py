@@ -30,14 +30,32 @@ __all__ = [
     "row_dots",
     "row_norms",
     "matvec",
+    "block_rows",
     "LinearMap",
 ]
 
 
-# Values per block of stacked rows: the step loop and the CSV rows work in
-# blocks of max(1, BLOCK_VALUES // width) rows, so that a wide problem's block
-# is one row and holds no more memory than the row itself.
+# Values per block of stacked rows of a narrow problem (see block_rows).
 BLOCK_VALUES = 1024
+
+
+def block_rows(width: int) -> int:
+    """The rows to a block of stacked rows of ``width`` values each: the step
+    loop takes its steps, and the CSV rows are built, in blocks of this many.
+
+    Up to width 64 a block holds about ``BLOCK_VALUES`` values (204 rows at
+    width 5, 16 at 64).  A wider problem still gets 16 rows, so that the
+    per-block work (the schedule rows and their checks, the records and
+    monitors, one hook call) runs once per 16 steps, however little of a
+    step's time it is next to the products.  Up to 2**17 values (1 MiB of
+    float64) make one stack, so from width 8,193 the rows fall, to one from
+    width 65,537 on.  A block's iterate stack is 16 x 2,000 x 8 B = 250 KiB
+    at dim 2,000 and one row of 781 KiB at dim 10**5.  The step keeps five
+    more vectors of each of its steps for the records, which stack them
+    again: a ``run`` of one block peaked at 3.7 MiB of traced memory at dim
+    2,000 and at 11.5 MiB at dim 10**5, the matrix aside.
+    """
+    return max(1, BLOCK_VALUES // width, min(16, 2**17 // width))
 
 
 class DimensionMismatch(ValueError):

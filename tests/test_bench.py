@@ -30,7 +30,7 @@ from sfp.bench import (
     run_experiment,
     run_property_suites,
 )
-from sfp.linalg import BLOCK_VALUES, norm
+from sfp.linalg import block_rows, norm
 from sfp.mappings import average, fixed_point_residual
 from sfp.sets import check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, step
@@ -844,10 +844,18 @@ _ROW_CASES = {
     # 73 rows to a block at dimension 5
     "s4-paper-s4-blocks": {"problem": {"example": "s4"}, "schedule": {"preset": "paper-s4"},
                            "stepper": {"max_iter": 300}},
-    # a row of 609 values fills more than half a block, so each block is one row
-    "one-row-blocks": {"problem": {"random": {"dim1": 600, "dim2": 12, "family": "ball", "seed": 5,
+    # 16 rows to a block of 609-value rows: two blocks and a part of one,
+    # with theta_n > 0 and with theta_n = 0
+    "wide-blocks": {"problem": {"random": {"dim1": 600, "dim2": 12, "family": "ball", "seed": 5,
+                                           "include_fixed_point_map": True}},
+                    "schedule": {"preset": "paper-s4"}, "stepper": {"max_iter": 40}},
+    "wide-blocks-cq": {"problem": {"random": {"dim1": 600, "dim2": 300, "family": "box", "seed": 5,
                                               "include_fixed_point_map": True}},
-                       "schedule": {"preset": "fast"}, "stepper": {"max_iter": 8}},
+                       "schedule": {"preset": "cq"}, "stepper": {"max_iter": 40}},
+    # a row of more than 2**17 values is a block of its own
+    "one-row-blocks": {"problem": {"random": {"dim1": 2**17, "dim2": 2, "family": "ball", "seed": 5,
+                                              "include_fixed_point_map": True}},
+                       "schedule": {"preset": "fast"}, "stepper": {"max_iter": 3}},
 }
 
 
@@ -862,8 +870,9 @@ class TestRowsFromRecords:
     def test_cases_reach_the_reuse_branches(self):
         histories = {name: run_experiment(cfg).history for name, cfg in _ROW_CASES.items()}
         thetas = {name: {r.theta == 0.0 for r in history.records} for name, history in histories.items()}
-        assert thetas["s4-cq"] == thetas["box-table-1"] == thetas["C-ball"] == {True}
+        assert thetas["s4-cq"] == thetas["box-table-1"] == thetas["C-ball"] == thetas["wide-blocks-cq"] == {True}
         assert thetas["s4-paper-s4"] == thetas["box-fast"] == thetas["Q-ball"] == thetas["S-zero"] == {False}
+        assert thetas["wide-blocks"] == {False}
         f_first = {name: histories[name].records[0].f_u for name in ("subnormal", "halved-to-zero", "halved-to-min")}
         assert 0.0 < f_first["subnormal"] < sys.float_info.min
         assert f_first["halved-to-zero"] == 0.0
@@ -871,11 +880,13 @@ class TestRowsFromRecords:
 
     def test_cases_span_blocks(self):
         def rows_per_block(dim):
-            return max(1, BLOCK_VALUES // len(_csv_header(dim)))
+            return block_rows(len(_csv_header(dim)))
 
         assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * rows_per_block(5)
         assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * rows_per_block(3)
-        assert rows_per_block(600) == 1
+        for name in ("wide-blocks", "wide-blocks-cq"):
+            assert run_experiment(_ROW_CASES[name]).history.steps + 1 > 2 * rows_per_block(600) == 32
+        assert rows_per_block(2**17) == 1
         assert run_experiment(_ROW_CASES["schedule-violation"]).history.termination_reason == "schedule_violation"
 
 

@@ -10,6 +10,7 @@ script reports what it saw as one JSON line on standard output.
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -87,6 +88,8 @@ if mode == "thread":
     waiter.join()
 h = result.history
 built = bench.build_from_config(cfg)
+if mode == "one-row-chunks":  # the rows in process are built one at a time
+    bench.block_rows = lambda width: 1
 bench.emit_csv(history_rows(built.problem, built.schedule, h.iterates[0],
                             [(h.iterates[1:], h.records)]), os.path.join(out, "in-process.csv"))
 report(csv=str(result.csv_path), steps=h.steps, wall=result.wall_time, refused=len(refused))
@@ -159,7 +162,8 @@ S4 = {"problem": {"example": "s4"}}
 PIPELINED = {
     "paper-s4": {**S4, "schedule": {"preset": "paper-s4"}, "stepper": {"max_iter": 5000}},
     "fast": {**S4, "schedule": {"preset": "fast"}, "stepper": {"max_iter": 6000}},
-    # 609 values a row: the writer forks at row 108 of 272
+    # 609 values a row: the writer forks once the seventh block of 16 steps
+    # has come, at row 112 of 272
     "box-600x400-cq": {"problem": {"random": {"dim1": 600, "dim2": 400, "family": "box", "seed": 1}},
                        "schedule": {"preset": "cq"}, "stepper": {"max_iter": 300}},
 }
@@ -201,6 +205,16 @@ class TestPipelinedCsv:
         assert (facts["refused"], facts["forks"], facts["child_left"]) == (1, 1, False), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
+    # the writer builds the rows of a wide run in chunks of 16 from the
+    # blocks of 16 steps it is sent; the bytes are those of one row at a time
+    @needs_two_cpus
+    def test_the_rows_do_not_depend_on_the_chunk_size(self, tmp_path):
+        facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["box-600x400-cq"]), "one-row-chunks")
+        assert (facts["forks"], facts["child_left"], facts["threads"]) == (1, False, 1), stderr
+        written = Path(facts["csv"]).read_bytes()
+        assert written == (tmp_path / "in-process.csv").read_bytes()
+        assert written.count(b"\n") == facts["steps"] + 2
+
     def test_a_short_run_is_written_in_process(self, tmp_path):
         cfg = {**S4, "schedule": {"preset": "paper-s4"}, "stepper": {"max_iter": 4000}}  # 56,014 values
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(cfg))
@@ -234,6 +248,26 @@ class TestWriterErrors:
         assert (facts["code"], facts["forks"], facts["child_left"]) == (4, forks, False)
         assert stderr == "i/o error: [Errno 27] File too large\n"
         assert sorted(os.listdir(tmp_path)) == left
+
+
+class TestReplacedCsv:
+    # the writer renames a new file over the CSV; it takes the old file's
+    # permission bits, as the file that the in-process path truncates keeps them
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    @pytest.mark.parametrize("fork_values, forks", [(2**16, 0), pytest.param(1, 1, marks=needs_two_cpus)],
+                             ids=["in-process", "forked"])
+    def test_a_replaced_csv_keeps_its_mode(self, tmp_path, mode, fork_values, forks):
+        csv = tmp_path / "s4.csv"
+        csv.write_text("an earlier run's CSV\n")
+        csv.chmod(mode)
+        config = _write_config(tmp_path / "s4.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                      "stepper": {"max_iter": 100},
+                                                      "output": {"csv": "s4.csv"}})
+        facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, fork_values)
+        assert (facts["code"], facts["forks"], facts["child_left"]) == (1, forks, False), stderr
+        assert csv.read_text().count("\n") == 102
+        assert stat.S_IMODE(csv.stat().st_mode) == mode
+        assert sorted(os.listdir(tmp_path)) == ["s4.csv", "s4.yaml"]
 
 
 class TestAbortedRun:

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule, representative_sets
-from sfp.linalg import BLOCK_VALUES, LinearMap, norm
+from sfp.linalg import LinearMap, block_rows, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
@@ -588,9 +588,9 @@ def written_out_step(problem, schedule, config, n, x_n, x_prev):
     return x_next, (n, theta_n, tau, f_u, math.sqrt(gg), gap_y, gap_v, qne_slack, psi)
 
 
-def assert_run_is_written_out_step(problem, schedule, config, x0):
+def assert_run_is_written_out_step(problem, schedule, config, x0, on_block=None):
     """run() reproduces the written-out update bit for bit, record field by field."""
-    history = run(problem, schedule, config, x0)
+    history = run(problem, schedule, config, x0, on_block=on_block)
     assert history.steps >= 1
     x_prev = x_n = np.asarray(x0, dtype=float)
     for n, record in enumerate(history.records, start=1):
@@ -624,8 +624,9 @@ class TestRunMatchesWrittenOutStep:
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
 
-# blocks of BLOCK_VALUES // dim steps: 204 at dim 5, 3 at dim 341, 1 from dim 513
-BLOCK_S4 = BLOCK_VALUES // 5
+# blocks of block_rows(dim) steps: 204 at dim 5, 16 from dim 65 on
+BLOCK_S4 = block_rows(5)
+WIDE = 600  # a dim with blocks of 16 steps
 
 
 class TestBlocks:
@@ -637,13 +638,21 @@ class TestBlocks:
         config = StepperConfig(**kwargs, max_iter=2 * BLOCK_S4 + 40)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
-    @pytest.mark.parametrize("dim, block", [(341, 3), (600, 1)])
-    def test_wide_problems(self, dim, block):
-        assert BLOCK_VALUES // dim == block
-        problem = generate_random_sfp(dim, dim // 2, "box", seed=8, include_fixed_point_map=True)
+    # about 1,024 values to a block up to dim 64, then 16 steps until 16 rows
+    # pass 2**17 values
+    @pytest.mark.parametrize("dim, block", [(5, 204), (64, 16), (65, 16), (341, 16), (600, 16), (10_000, 13)])
+    def test_wide_problems(self, s4, dim, block):
+        if dim == 5:  # random instances this narrow stop within 40 steps
+            problem, x0 = s4, np.ones(5)
+        else:
+            problem = generate_random_sfp(dim, min(dim // 2, 300), "box", seed=8, include_fixed_point_map=True)
+            x0 = np.random.default_rng(9).standard_normal(dim)
         schedule, kwargs = preset_schedule("paper-s4")
         config = StepperConfig(**kwargs, max_iter=3 * block + 2)
-        assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(dim))
+        lengths = []
+        assert_run_is_written_out_step(problem, schedule, config, x0,
+                                       on_block=lambda iterates, records: lengths.append(len(records)))
+        assert lengths == [block, block, block, 2]
 
     def test_vanishing_gradient_records(self, s4):
         # with a grad_tol below 1e-12 the run keeps steps whose ||grad f||^2 is at
@@ -693,14 +702,14 @@ class TestHistoryArrays:
 ENDING_STEPS = [1, BLOCK_S4 // 2, BLOCK_S4, BLOCK_S4 + 1, BLOCK_S4 + BLOCK_S4 // 2, 2 * BLOCK_S4]
 
 
-def _ending_case(ending, n):
-    """(problem, schedule, config, x0, expected error) of a dim-5 run that ends
-    at step n with ``ending``."""
+def _ending_case(ending, n, dim=5):
+    """(problem, schedule, config, x0, expected error) of a run that ends at
+    step n with ``ending``; past dim 5, A has columns of zeros."""
     # spread singular values keep the gradient above grad_tol for 2 * BLOCK_S4 steps
-    a = LinearMap([[1.0, 0, 0, 0.5, 0], [0, 0.3, 0, 0, 0.2], [0, 0, 0.05, 0, 0]])
+    a = LinearMap(np.pad([[1.0, 0, 0, 0.5, 0], [0, 0.3, 0, 0, 0.2], [0, 0, 0.05, 0, 0]], ((0, 0), (0, dim - 5))))
     origin = Singleton(np.zeros(3))
-    problem = SfpProblem(A=a, C=Box(-np.ones(5), np.ones(5)), Q=origin, known_solution=np.zeros(5))
-    x0 = np.full(5, 3.0)
+    problem = SfpProblem(A=a, C=Box(-np.ones(dim), np.ones(dim)), Q=origin, known_solution=np.zeros(dim))
+    x0 = np.full(dim, 3.0)
     schedule, kwargs = preset_schedule("paper-s4")
     config = StepperConfig(**kwargs)
     error = None
@@ -708,13 +717,13 @@ def _ending_case(ending, n):
         # alpha(n - 1) = 1 moves x_n to g(x_{n-1}) = 0, where Q holds A x and
         # the gradient vanishes; C holds 0 for residual_met only
         if ending == "grad_zero":
-            problem = SfpProblem(A=a, C=Box(np.ones(5), 2 * np.ones(5)), Q=origin)
+            problem = SfpProblem(A=a, C=Box(np.ones(dim), 2 * np.ones(dim)), Q=origin)
         alphas = ([0.0] * (n - 2) + [1.0] if n > 1 else []) + [0.0] * 10
         schedule = dataclasses.replace(constant_schedule(delta=0.5, theta=0.5), alpha=Seq.explicit(alphas))
-        x0 = x0 if n > 1 else np.zeros(5)
+        x0 = x0 if n > 1 else np.zeros(dim)
     elif ending == "divergence":
         # delta(n) = 1 puts the step on T = (I + S) / 2 with S = 1e13 I
-        problem = SfpProblem(A=a, C=WholeSpace(5), Q=origin, S=linear_mapping(1e13 * np.eye(5)))
+        problem = SfpProblem(A=a, C=WholeSpace(dim), Q=origin, S=linear_mapping(1e13 * np.eye(dim)))
         deltas = [0.0] * (n - 1) + [1.0] + [0.0] * 10
         schedule = dataclasses.replace(constant_schedule(), delta=Seq.explicit(deltas))
         error = f"iterates diverged at step {n}"
@@ -730,14 +739,17 @@ def _ending_case(ending, n):
     return problem, schedule, config, x0, error
 
 
+ENDINGS = ["residual_met", "grad_zero", "divergence", "range", "exhausted", "max_iter"]
+
+
 class TestEndingsAtBlockBoundaries:
-    @pytest.mark.parametrize("n", ENDING_STEPS)
-    @pytest.mark.parametrize("ending", ["residual_met", "grad_zero", "divergence", "range", "exhausted", "max_iter"])
-    def test_ending(self, ending, n):
-        if ending == "exhausted" and n == 1:
-            n = 2  # a list has at least one value
-        problem, schedule, config, x0, error = _ending_case(ending, n)
-        history = run(problem, schedule, config, x0)
+    @staticmethod
+    def assert_ending(ending, n, dim=5):
+        """A run set up to end at step n with ``ending`` ends there, with the
+        written-out steps; returns the lengths of the blocks it handed on."""
+        problem, schedule, config, x0, error = _ending_case(ending, n, dim)
+        lengths = []
+        history = run(problem, schedule, config, x0, on_block=lambda iterates, records: lengths.append(len(records)))
         assert (history.termination_reason, history.error) == (
             "schedule_violation" if ending in ("range", "exhausted") else ending, error)
         assert history.steps == (n if ending == "max_iter" else n - 1)
@@ -748,20 +760,51 @@ class TestEndingsAtBlockBoundaries:
             last = history.records[-1]
             assert math.isnan(last.fejer_gap_v) and last.psi == 0.0
             assert (not math.isnan(last.fejer_gap_y)) == (ending == "residual_met")
+        return lengths
+
+    @pytest.mark.parametrize("n", ENDING_STEPS)
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_ending(self, ending, n):
+        if ending == "exhausted" and n == 1:
+            n = 2  # a list has at least one value
+        self.assert_ending(ending, n)
+
+    # step 24, in the middle of the second block of 16; the rows of a list
+    # end with the block, and the next block finds none
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_a_wide_run_ending_in_the_middle_of_a_block(self, ending):
+        block = block_rows(WIDE)
+        n = block + block // 2
+        steps = n if ending == "max_iter" else n - 1
+        lengths = self.assert_ending(ending, n, WIDE)
+        assert lengths == [block, steps - block] + [0] * (ending == "exhausted")
 
 
 class TestOnBlock:
     @pytest.mark.parametrize("n", ENDING_STEPS)
     @pytest.mark.parametrize("ending", ["residual_met", "divergence", "exhausted", "max_iter"])
     def test_blocks_make_up_the_history(self, ending, n):
-        problem, schedule, config, x0, _ = _ending_case(ending, max(n, 2))
+        self.assert_blocks_make_up_the_history(ending, max(n, 2))
+
+    # blocks of 16 steps, the third cut short at step 40 (an empty fourth
+    # block finds that the list has run out)
+    @pytest.mark.parametrize("ending", ["residual_met", "divergence", "exhausted", "max_iter"])
+    def test_wide_blocks_make_up_the_history(self, ending):
+        blocks = self.assert_blocks_make_up_the_history(ending, 40, WIDE)
+        lengths = [len(records) for _, records in blocks]
+        assert lengths == [16, 16, 8 - (ending != "max_iter")] + [0] * (ending == "exhausted")
+
+    @staticmethod
+    def assert_blocks_make_up_the_history(ending, n, dim=5):
+        problem, schedule, config, x0, _ = _ending_case(ending, n, dim)
         blocks = []
         history = run(problem, schedule, config, x0, on_block=lambda *block: blocks.append(block))
         for iterates, records in blocks:
-            assert iterates.shape == (len(records), 5) and iterates.dtype == np.float64
+            assert iterates.shape == (len(records), dim) and iterates.dtype == np.float64
             assert records.dtype == RECORD_DTYPE
         assert np.array_equal(np.concatenate([history.iterates[:1]] + [b[0] for b in blocks]), history.iterates)
         assert np.concatenate([b[1] for b in blocks]).tobytes() == history.records.tobytes()  # nan included
+        return blocks
 
     def test_a_hook_that_raises_ends_the_run(self, s4):
         schedule, kwargs = preset_schedule("paper-s4")
