@@ -548,7 +548,7 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
 def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             x_prev: np.ndarray, x_cur: np.ndarray):
     """The step loop of :func:`run` from the seeds (x_prev, x_cur), in blocks of
-    up to ``block_rows(dim)`` steps (204 at dim 5, 16 from dim 65 on).
+    up to ``block_rows(dim)`` steps (204 at dim 5, 16 from dim 65 to 8,192).
 
     Yields (iterates, records, reason, error) per block: the list of iterates
     after its steps and their record array (see :func:`_records`), then, with

@@ -624,7 +624,7 @@ class TestRunMatchesWrittenOutStep:
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
 
-# blocks of block_rows(dim) steps: 204 at dim 5, 16 from dim 65 on
+# blocks of block_rows(dim) steps: 204 at dim 5, 16 from dim 65 to 8,192
 BLOCK_S4 = block_rows(5)
 WIDE = 600  # a dim with blocks of 16 steps
 
