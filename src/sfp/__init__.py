@@ -34,7 +34,6 @@ from .solver import (
     SfpProblem,
     StepperConfig,
     run,
-    step,
     validate_schedule,
 )
 from .bench import (

@@ -852,7 +852,8 @@ class _CsvWriter:
         over the CSV once the run has returned, send any exception back on
         ``errors`` and exit.  A run that raised, or a write that failed,
         leaves the CSV's path as it was."""
-        part = self.path.with_name(f".{self.path.name}.{os.getpid()}.part")
+        # a name whose length does not depend on the CSV's, which may be up to NAME_MAX
+        part = self.path.with_name(f".sfp-{os.getpid()}.part")
         code = 1
         try:
             try:
@@ -951,10 +952,6 @@ class Table1Report:
     deviations: dict
     matched: dict
     rows_available: int
-
-    @property
-    def row0_exact(self) -> bool:
-        return self.deviations.get(0) == 0.0
 
     @property
     def all_matched(self) -> bool:

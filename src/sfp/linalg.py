@@ -1,7 +1,8 @@
 """Finite-dimensional real inner-product space primitives.
 
 Vectors are plain 1-D float64 numpy arrays (validated via :func:`as_vector`);
-dense linear operators carry their adjoint and their exact spectral norm.
+dense linear operators carry their adjoint and compute their exact spectral
+norm (an SVD on each call of ``operator_norm``).
 
 ``row_dots``, ``row_norms``, ``matvec`` and the operator products also take
 a ``(k, dim)`` stack of vectors and act on each row.  A stack is computed

@@ -28,9 +28,7 @@ __all__ = [
     "ParameterSchedule",
     "StepParams",
     "StepperConfig",
-    "StepRecord",
     "RunHistory",
-    "step",
     "run",
     "validate_schedule",
     "ScheduleReport",
@@ -43,8 +41,9 @@ MODES = ("proof", "statement", "explore")
 
 
 class ScheduleViolation(ValueError):
-    """A parameter sequence breaks a hard constraint at some index.  Raised
-    by :func:`step`; :func:`run` ends with it as a termination reason."""
+    """A parameter sequence has no value at some index (raised by
+    :meth:`Seq.block`).  :func:`run` ends with its message, or with that of a
+    broken hard constraint, as reason ``schedule_violation``."""
 
 
 # --- problem --------------------------------------------------------------
@@ -149,10 +148,6 @@ class Seq:
     @classmethod
     def constant(cls, value: float) -> "Seq":
         return cls(rule="constant", value=float(value))
-
-    @classmethod
-    def power_law(cls, const: float, coeff: float, power: float = 1.0) -> "Seq":
-        return cls(rule="power-law", const=float(const), coeff=float(coeff), power=float(power))
 
     @classmethod
     def explicit(cls, values) -> "Seq":
@@ -310,28 +305,14 @@ class StepperConfig:
 # --- stepping ---------------------------------------------------------------
 
 
-class StepRecord(NamedTuple):
-    """Scalar diagnostics of step n (NaN where a quantity is undefined).
-
-    ``f_u`` and ``grad_norm_u`` are taken at the extrapolated point u, so the
-    Q-residual there is sqrt(2 f_u); the distance of x_n from C is the CSV's
-    ``res_C`` column.  The Fejer gaps and the quasi-nonexpansive slack need
-    the problem's ``known_solution``.
-    """
-
-    n: int
-    theta: float
-    tau: float
-    f_u: float
-    grad_norm_u: float
-    fejer_gap_y: float
-    fejer_gap_v: float
-    quasi_ne_slack: float
-    psi: float
-
-
-# a block's or a run's records: one column per StepRecord field, in its order
-RECORD_DTYPE = np.dtype([("n", np.int64)] + [(name, np.float64) for name in StepRecord._fields[1:]])
+# the records of a block or a run: the diagnostics of step n, NaN where a
+# quantity is undefined.  f_u and grad_norm_u are taken at the extrapolated
+# point u, so the Q-residual there is sqrt(2 f_u); the distance of x_n from C
+# is the CSV's res_C column.  The Fejer gaps (of y and of the blend v) and the
+# quasi-nonexpansive slack (of T u), each ||w - x*|| - ||u - x*||, need the
+# problem's known_solution x*; psi is the decrease certificate of _records.
+RECORD_DTYPE = np.dtype([("n", np.int64)] + [(name, np.float64) for name in (
+    "theta", "tau", "f_u", "grad_norm_u", "fejer_gap_y", "fejer_gap_v", "quasi_ne_slack", "psi")])
 
 
 @dataclass
@@ -340,11 +321,9 @@ class RunHistory:
 
     ``iterates`` is one ``(steps + 1, dim)`` float64 array whose row 0 is the
     start point.  ``records`` is a ``np.recarray`` of ``RECORD_DTYPE``, one
-    column per :class:`StepRecord` field (``records.theta`` is a column and
-    ``records[k].theta`` the scalar of step k + 1), with ``len(records) ==
-    steps``.  Stored this way a step costs 8 * dim bytes of iterate and 72
-    bytes of record (112 at dim 5, where an array and a :class:`StepRecord`
-    per step took about 513); :func:`step` still returns a ``StepRecord``.
+    column per field (``records.theta`` is a column and ``records[k].theta``
+    the scalar of step k + 1), with ``len(records) == steps``.  A step costs
+    8 * dim bytes of iterate and 72 bytes of record.
     """
 
     iterates: np.ndarray
@@ -377,8 +356,8 @@ def _compose_y(mode: str, project, u, tau_g, delta, t_u):
 
 
 def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig):
-    """The update (p, x_n, x_prev) -> (x_next, kept) of one step with schedule
-    row p, which :func:`step` and :func:`run` share.  ``kept`` holds what
+    """The update (p, x_n, x_prev) -> (x_next, kept) of one step of
+    :func:`run` with schedule row p.  ``kept`` holds what
     :func:`_records` needs of the step: u, y, T u, tau grad f(u), the blend
     residual w - P_C(w), theta_n, tau, f(u) and ||grad f(u)||^2.
 
@@ -468,23 +447,6 @@ def _records(xs: np.ndarray | None, lo: int, params: list, kept: list) -> np.nda
         out["psi"] = (term1 + delta * (1.0 - delta) * coef * row_dots(drift, drift)
                       + coef * row_dots(blend_residual, blend_residual))
     return out
-
-
-def step(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
-         n: int, x_n: np.ndarray, x_prev: np.ndarray):
-    """One update x_n -> x_{n+1}; returns (x_next, record).
-
-    Raises :class:`ScheduleViolation` when the schedule has no value or
-    breaks a hard constraint at index n.
-    """
-    x_n = as_vector(x_n, problem.dim)
-    x_prev = as_vector(x_prev, problem.dim)
-    params = schedule.block(n, n + 1)
-    _, message = _admissible(params, n, config.step_rule == "adaptive")
-    if message is not None:
-        raise ScheduleViolation(message)
-    x_next, kept = _stepper(problem, schedule, config)(params[0], x_n, x_prev)
-    return x_next, StepRecord._make(_records(problem.known_solution, n, params, [kept])[0].item())
 
 
 def _warn_lambda_vs_modulus(problem: SfpProblem, lam: float) -> None:

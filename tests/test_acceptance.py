@@ -56,7 +56,7 @@ def test_criterion_2_reference_table_reports(table1_run):
     # the reports of the CSVs that `sfp example-s4 --preset table-1 --mode all --max-iter 33` wrote
     reports = table1_run.reports
     produced = set(reports) == {"proof", "statement", "explore"}
-    row0 = all(r.row0_exact for r in reports.values())
+    row0 = all(r.deviations[0] == 0.0 for r in reports.values())
     details = []
     for mode, report in sorted(reports.items()):
         later_rows = [n for n in report.deviations if n >= 1]

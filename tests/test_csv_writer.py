@@ -249,6 +249,23 @@ class TestWriterErrors:
         assert stderr == "i/o error: [Errno 27] File too large\n"
         assert sorted(os.listdir(tmp_path)) == left
 
+    # the writer's part file has a name whose length does not depend on the
+    # CSV's, so a CSV name near NAME_MAX (255 on most file systems) fits it too
+    @needs_two_cpus
+    def test_a_long_csv_name_is_written_as_in_process(self, tmp_path):
+        name = "r" * 246 + ".csv"
+        written = []
+        for fork_values, forks in ((2**16, 0), (1, 1)):
+            out = tmp_path / str(forks)
+            out.mkdir()
+            config = _write_config(out / "long.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                       "stepper": {"max_iter": 100}, "output": {"csv": name}})
+            facts, stderr = _run_pinned(CLI_RUN, out, config, fork_values)
+            assert (facts["code"], facts["forks"], facts["child_left"]) == (1, forks, False), stderr
+            assert sorted(os.listdir(out)) == ["long.yaml", name]
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1]
+
 
 class TestReplacedCsv:
     # the writer renames a new file over the CSV; it takes the old file's
@@ -301,7 +318,7 @@ class TestAbortedRun:
         with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                               start_new_session=True) as proc:
             deadline = time.monotonic() + 60
-            while not list(tmp_path.glob(".s4.csv.*.part")):  # the writer has begun its file
+            while not list(tmp_path.glob(".sfp-*.part")):  # the writer has begun its file
                 assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
                 time.sleep(0.01)
             os.killpg(proc.pid, signal.SIGINT)
