@@ -115,7 +115,7 @@ def record_at(problem, schedule, u, config=StepperConfig()):
 def step_at(problem, schedule, n, x_prev, x_n, config=StepperConfig()):
     """(x_next, record) of step n from (x_prev, x_n), through the update and
     the records of run but without its stop tests, so also where the gradient
-    vanishes (where run takes no step)."""
+    vanishes (where run takes no step), and without run's blocks."""
     params = schedule.block(n, n + 1)
     x_next, kept = solver._stepper(problem, schedule, config)(params[0], x_n, x_prev)
     return x_next, solver._records(problem.known_solution, n, params, [kept]).view(np.recarray)[0]
@@ -528,6 +528,41 @@ class TestRun:
 
 
 S4_NORM_SQ = 10.591820151285528**2
+
+
+def assert_run_is_step_loop(problem, schedule, config, x0):
+    """run()'s block loop and a loop of single steps (step_at) give
+    bit-identical iterates and records."""
+    history = run(problem, schedule, config, x0)
+    assert history.steps >= 1
+    x_prev = x_n = np.asarray(x0, dtype=float)
+    for n, record in enumerate(history.records, start=1):
+        x_next, expected = step_at(problem, schedule, n, x_prev, x_n, config)
+        assert history.iterates[n].tobytes() == x_next.tobytes()
+        assert [float(v).hex() for v in tuple(record)] == [float(v).hex() for v in tuple(expected)]
+        x_prev, x_n = x_n, x_next
+    if history.termination_reason != "max_iter":
+        # the loop stopped because the next step's gradient passed the test
+        _, next_record = step_at(problem, schedule, history.steps + 1, x_prev, x_n, config)
+        assert next_record.grad_norm_u <= config.grad_tol
+
+
+class TestRunIsStepLoop:
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_reference_problem(self, s4, preset, mode, numerator):
+        schedule, _ = preset_schedule(preset)
+        config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
+        assert_run_is_step_loop(s4, schedule, config, np.ones(5))
+
+    @pytest.mark.parametrize("numerator", ["u", "x"])
+    def test_random_problem_with_fixed_point_map(self, numerator):
+        problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = StepperConfig(**kwargs, tau_numerator=numerator, max_iter=50)
+        x0 = np.random.default_rng(9).standard_normal(6)
+        assert_run_is_step_loop(problem, schedule, config, x0)
 
 
 def written_out_step(problem, schedule, config, n, x_n, x_prev):
