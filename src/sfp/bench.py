@@ -597,15 +597,14 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     (iterates, records) pair of k iterates and the records of the k steps
     that made them.
 
-    Row k reads step k + 1's record, so a row is made once the block after
-    its iterate's has come, and the last row when ``blocks`` ends.  Rows come
-    in chunks of ``block_rows(width)`` consecutive iterates (73 at dim 5, 16
-    at dim 2,000), counted from row 0 whatever the blocks, each row a list of
-    floats (``n`` integral).
-    Each derived column of a chunk is one stacked call of the same operation
-    (the projections, ``A``, ``A^T``, the averaged map and the norms act on
-    each row of a stack with the bits of one point), so the rows are those of
-    an evaluation at one iterate at a time.
+    Row k reads step k + 1's record, so a block's k records complete the rows
+    of the iterate carried over from the block before and of every iterate of
+    the block but its last, which is carried over in turn; the last row comes
+    when ``blocks`` ends.  Each row is a list of floats (``n`` integral).
+    Each derived column of a block's rows is one stacked call of the same
+    operation (the projections, ``A``, ``A^T``, the averaged map and the norms
+    act on each row of a stack with the bits of one point), so the rows are
+    those of an evaluation at one iterate at a time, however the blocks fall.
 
     A step that ran with theta_n = 0 extrapolated to u = x_n, so its record
     already holds f and ||grad f|| at the row's iterate.  The Q-residual norm
@@ -617,44 +616,39 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     yield header
     t_fn = problem.averaged_map(schedule.lam).fn
     xs = problem.known_solution
-    size = block_rows(len(header))  # a chunk of iterates is one (k, dim) stack
 
     def rows(lo, x, theta_n, tau_n, f, grad_n, reused):
         # row lo + i is x[i] with the theta_n and tau_n of the step that made it
         # and, when the step after it ran with theta = 0 (reused[i]), f[i] and
         # grad_n[i] from that step; f and grad_n are filled in place otherwise
-        for c in range(0, len(x), size):
-            chunk = slice(c, c + size)
-            xc, reuse, fc, gc = x[chunk], reused[chunk], f[chunk], grad_n[chunk]
-            res_q = np.sqrt(2.0 * fc)
-            fresh = np.flatnonzero(~(reuse & (fc > sys.float_info.min)))  # rows whose residual is evaluated
-            if fresh.size:
-                d = problem.residual(xc[fresh])
-                dd = row_dots(d, d)
-                res_q[fresh] = np.sqrt(dd)
-                own = ~reuse[fresh]  # of those, the rows that take f and ||grad f|| from it too
-                fc[fresh[own]] = 0.5 * dd[own]
-                gc[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
-            res_c = membership_residual(problem.C, xc)
-            res_fix = row_norms(t_fn(xc) - xc) if problem.S is not None else np.zeros(len(xc))
-            err = np.max(np.abs(xc - xs), axis=1) if xs is not None else np.full(len(xc), np.nan)
-            yield from np.column_stack((np.arange(lo + c, lo + c + len(xc)), xc, fc, gc, theta_n[chunk],
-                                        tau_n[chunk], res_c, res_q, res_fix, err)).tolist()
+        res_q = np.sqrt(2.0 * f)
+        fresh = np.flatnonzero(~(reused & (f > sys.float_info.min)))  # rows whose residual is evaluated
+        if fresh.size:
+            d = problem.residual(x[fresh])
+            dd = row_dots(d, d)
+            res_q[fresh] = np.sqrt(dd)
+            own = ~reused[fresh]  # of those, the rows that take f and ||grad f|| from it too
+            f[fresh[own]] = 0.5 * dd[own]
+            grad_n[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
+        res_c = membership_residual(problem.C, x)
+        res_fix = row_norms(t_fn(x) - x) if problem.S is not None else np.zeros(len(x))
+        err = np.max(np.abs(x - xs), axis=1) if xs is not None else np.full(len(x), np.nan)
+        yield from np.column_stack((np.arange(lo, lo + len(x)), x, f, grad_n, theta_n, tau_n,
+                                    res_c, res_q, res_fix, err)).tolist()
 
-    # the rows not written yet, from row lo on, as the columns of rows(): every
-    # row but the last has its next step's record, and whole chunks of those
-    # are written as each block arrives, so the chunks are the same however
-    # the blocks fall
-    lo, pending = 0, [np.asarray(start)[None], np.zeros(1), np.zeros(1), np.empty(0), np.empty(0), np.empty(0, bool)]
+    # the carried row: its number, its iterate and the step that made it
+    lo, x, theta_n, tau_n = 0, np.asarray(start), 0.0, 0.0
     for iterates, records in blocks:
-        theta = records["theta"]
-        pending = [np.concatenate(pair) for pair in zip(pending, (
-            iterates, theta, records["tau"], records["f_u"], records["grad_norm_u"], theta == 0.0))]
-        ready = len(pending[3]) - len(pending[3]) % size
-        yield from rows(lo, *(column[:ready] for column in pending))
-        lo, pending = lo + ready, [column[ready:] for column in pending]
-    x, theta_n, tau_n, f, grad_n, reused = pending
-    yield from rows(lo, x, theta_n, tau_n, np.append(f, 0.0), np.append(grad_n, 0.0), np.append(reused, False))
+        if not len(records):  # a run that ended before its last block's first step
+            continue
+        theta, tau = records["theta"], records["tau"]
+        # copies: rows() fills them in place, and a block's records are the
+        # run's own history or read-only bytes from the writer's pipe
+        yield from rows(lo, np.concatenate((x[None], iterates[:-1])), np.append(theta_n, theta[:-1]),
+                        np.append(tau_n, tau[:-1]), records["f_u"].copy(), records["grad_norm_u"].copy(),
+                        theta == 0.0)
+        lo, x, theta_n, tau_n = lo + len(records), iterates[-1], theta[-1], tau[-1]
+    yield from rows(lo, x[None], [theta_n], [tau_n], np.zeros(1), np.zeros(1), np.zeros(1, bool))
 
 
 def emit_csv(rows, path) -> None:
@@ -769,8 +763,10 @@ class _CsvWriter:
     catches up on the rows made before the fork.  A shorter run, a run in a
     process with more threads or one CPU, and a run whose CSV path is a
     link or a special file, is written in process from its history by
-    :meth:`finish`, and the blocks are let go once the writer is ruled out.
-    The rows and bytes are the same either way.
+    :meth:`finish`, and the blocks are let go (``blocks`` is None) once the
+    writer is ruled out.  Either way ``_history_rows`` builds the rows of
+    ``run``'s blocks of ``block_rows(dim)`` steps, one block at a time, and
+    the rows and bytes are the same.
     """
 
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
@@ -778,19 +774,17 @@ class _CsvWriter:
         self.blocks = []
         self.width = problem.dim + 9  # values per CSV row
         self.values = self.width  # the start point's row
-        self.may_fork = True
         self.pid = self.data = self.errors = None  # the writer's pid and the parent's pipe ends
 
     def __call__(self, iterates: np.ndarray, records: np.ndarray) -> None:
         if self.pid is not None:
             self._send(len(records).to_bytes(8, "little", signed=True) + iterates.tobytes() + records.tobytes())
             return
-        if not self.may_fork:
+        if self.blocks is None:  # the writer was ruled out
             return
         self.blocks.append((iterates, records))
         self.values += len(records) * self.width
         if self.values >= _FORK_VALUES:
-            self.may_fork = False
             # the writer renames its file over the path, which would replace a
             # link or a device where the in-process path writes through it
             path = self.path
@@ -882,11 +876,10 @@ class _CsvWriter:
 
     def finish(self, history: RunHistory) -> None:
         """Complete the CSV of a run that returned: write it in process from
-        ``history``, or end the writer's stream, wait for it and raise its
-        exception."""
+        ``history``, cut again into the blocks that ``run`` handed over, or end
+        the writer's stream, wait for it and raise its exception."""
         if self.pid is None:
-            # slices of about _FORK_VALUES values, which the row builder copies one at a time
-            x, records, n = history.iterates[1:], history.records, _FORK_VALUES // self.width + 1
+            x, records, n = history.iterates[1:], history.records, block_rows(self.problem.dim)
             blocks = ((x[i:i + n], records[i:i + n]) for i in range(0, len(records), n))
             emit_csv(_history_rows(self.problem, self.schedule, self.start, blocks), self.path)
             return

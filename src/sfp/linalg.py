@@ -41,8 +41,8 @@ BLOCK_VALUES = 1024
 
 
 def block_rows(width: int) -> int:
-    """The rows to a block of stacked rows of ``width`` values each: the step
-    loop takes its steps, and the CSV rows are built, in blocks of this many.
+    """The rows to a block of stacked rows of ``width`` values each: ``run``
+    takes the steps of a problem of dimension ``width`` in blocks of this many.
 
     Up to width 64 a block holds about ``BLOCK_VALUES`` values (204 rows at
     width 5, 16 at 64).  A wider problem still gets 16 rows, so that the

@@ -826,16 +826,17 @@ _SET_STANZAS = {
 
 
 def _set_kind_config(c_stanza, q_stanza, preset, **problem):
-    """A 3-variable explicit problem, run for more steps than one block holds (85 rows)."""
+    """A 3-variable explicit problem, run for more steps than two blocks hold (341 steps each)."""
     return {"problem": {"A": [[1.0, 0.5, 0.0], [0.0, 1.0, -0.5], [0.5, 0.0, 1.0]],
                         "C": c_stanza, "Q": q_stanza, **problem},
-            "schedule": {"preset": preset}, "stepper": {"max_iter": 200}, "start": {"x1": [3.0, -3.0, 1.0]}}
+            "schedule": {"preset": preset}, "stepper": {"max_iter": 700}, "start": {"x1": [3.0, -3.0, 1.0]}}
 
 
 _BOX_WITH_S = {"random": {"dim1": 8, "dim2": 6, "family": "box", "seed": 3, "include_fixed_point_map": True}}
 _ROW_CASES = {
+    # two blocks and a part of one where the run does not converge
     **{f"s4-{preset}": {"problem": {"example": "s4"}, "schedule": {"preset": preset},
-                        "stepper": {"max_iter": 60}}
+                        "stepper": {"max_iter": 450}}
        for preset in ("cq", "table-1", "paper-s4", "fast")},
     **{f"box-{preset}": {"problem": _BOX_WITH_S, "schedule": {"preset": preset}, "stepper": {"max_iter": 60}}
        for preset in ("cq", "table-1", "paper-s4", "fast")},
@@ -858,10 +859,10 @@ _ROW_CASES = {
                                   "Q": {"kind": "singleton", "point": [0.875]}, "S": "example-2.2"},
                       "schedule": {"preset": "cq", "lambda": 0.25}, "start": {"x1": [1.0]}},
     "schedule-violation": SHORT_SCHEDULE_CONFIG,
-    # 73 rows to a block at dimension 5
+    # 204 steps to a block at dimension 5: four blocks and a part of one
     "s4-paper-s4-blocks": {"problem": {"example": "s4"}, "schedule": {"preset": "paper-s4"},
-                           "stepper": {"max_iter": 300}},
-    # 16 rows to a block of 609-value rows: two blocks and a part of one,
+                           "stepper": {"max_iter": 900}},
+    # 16 steps to a block at dimension 600: two blocks and a part of one,
     # with theta_n > 0 and with theta_n = 0
     "wide-blocks": {"problem": {"random": {"dim1": 600, "dim2": 12, "family": "ball", "seed": 5,
                                            "include_fixed_point_map": True}},
@@ -896,15 +897,47 @@ class TestRowsFromRecords:
         assert f_first["halved-to-min"] == sys.float_info.min
 
     def test_cases_span_blocks(self):
-        def rows_per_block(dim):
-            return block_rows(len(_csv_header(dim)))
-
-        assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * rows_per_block(5)
-        assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * rows_per_block(3)
+        assert run_experiment(_ROW_CASES["s4-paper-s4-blocks"]).history.steps + 1 > 4 * block_rows(5) == 816
+        assert run_experiment(_ROW_CASES["C-box"]).history.steps + 1 > 2 * block_rows(3) == 682
         for name in ("wide-blocks", "wide-blocks-cq"):
-            assert run_experiment(_ROW_CASES[name]).history.steps + 1 > 2 * rows_per_block(600) == 32
-        assert rows_per_block(2**17) == 1
+            assert run_experiment(_ROW_CASES[name]).history.steps + 1 > 2 * block_rows(600) == 32
+        assert block_rows(2**17) == 1
         assert run_experiment(_ROW_CASES["schedule-violation"]).history.termination_reason == "schedule_violation"
+
+    # theta_n > 0 and theta_n = 0, at dimension 5 and 600
+    BLOCK_CASES = ["s4-paper-s4-blocks", "s4-table-1", "wide-blocks", "wide-blocks-cq"]
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_writing_the_csv_leaves_the_history_as_it_was(self, name, tmp_path):
+        built = build_from_config(_ROW_CASES[name])
+        plain = run(built.problem, built.schedule, built.stepper, built.x0, built.x1)
+        written = run_experiment(_ROW_CASES[name], out_dir=tmp_path).history
+        assert written.iterates.tobytes() == plain.iterates.tobytes()
+        assert written.records.tobytes() == plain.records.tobytes()
+
+    @pytest.mark.parametrize("to_a_block_end", [False, True], ids=["as-is", "ends-at-a-block"])
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_the_rows_do_not_depend_on_how_the_blocks_fall(self, name, to_a_block_end):
+        cfg = _ROW_CASES[name]
+        built = build_from_config(cfg)
+        if to_a_block_end:  # epsilon ends with the second block, so the run stops at the third's first step
+            epsilon = built.schedule.epsilon.block(1, 2 * block_rows(built.problem.dim) + 1)
+            cfg = {**cfg, "schedule": {**cfg["schedule"], "epsilon": epsilon}, "stepper": {"max_iter": 10**4}}
+            built = build_from_config(cfg)
+        handed = []
+        history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1,
+                      on_block=lambda iterates, records: handed.append((iterates.copy(), records.copy())))
+        assert len(handed) > 1
+        if to_a_block_end:
+            assert history.termination_reason == "schedule_violation" and len(handed[-1][1]) == 0
+        x, records = history.iterates[1:], history.records
+        streams = {"whole": [(x.copy(), records.copy())], "handed": handed,
+                   "one-row": [(x[i:i + 1].copy(), records[i:i + 1].copy()) for i in range(history.steps)]}
+        rows = {how: [[float(v).hex() for v in row] for row in list(bench._history_rows(
+                    built.problem, built.schedule, history.iterates[0], stream))[1:]]
+                for how, stream in streams.items()}
+        assert len(rows["whole"]) == history.steps + 1
+        assert rows["handed"] == rows["whole"] and rows["one-row"] == rows["whole"]
 
 
 def _joined_csv(header, rows) -> bytes:

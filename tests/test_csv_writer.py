@@ -88,10 +88,10 @@ if mode == "thread":
     waiter.join()
 h = result.history
 built = bench.build_from_config(cfg)
-if mode == "one-row-chunks":  # the rows in process are built one at a time
-    bench.block_rows = lambda width: 1
-bench.emit_csv(history_rows(built.problem, built.schedule, h.iterates[0],
-                            [(h.iterates[1:], h.records)]), os.path.join(out, "in-process.csv"))
+blocks = [(h.iterates[1:], h.records)]
+if mode == "one-row-chunks":  # the rows in process are built from blocks of one step
+    blocks = [(h.iterates[i + 1:i + 2], h.records[i:i + 1]) for i in range(h.steps)]
+bench.emit_csv(history_rows(built.problem, built.schedule, h.iterates[0], blocks), os.path.join(out, "in-process.csv"))
 report(csv=str(result.csv_path), steps=h.steps, wall=result.wall_time, refused=len(refused))
 """
 
@@ -205,8 +205,8 @@ class TestPipelinedCsv:
         assert (facts["refused"], facts["forks"], facts["child_left"]) == (1, 1, False), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
-    # the writer builds the rows of a wide run in chunks of 16 from the
-    # blocks of 16 steps it is sent; the bytes are those of one row at a time
+    # the writer builds the rows of a wide run per block of 16 steps it is
+    # sent; the bytes are those of blocks of one step
     @needs_two_cpus
     def test_the_rows_do_not_depend_on_the_chunk_size(self, tmp_path):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["box-600x400-cq"]), "one-row-chunks")
