@@ -33,6 +33,7 @@ from .solver import (
     Seq,
     SfpProblem,
     StepperConfig,
+    monitors,
     run,
     validate_schedule,
 )

@@ -799,8 +799,9 @@ class _CsvWriter:
         errors_r, errors_w = os.pipe()
         try:
             # room for the blocks that the solve sends while the writer builds
-            # the rows kept before the fork: up to about 270 KB on 20,000
-            # paper-s4 steps, where the default 64 KiB made the solve wait
+            # the rows kept before the fork: up to about 250 KB of 80-byte
+            # steps on 20,000 paper-s4 steps (2-vCPU host), where the default
+            # 64 KiB made the solve wait
             fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         except (OSError, AttributeError):  # refused, or not Linux: the default size
             pass

@@ -46,15 +46,16 @@ def block_rows(width: int) -> int:
 
     Up to width 64 a block holds about ``BLOCK_VALUES`` values (204 rows at
     width 5, 16 at 64).  A wider problem still gets 16 rows, so that the
-    per-block work (the schedule rows and their checks, the records and
-    monitors, one hook call) runs once per 16 steps, however little of a
-    step's time it is next to the products.  Up to 2**17 values (1 MiB of
-    float64) make one stack, so from width 8,193 the rows fall, to one from
-    width 65,537 on.  A block's iterate stack is 16 x 2,000 x 8 B = 250 KiB
-    at dim 2,000 and one row of 781 KiB at dim 10**5.  The step keeps five
-    more vectors of each of its steps for the records, which stack them
-    again: a ``run`` of one block peaked at 3.7 MiB of traced memory at dim
-    2,000 and at 11.5 MiB at dim 10**5, the matrix aside.
+    per-block work (the schedule rows and their checks, the records, one
+    hook call) runs once per 16 steps, however little of a step's time it is
+    next to the products.  Up to 2**17 values (1 MiB of float64) make one
+    stack, so from width 8,193 the rows fall, to one from width 65,537 on.
+    A block's iterate stack is 16 x 2,000 x 8 B = 250 KiB at dim 2,000 and
+    one row of 781 KiB at dim 10**5.  The step keeps four scalars of each of
+    its steps for the records and no vector: a ``run`` of one block peaked at
+    0.77 MiB of traced memory at dim 2,000 and at 6.9 MiB at dim 10**5, the
+    matrix aside.  ``solver.monitors`` stacks a block's vectors again, one
+    block at a time.
     """
     return max(1, BLOCK_VALUES // width, min(16, 2**17 // width))
 

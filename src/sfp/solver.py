@@ -4,8 +4,9 @@ problems coupled with a fixed-point constraint.
 One general stepper covers the classic fixed-step CQ update, its self-adaptive
 variant, the viscosity blend with a contraction, and the full hybrid scheme
 with inertia and an averaged fixed-point map.  The per-step quantities proved
-to be monotone in the convergence analysis are recorded as runtime monitors,
-never enforced.
+to be monotone in the convergence analysis are runtime monitors, never
+enforced: the step does not form them, and :func:`monitors` derives them
+from a run's history on request.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "StepperConfig",
     "RunHistory",
     "run",
+    "monitors",
     "validate_schedule",
     "ScheduleReport",
 ]
@@ -305,14 +307,14 @@ class StepperConfig:
 # --- stepping ---------------------------------------------------------------
 
 
-# the records of a block or a run: the diagnostics of step n, NaN where a
-# quantity is undefined.  f_u and grad_norm_u are taken at the extrapolated
-# point u, so the Q-residual there is sqrt(2 f_u); the distance of x_n from C
-# is the CSV's res_C column.  The Fejer gaps (of y and of the blend v) and the
-# quasi-nonexpansive slack (of T u), each ||w - x*|| - ||u - x*||, need the
-# problem's known_solution x*; psi is the decrease certificate of _records.
-RECORD_DTYPE = np.dtype([("n", np.int64)] + [(name, np.float64) for name in (
-    "theta", "tau", "f_u", "grad_norm_u", "fejer_gap_y", "fejer_gap_v", "quasi_ne_slack", "psi")])
+# the records of a block or a run: what the iteration, the stop rule and the
+# CSV read of step n.  f_u and grad_norm_u are taken at the extrapolated point
+# u, so the Q-residual there is sqrt(2 f_u); the distance of x_n from C is the
+# CSV's res_C column.  The monitors of the analysis are not kept: see monitors.
+RECORD_DTYPE = np.dtype([("n", np.int64)] + [(name, np.float64) for name in ("theta", "tau", "f_u", "grad_norm_u")])
+
+# the monitors of a run, one row per step (see monitors)
+MONITOR_DTYPE = np.dtype([(name, np.float64) for name in ("fejer_gap_y", "fejer_gap_v", "quasi_ne_slack", "psi")])
 
 
 @dataclass
@@ -323,7 +325,9 @@ class RunHistory:
     start point.  ``records`` is a ``np.recarray`` of ``RECORD_DTYPE``, one
     column per field (``records.theta`` is a column and ``records[k].theta``
     the scalar of step k + 1), with ``len(records) == steps``.  A step costs
-    8 * dim bytes of iterate and 72 bytes of record.
+    8 * dim bytes of iterate and 40 bytes of record.  :func:`monitors` derives
+    the Fejer gaps, the quasi-nonexpansive slack and ``psi`` of each step
+    from these arrays.
     """
 
     iterates: np.ndarray
@@ -341,25 +345,21 @@ class RunHistory:
 
 
 def _compose_y(mode: str, project, u, tau_g, delta, t_u):
-    """Return (y, w - P_C(w)), where w is the proof-mode blend and ``tau_g``
-    is tau * grad f(u)."""
+    """The y-update of ``mode``, where ``tau_g`` is tau * grad f(u): for one
+    step with a scalar ``delta``, or for a stack of steps with ``delta`` a
+    column of their values."""
     delta_t = delta * t_u
-    w_blend = (1.0 - delta) * (u - tau_g) + delta_t
     if mode == "proof":
-        y = project(w_blend)
-        return y, w_blend - y
+        return project((1.0 - delta) * (u - tau_g) + delta_t)
     if mode == "statement":
-        y = project((1.0 - delta) * u - tau_g) + delta_t
-    else:
-        y = project((1.0 - delta) * u + delta_t - tau_g)
-    return y, w_blend - project(w_blend)
+        return project((1.0 - delta) * u - tau_g) + delta_t
+    return project((1.0 - delta) * u + delta_t - tau_g)
 
 
 def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig):
     """The update (p, x_n, x_prev) -> (x_next, kept) of one step of
-    :func:`run` with schedule row p.  ``kept`` holds what
-    :func:`_records` needs of the step: u, y, T u, tau grad f(u), the blend
-    residual w - P_C(w), theta_n, tau, f(u) and ||grad f(u)||^2.
+    :func:`run` with schedule row p.  ``kept`` holds the step's record
+    fields after ``n``: theta_n, tau, f(u) and ||grad f(u)||.
 
     What every step would otherwise look up again is bound here once: the
     operator and projection methods, the ``fn`` of the averaged map and of
@@ -394,59 +394,94 @@ def _stepper(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         else:  # rho f / ||grad f||^2, with f at u or at x_n
             tau = 0.0 if gg <= GRAD_GUARD else rho * (f_u if f_value is None else f_value(x_n)) / gg
 
-        t_u = t_fn(u)
-        tau_g = tau * gvec
-        y, blend_residual = _compose_y(mode, project_c, u, tau_g, delta, t_u)
+        y = _compose_y(mode, project_c, u, tau * gvec, delta, t_fn(u))
         x_next = alpha * g_fn(x_n) + beta * u + gamma * y
-        return x_next, (u, y, t_u, tau_g, blend_residual, theta_n, tau, f_u, gg)
+        return x_next, (theta_n, tau, f_u, math.sqrt(gg))
 
     return advance
 
 
-def _records(xs: np.ndarray | None, lo: int, params: list, kept: list) -> np.ndarray:
-    """The records of steps n = lo, lo + 1, ... from their schedule rows and
-    what :func:`_stepper`'s update kept of each, as a structured array of
-    ``RECORD_DTYPE`` (empty when ``kept`` is).
-
-    The monitors are taken once per block: each distance and squared norm is
-    one stacked call over the block's rows, with the bits of one row at a
-    time.  ``psi`` is the nonnegative per-step decrease certificate of the
-    analysis: the adaptive-gradient gain, the averaged-map drift T u - u +
-    tau grad f(u) and the projection residual of the blended point, each
-    weighted by the step's schedule values; its divisions are guarded like
-    the step itself.
-    """
-    k = len(kept)
-    out = np.empty(k, RECORD_DTYPE)
-    if not k:
-        return out
-    alpha, beta, gamma, delta, rho, _ = np.array(params[:k]).T
-    vectors = np.array([kept_step[:5] for kept_step in kept])  # (k, 5, dim)
-    u, y, t_u, tau_g, blend_residual = vectors.transpose(1, 0, 2)
-    drift = t_u - u + tau_g
-    _, _, _, _, _, theta_n, tau, f_u, gg = zip(*kept)
-    out["n"] = np.arange(lo, lo + k)
-    out["theta"], out["tau"], out["f_u"] = theta_n, tau, f_u
-    if xs is None:
-        out["fejer_gap_y"] = out["fejer_gap_v"] = out["quasi_ne_slack"] = math.nan
-    else:
-        # the blend v = (beta u + gamma y) / (1 - alpha), nan where 1 - alpha <= 1e-300
-        keep = 1.0 - alpha[:, None]
-        v = (beta[:, None] * u + gamma[:, None] * y) / np.where(keep > 1e-300, keep, math.nan)
-        du = row_norms(u - xs)
-        for name, w in (("fejer_gap_y", y), ("fejer_gap_v", v), ("quasi_ne_slack", t_u)):
-            out[name] = row_norms(w - xs) - du
-
-    # psi over the block in the operation order of the one-step formula, so
-    # with its bits; Python floats overflow to inf in silence, numpy warns
-    f, g2 = np.array(f_u), np.array(gg)
-    out["grad_norm_u"] = np.sqrt(g2)
-    with np.errstate(all="ignore"):
-        coef = np.where(1.0 - alpha > 1e-300, gamma / (1.0 - alpha), 0.0)
-        term1 = np.where(g2 > GRAD_GUARD, (1.0 - delta) * coef * rho * (4.0 - rho) * f * f / g2, 0.0)
-        out["psi"] = (term1 + delta * (1.0 - delta) * coef * row_dots(drift, drift)
-                      + coef * row_dots(blend_residual, blend_residual))
+def _records(lo: int, kept: list) -> np.ndarray:
+    """The records of steps n = lo, lo + 1, ... from what :func:`_stepper`'s
+    update kept of each, as a structured array of ``RECORD_DTYPE`` (empty
+    when ``kept`` is)."""
+    out = np.empty(len(kept), RECORD_DTYPE)
+    out["n"] = np.arange(lo, lo + len(kept))
+    if kept:
+        out["theta"], out["tau"], out["f_u"], out["grad_norm_u"] = np.array(kept).T
     return out
+
+
+def monitors(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
+             x0, history: RunHistory) -> np.recarray:
+    """The per-step inequalities of the convergence analysis for each step of
+    ``history``, a run of ``problem`` under ``schedule`` and ``config``, as a
+    ``np.recarray`` of ``MONITOR_DTYPE``: row k is that of the step of
+    ``records[k]``.  ``x0`` is the iterate before ``iterates[0]``, i.e. the
+    ``x0`` that :func:`run` was given.  A block that ``run`` hands to
+    ``on_block``, with the iterate before it as ``iterates[0]``, is a history
+    too: its records' ``n`` say which schedule rows its steps used.
+
+    ``fejer_gap_y``, ``fejer_gap_v`` and ``quasi_ne_slack`` are ||w - x*|| -
+    ||u - x*|| for w = y, for the blend v = (beta u + gamma y) / (1 - alpha)
+    and for T u, where x* is the problem's ``known_solution``; they are NaN
+    without one, and ``fejer_gap_v`` is NaN where 1 - alpha <= 1e-300.
+    ``psi`` is the nonnegative per-step decrease certificate of the
+    analysis: the adaptive-gradient gain, the averaged-map drift T u - u +
+    tau grad f(u) and the projection residual of the proof-mode blend
+    (1 - delta)(u - tau grad f(u)) + delta T u, each weighted by the step's
+    schedule values; its divisions are guarded like the step itself.
+
+    The step's vectors are formed again from the iterates and the recorded
+    theta_n and tau, one block of ``block_rows(dim)`` steps at a time: u, A u,
+    P_Q, A^T r, T u, the blend and y are each one stacked call over the
+    block's rows, with the bits of one row at a time, so every value has the
+    bits that the step's own vectors give.  S must map stacks of points, as
+    the built-in maps do.
+    """
+    x, records = history.iterates, history.records
+    x0 = as_vector(x0, problem.dim)
+    xs = problem.known_solution
+    apply, apply_adjoint = problem.A.apply, problem.A.apply_adjoint
+    project_c, project_q = problem.C.project, problem.Q.project
+    t_fn = problem.averaged_map(schedule.lam).fn
+    out = np.empty(len(records), MONITOR_DTYPE)
+    size = block_rows(problem.dim)
+    for i in range(0, len(records), size):
+        block = records[i:i + size]
+        k, lo = len(block), int(block["n"][0])
+        x_n = x[i:i + k]
+        x_prev = x[i - 1:i + k - 1] if i else np.concatenate((x0[None], x[:k - 1]))
+        alpha, beta, gamma, delta, rho, _ = np.array(schedule.block(lo, lo + k)).T
+        u = x_n + block["theta"][:, None] * (x_n - x_prev)
+        ax = apply(u)
+        gvec = apply_adjoint(ax - project_q(ax))
+        tau_g = block["tau"][:, None] * gvec
+        t_u = t_fn(u)
+        y = _compose_y(config.mode, project_c, u, tau_g, delta[:, None], t_u)
+        w_blend = (1.0 - delta[:, None]) * (u - tau_g) + delta[:, None] * t_u
+        blend_residual = w_blend - project_c(w_blend)
+        drift = t_u - u + tau_g
+        row = out[i:i + k]
+        if xs is None:
+            row["fejer_gap_y"] = row["fejer_gap_v"] = row["quasi_ne_slack"] = math.nan
+        else:
+            # the blend v = (beta u + gamma y) / (1 - alpha), nan where 1 - alpha <= 1e-300
+            keep = 1.0 - alpha[:, None]
+            v = (beta[:, None] * u + gamma[:, None] * y) / np.where(keep > 1e-300, keep, math.nan)
+            du = row_norms(u - xs)
+            for name, w in (("fejer_gap_y", y), ("fejer_gap_v", v), ("quasi_ne_slack", t_u)):
+                row[name] = row_norms(w - xs) - du
+
+        # psi in the operation order of the one-step formula, so with its bits;
+        # Python floats overflow to inf in silence, numpy warns
+        f, g2 = block["f_u"], row_dots(gvec, gvec)
+        with np.errstate(all="ignore"):
+            coef = np.where(1.0 - alpha > 1e-300, gamma / (1.0 - alpha), 0.0)
+            term1 = np.where(g2 > GRAD_GUARD, (1.0 - delta) * coef * rho * (4.0 - rho) * f * f / g2, 0.0)
+            row["psi"] = (term1 + delta * (1.0 - delta) * coef * row_dots(drift, drift)
+                          + coef * row_dots(blend_residual, blend_residual))
+    return out.view(np.recarray)
 
 
 def _warn_lambda_vs_modulus(problem: SfpProblem, lam: float) -> None:
@@ -484,6 +519,10 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     first step.  In order, the blocks make up the history that ``run``
     returns, and a hook that raises ends the run with its exception.
     ``bench.run_experiment`` streams its CSV rows this way.
+
+    The step forms only the update and the record fields; :func:`monitors`
+    gives the Fejer gaps, the quasi-nonexpansive slack and ``psi`` of the
+    returned history's steps.
     """
     x_prev = as_vector(x0, problem.dim)
     x_cur = as_vector(x1, problem.dim) if x1 is not None else x_prev
@@ -535,7 +574,7 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
         iterates, kept = [], []
         for p in params[:count]:
             x_next, step_kept = advance(p, x_cur, x_prev)
-            if math.sqrt(step_kept[-1]) <= grad_tol:
+            if step_kept[-1] <= grad_tol:
                 res = problem.combined_residual(x_cur, schedule.lam)
                 reason = "residual_met" if res <= config.residual_tol else "grad_zero"
                 break
@@ -551,7 +590,7 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
                 reason, error = "schedule_violation", violation
             elif n > max_iter:
                 reason = "max_iter"
-        yield iterates, _records(problem.known_solution, lo, params, kept), reason, error
+        yield iterates, _records(lo, kept), reason, error
 
 
 # --- schedule validation -----------------------------------------------------

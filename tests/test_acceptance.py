@@ -19,7 +19,7 @@ from sfp.bench import (
     projection_property_suite,
     run_experiment,
 )
-from sfp.solver import ParameterSchedule, Seq, StepperConfig, run
+from sfp.solver import ParameterSchedule, Seq, StepperConfig, monitors, run
 
 X_STAR = np.array([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0])
 
@@ -118,11 +118,11 @@ def test_criterion_6_fejer_monitors():
             include_fixed_point_map=(i % 2 == 0),
         )
         history = run(problem, schedule, config, np.zeros(problem.dim))
-        for rec in history.records:
+        for n, rec in enumerate(monitors(problem, schedule, config, np.zeros(problem.dim), history), start=1):
             if rec.quasi_ne_slack <= 1e-10:
                 gated += 1
                 if rec.fejer_gap_y > 1e-10 or rec.fejer_gap_v > 1e-10:
-                    violations.append((i, rec.n, rec.fejer_gap_y, rec.fejer_gap_v))
+                    violations.append((i, n, rec.fejer_gap_y, rec.fejer_gap_v))
     ok = not violations and gated > 0
     _verdict(6, "distance monitors on random instances", ok,
              f"{gated} gated steps across 20 instances, {len(violations)} violations")

@@ -17,6 +17,7 @@ from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, ze
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
     GRAD_GUARD,
+    MONITOR_DTYPE,
     RECORD_DTYPE,
     ParameterSchedule,
     ScheduleViolation,
@@ -24,6 +25,7 @@ from sfp.solver import (
     SfpProblem,
     StepParams,
     StepperConfig,
+    monitors,
     run,
     validate_schedule,
 )
@@ -116,9 +118,15 @@ def step_at(problem, schedule, n, x_prev, x_n, config=StepperConfig()):
     """(x_next, record) of step n from (x_prev, x_n), through the update and
     the records of run but without its stop tests, so also where the gradient
     vanishes (where run takes no step), and without run's blocks."""
-    params = schedule.block(n, n + 1)
-    x_next, kept = solver._stepper(problem, schedule, config)(params[0], x_n, x_prev)
-    return x_next, solver._records(problem.known_solution, n, params, [kept]).view(np.recarray)[0]
+    x_next, kept = solver._stepper(problem, schedule, config)(schedule.block(n, n + 1)[0], x_n, x_prev)
+    return x_next, solver._records(n, [kept]).view(np.recarray)[0]
+
+
+def monitors_at(problem, schedule, n, x_prev, x_n, config=StepperConfig()):
+    """The monitors of step n from (x_prev, x_n), taken by step_at."""
+    x_next, record = step_at(problem, schedule, n, x_prev, x_n, config)
+    history = solver.RunHistory(np.array([x_n, x_next]), np.array([record]).view(np.recarray), "max_iter")
+    return monitors(problem, schedule, config, x_prev, history)[0]
 
 
 class TestAdaptiveTau:
@@ -439,7 +447,7 @@ class TestRun:
         config = StepperConfig(**kwargs, max_iter=400)
         history = run(s4, schedule, config, np.ones(5))
         checked = 0
-        for rec in history.records:
+        for rec in monitors(s4, schedule, config, np.ones(5), history):
             if rec.quasi_ne_slack <= 1e-10:
                 checked += 1
                 assert rec.fejer_gap_y <= 1e-10
@@ -527,6 +535,38 @@ class TestRun:
             self._run_jump_map(0.25)  # 0.25 < 1 - 2/3
 
 
+class TestJumpMapMonitors:
+    """The paper's class: S the jump map, demicontractive with k = 2/3 and not
+    quasi-nonexpansive, whose averaged map T is quasi-nonexpansive for lambda
+    < 1 - k.  A = [[1]], C the whole line and Q = {7/8}, the one solution."""
+
+    @staticmethod
+    def monitored(lam, x1):
+        problem = SfpProblem(A=LinearMap([[1.0]]), C=WholeSpace(1), Q=Singleton(np.array([0.875])),
+                             S=unit_interval_jump_map(), known_solution=np.array([0.875]))
+        schedule, kwargs = preset_schedule("paper-s4")
+        schedule = dataclasses.replace(schedule, lam=lam)
+        config = StepperConfig(**kwargs, max_iter=200)
+        history = run(problem, schedule, config, np.array([x1]))
+        assert (history.termination_reason, history.steps) == ("max_iter", 200)
+        return monitors(problem, schedule, config, np.array([x1]), history)
+
+    @pytest.mark.parametrize("x1", [0.0, 0.3, 0.6, 0.95, 1.0])
+    def test_inside_the_modulus_bound(self, x1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            monitored = self.monitored(0.25, x1)
+        for name in ("quasi_ne_slack", "fejer_gap_y", "fejer_gap_v"):
+            assert (monitored[name] <= 0.0).all(), name
+
+    def test_outside_the_modulus_bound(self):
+        # at lambda = 0.5, T 1 = 0.625 is farther from 7/8 than 1 is: the first
+        # step from x1 = 1, where u = 1, is the one with a positive slack
+        with pytest.warns(UserWarning, match="averaging weight"):
+            monitored = self.monitored(0.5, 1.0)
+        assert np.flatnonzero(monitored.quasi_ne_slack > 0.0).tolist() == [0]
+
+
 S4_NORM_SQ = 10.591820151285528**2
 
 
@@ -610,15 +650,19 @@ def written_out_step(problem, schedule, config, n, x_n, x_prev):
     return x_next, (n, theta_n, tau, f_u, math.sqrt(gg), gap_y, gap_v, qne_slack, psi)
 
 
-def assert_run_is_written_out_step(problem, schedule, config, x0, on_block=None):
-    """run() reproduces the written-out update bit for bit, record field by field."""
-    history = run(problem, schedule, config, x0, on_block=on_block)
+def assert_run_is_written_out_step(problem, schedule, config, x0, on_block=None, x1=None):
+    """run() reproduces the written-out update bit for bit, record field by
+    field, and monitors() the written-out monitors."""
+    history = run(problem, schedule, config, x0, x1, on_block=on_block)
     assert history.steps >= 1
-    x_prev = x_n = np.asarray(x0, dtype=float)
-    for n, record in enumerate(history.records, start=1):
+    monitored = monitors(problem, schedule, config, x0, history)
+    assert monitored.dtype == MONITOR_DTYPE and len(monitored) == history.steps
+    x_prev = np.asarray(x0, dtype=float)
+    x_n = x_prev if x1 is None else np.asarray(x1, dtype=float)
+    for n, (record, monitor) in enumerate(zip(history.records, monitored), start=1):
         x_next, fields = written_out_step(problem, schedule, config, n, x_n, x_prev)
         assert history.iterates[n].tobytes() == x_next.tobytes()
-        assert [float(v).hex() for v in tuple(record)] == [float(v).hex() for v in fields]
+        assert [float(v).hex() for v in tuple(record) + tuple(monitor)] == [float(v).hex() for v in fields]
         x_prev, x_n = x_n, x_next
     if history.termination_reason in ("residual_met", "grad_zero"):
         # the run stopped because the next step's gradient passed the test
@@ -648,6 +692,24 @@ class TestRunMatchesWrittenOutStep:
         schedule, _ = preset_schedule("paper-s4")
         config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, max_iter=50)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
+
+    @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
+    def test_distinct_seeds(self, s4, mode):
+        # x0 is the iterate before x1, so the first step extrapolates along x1 - x0
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = dataclasses.replace(StepperConfig(**kwargs), mode=mode, max_iter=2 * BLOCK_S4 + 40)
+        assert_run_is_written_out_step(s4, schedule, config, np.arange(5.0), x1=np.ones(5))
+
+    def test_no_known_solution(self, s4):
+        # without x* the gaps are NaN, and psi is still taken
+        problem = SfpProblem(A=s4.A, C=s4.C, Q=s4.Q, S=s4.S)
+        schedule, kwargs = preset_schedule("paper-s4")
+        config = StepperConfig(**kwargs, max_iter=50)
+        history = assert_run_is_written_out_step(problem, schedule, config, np.ones(5))
+        monitored = monitors(problem, schedule, config, np.ones(5), history)
+        for name in ("fejer_gap_y", "fejer_gap_v", "quasi_ne_slack"):
+            assert np.isnan(monitored[name]).all()
+        assert (monitored.psi >= 0.0).all()
 
 
 # blocks of block_rows(dim) steps: 204 at dim 5, 16 from dim 65 to 8,192
@@ -704,11 +766,14 @@ class TestHistoryArrays:
         finally:
             tracemalloc.stop()
         assert (history.termination_reason, history.steps) == ("max_iter", 20_000)
-        # 40 bytes of iterate and 72 of record per step
-        assert held / history.steps <= 128
-        # the iterate blocks go before the record blocks are joined: about 185;
-        # joining both while every block was held peaked at 226
-        assert peak / history.steps <= 192
+        # 40 bytes of iterate and 40 of record per step, and under one byte of
+        # the interpreter's own (free lists): 80.8; 72-byte records held 112.8
+        assert history.iterates.nbytes + history.records.nbytes == 80 * history.steps + 40
+        assert held / history.steps <= 81
+        # the iterate blocks go before the record blocks are joined: about 123;
+        # with 72-byte records 185.6, and joining both while every block was
+        # held peaked at 226
+        assert peak / history.steps <= 128
         assert history.iterates.shape == (20_001, 5) and history.iterates.dtype == np.float64
         assert history.records.theta.shape == (20_000,)
         assert (history.records[0].n, history.records[-1].n) == (1, 20_000)
@@ -719,6 +784,7 @@ class TestHistoryArrays:
         for history in (run(s4, schedule, StepperConfig(**kwargs), x_star),
                         run(s4, broken, StepperConfig(**kwargs), np.ones(5))):
             assert history.iterates.shape == (1, 5) and len(history.records) == 0
+            assert len(monitors(s4, schedule, StepperConfig(**kwargs), history.iterates[0], history)) == 0
         assert history.error == "(range) alpha(1) = 1.5 outside [0, 1]"
 
 
@@ -782,7 +848,7 @@ class TestEndingsAtBlockBoundaries:
             assert_run_is_written_out_step(problem, schedule, config, x0)
         if ending in ("residual_met", "grad_zero") and n > 1:
             # step n - 1 ran with 1 - alpha = 0: no blend v, and psi has coefficient 0
-            last = history.records[-1]
+            last = monitors(problem, schedule, config, x0, history)[-1]
             assert math.isnan(last.fejer_gap_v) and last.psi == 0.0
             assert (not math.isnan(last.fejer_gap_y)) == (ending == "residual_met")
         return lengths
@@ -828,8 +894,23 @@ class TestOnBlock:
             assert iterates.shape == (len(records), dim) and iterates.dtype == np.float64
             assert records.dtype == RECORD_DTYPE
         assert np.array_equal(np.concatenate([history.iterates[:1]] + [b[0] for b in blocks]), history.iterates)
-        assert np.concatenate([b[1] for b in blocks]).tobytes() == history.records.tobytes()  # nan included
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == history.records.tobytes()
         return blocks
+
+    @pytest.mark.parametrize("dim", [5, WIDE])
+    def test_monitors_of_each_block(self, dim):
+        # a block with the iterate before it is a history from step records.n[0]
+        problem, schedule, config, x0, _ = _ending_case("exhausted", 2 * block_rows(dim) + 3, dim)
+        blocks = []
+        history = run(problem, schedule, config, x0, on_block=lambda *block: blocks.append(block))
+        whole = monitors(problem, schedule, config, x0, history)
+        lo, x_prev, x_n = 0, x0, history.iterates[0]
+        for iterates, records in blocks[:-1]:  # the last block is empty: the list ran out
+            block = solver.RunHistory(np.concatenate((x_n[None], iterates)), records, "max_iter")
+            got = monitors(problem, schedule, config, x_prev, block)
+            assert got.tobytes() == whole[lo:lo + len(records)].tobytes()
+            lo, x_prev, x_n = lo + len(records), block.iterates[-2], block.iterates[-1]
+        assert lo == history.steps and len(blocks[-1][1]) == 0
 
     def test_a_hook_that_raises_ends_the_run(self, s4):
         schedule, kwargs = preset_schedule("paper-s4")
@@ -845,18 +926,19 @@ class TestOnBlock:
 class TestPsiDiagnostic:
     def test_zero_at_solution(self, s4, x_star):
         schedule, _ = preset_schedule("paper-s4")
-        assert step_at(s4, schedule, 1, x_star, x_star)[1].psi <= 1e-20
+        assert monitors_at(s4, schedule, 1, x_star, x_star).psi <= 1e-20
 
     def test_delta_one_kills_first_two_terms(self, s4):
         schedule = constant_schedule(delta=1.0)
         u = np.ones(5)
-        record = record_at(s4, schedule, u)
-        assert record.tau == pytest.approx(TAU_AT_ONES_RHO2, abs=1e-18)
+        history = one_step_run(s4, schedule, u, u)
+        assert history.records[0].tau == pytest.approx(TAU_AT_ONES_RHO2, abs=1e-18)
+        psi = monitors(s4, schedule, StepperConfig(), u, history)[0].psi
         # only the projection-residual term survives structurally
         t_u = s4.averaged_map(schedule.lam)(u)
         res = t_u - s4.C.project(t_u)
         expected = float(res @ res)  # gamma / (1 - alpha) = 1 here
-        assert record.psi == pytest.approx(expected, rel=1e-12)
+        assert psi == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_on_random_steps(self):
         problem = generate_random_sfp(4, 4, "box", seed=17, include_fixed_point_map=True)
@@ -864,7 +946,7 @@ class TestPsiDiagnostic:
         rng = np.random.default_rng(18)
         for n in range(1, 30):
             u = rng.standard_normal(4) * 2.0
-            assert step_at(problem, schedule, n, u, u)[1].psi >= -1e-12
+            assert monitors_at(problem, schedule, n, u, u).psi >= -1e-12
 
     def test_overflow_to_inf_without_a_warning(self):
         # f_u * f_u overflows: Python floats give inf in silence, and the
@@ -877,7 +959,8 @@ class TestPsiDiagnostic:
             warnings.simplefilter("error")
             history = assert_run_is_written_out_step(problem, schedule, config, x0)
         assert (history.termination_reason, history.steps) == ("residual_met", 1)
-        assert history.records[0].f_u == 5e159 and history.records[0].psi == math.inf
+        assert history.records[0].f_u == 5e159
+        assert monitors(problem, schedule, config, x0, history)[0].psi == math.inf
 
 
 class TestValidateSchedule:
