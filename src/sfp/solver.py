@@ -442,8 +442,6 @@ def monitors(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     x, records = history.iterates, history.records
     x0 = as_vector(x0, problem.dim)
     xs = problem.known_solution
-    apply, apply_adjoint = problem.A.apply, problem.A.apply_adjoint
-    project_c, project_q = problem.C.project, problem.Q.project
     t_fn = problem.averaged_map(schedule.lam).fn
     out = np.empty(len(records), MONITOR_DTYPE)
     size = block_rows(problem.dim)
@@ -454,13 +452,12 @@ def monitors(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         x_prev = x[i - 1:i + k - 1] if i else np.concatenate((x0[None], x[:k - 1]))
         alpha, beta, gamma, delta, rho, _ = np.array(schedule.block(lo, lo + k)).T
         u = x_n + block["theta"][:, None] * (x_n - x_prev)
-        ax = apply(u)
-        gvec = apply_adjoint(ax - project_q(ax))
+        gvec = problem.grad_f(u)
         tau_g = block["tau"][:, None] * gvec
         t_u = t_fn(u)
-        y = _compose_y(config.mode, project_c, u, tau_g, delta[:, None], t_u)
+        y = _compose_y(config.mode, problem.C.project, u, tau_g, delta[:, None], t_u)
         w_blend = (1.0 - delta[:, None]) * (u - tau_g) + delta[:, None] * t_u
-        blend_residual = w_blend - project_c(w_blend)
+        blend_residual = w_blend - problem.C.project(w_blend)
         drift = t_u - u + tau_g
         row = out[i:i + k]
         if xs is None:

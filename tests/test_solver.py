@@ -767,12 +767,10 @@ class TestHistoryArrays:
             tracemalloc.stop()
         assert (history.termination_reason, history.steps) == ("max_iter", 20_000)
         # 40 bytes of iterate and 40 of record per step, and under one byte of
-        # the interpreter's own (free lists): 80.8; 72-byte records held 112.8
+        # the interpreter's own (free lists): 80.8
         assert history.iterates.nbytes + history.records.nbytes == 80 * history.steps + 40
         assert held / history.steps <= 81
-        # the iterate blocks go before the record blocks are joined: about 123;
-        # with 72-byte records 185.6, and joining both while every block was
-        # held peaked at 226
+        # the iterate blocks go before the record blocks are joined: about 123
         assert peak / history.steps <= 128
         assert history.iterates.shape == (20_001, 5) and history.iterates.dtype == np.float64
         assert history.records.theta.shape == (20_000,)
