@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .linalg import LinearMap, as_vector, block_rows, norm, row_dots, row_norms
-from .mappings import Mapping, linear_mapping, mapping_from_name, zero_map
+from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
     Ball,
@@ -614,7 +614,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     header = (["n"] + [f"x{i + 1}" for i in range(problem.dim)]
               + ["f", "grad_norm", "theta_n", "tau_n", "res_C", "res_Q", "res_fix", "err_to_solution"])
     yield header
-    t_fn = problem.averaged_map(schedule.lam).fn
+    t_map = problem.averaged_map(schedule.lam)
     xs = problem.known_solution
 
     def rows(lo, x, theta_n, tau_n, f, grad_n, reused):
@@ -631,7 +631,7 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
             f[fresh[own]] = 0.5 * dd[own]
             grad_n[fresh[own]] = row_norms(problem.A.apply_adjoint(d[own]))
         res_c = membership_residual(problem.C, x)
-        res_fix = row_norms(t_fn(x) - x) if problem.S is not None else np.zeros(len(x))
+        res_fix = fixed_point_residual(t_map, x) if problem.S is not None else np.zeros(len(x))
         err = np.max(np.abs(x - xs), axis=1) if xs is not None else np.full(len(x), np.nan)
         yield from np.column_stack((np.arange(lo, lo + len(x)), x, f, grad_n, theta_n, tau_n,
                                     res_c, res_q, res_fix, err)).tolist()

@@ -3,7 +3,9 @@
 The class tags mirror the usual hierarchy: contraction < nonexpansive <
 quasi-nonexpansive < demicontractive.  Verification utilities are sampling
 certificates, never proofs: they take the sample as a ``(k, dim)`` point
-array and return the largest violation over it.
+array and return the largest violation over it.  Outside the solver's step a
+map is evaluated only by calling its :class:`Mapping`, on a point or on a
+``(k, dim)`` stack at once.
 """
 
 from __future__ import annotations
@@ -44,17 +46,29 @@ CLASS_TAGS = frozenset(
 _TAGS_WITH_MODULUS = frozenset({"contraction", "strictly_pseudocontractive", "demicontractive"})
 
 
+_STACK_CONTRACT = "a Mapping's fn must map a (k, dim) stack row by row, each row as it maps that point alone"
+
+
+def _same_point(row: np.ndarray, alone) -> bool:
+    """Whether ``row`` is ``alone`` (equal, NaN included) or within
+    1e-10 * max(1, ||row||) of it, a declared fixed point's tolerance."""
+    alone = np.asarray(alone, dtype=float)
+    return row.shape == alone.shape and (np.array_equal(row, alone, equal_nan=True)
+                                         or within(norm(row - alone), row, 1e-10))
+
+
 @dataclass(frozen=True, eq=False)
 class Mapping:
     """A self-map on R^dim with a declared class tag.
 
-    ``fn`` maps a float64 vector of size ``dim`` to one; the solver's step
-    calls it directly.  The built-in maps' ``fn`` also map a ``(k, dim)``
-    stack row by row, with the same bits per row as for that row alone.
-    ``known_fixed_points`` entries are validated at construction (residual
-    <= 1e-10 * max(1, ||p||)).  Demiclosedness is an analytic assumption of
-    the convergence theory; no field records it and nothing verifies it
-    numerically.
+    ``fn`` maps a float64 vector of size ``dim`` to one, and a ``(k, dim)``
+    stack row by row, each row as it maps that point alone; the built-in
+    maps give the same bits per row.  The solver's step calls ``fn`` on
+    single vectors directly; everything else calls the mapping, which
+    checks stacked results (see :meth:`__call__`).  ``known_fixed_points``
+    entries are validated at construction (residual <= 1e-10 * max(1,
+    ||p||)).  Demiclosedness is an analytic assumption of the convergence
+    theory; no field records it and nothing verifies it numerically.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -76,10 +90,25 @@ class Mapping:
             if not within(fixed_point_residual(self, p), p, 1e-10):
                 raise ValueError("declared fixed point has residual > 1e-10 * max(1, ||p||)")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if x.size != self.dim:
-            raise DimensionMismatch(f"mapping acts on dimension {self.dim}, got {x.size}")
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+    def __call__(self, x) -> np.ndarray:
+        """T x for a point, or T of each row of a ``(k, dim)`` stack in one call
+        of ``fn``.  A stack's result is refused with a ``ValueError`` naming
+        the contract when ``fn`` raises on the stack, when its shape is not the
+        stack's, or when its first row is not :func:`_same_point` as ``fn`` of
+        the first point alone, which costs one one-point call."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise DimensionMismatch(f"mapping acts on dimension {self.dim}, got shape {x.shape}")
+        if x.ndim == 1:
+            return np.asarray(self.fn(x), dtype=float)
+        try:
+            out = np.asarray(self.fn(x), dtype=float)
+        except Exception as exc:
+            raise ValueError(f"fn raised on a {x.shape} stack ({exc}); {_STACK_CONTRACT}") from exc
+        if out.shape != x.shape or len(x) and not _same_point(out[0], self.fn(x[0])):
+            raise ValueError(f"fn's {out.shape} result for a {x.shape} stack is not fn of each row; "
+                             + _STACK_CONTRACT)
+        return out
 
 
 def _averaged_tag(base: Mapping, lam: float) -> tuple[str, float | None]:
@@ -108,22 +137,23 @@ def average(base: Mapping, lam: float) -> Mapping:
     return averaged
 
 
-def fixed_point_residual(mapping, x: np.ndarray) -> float:
-    """||T(x) - x||, the quantity an iteration drives to zero."""
+def fixed_point_residual(mapping, x):
+    """||T(x) - x||, the quantity an iteration drives to zero, for a point or
+    for each row of a ``(k, dim)`` stack."""
     x = np.asarray(x, dtype=float)
-    return norm(mapping(x) - x)
+    return row_norms(mapping(x) - x)
 
 
 def _checked(mapping, fixed_point, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated fixed point y, the ``(k, dim)`` points and their images
-    (``mapping`` is called per point: a user's ``fn`` need not take stacks)."""
+    """The validated fixed point y, the ``(k, dim)`` points and their images,
+    taken by one stacked call of ``mapping``."""
     y = as_vector(fixed_point, mapping.dim)
     if not within(fixed_point_residual(mapping, y), y, 1e-10):
         raise ValueError("fixed_point is not a fixed point (residual > 1e-10 * max(1, ||p||))")
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != mapping.dim:
         raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got shape {x.shape}")
-    return y, x, np.array([mapping(p) for p in x])
+    return y, x, mapping(x)
 
 
 def estimate_demicontractive_modulus(mapping, fixed_point, points) -> float:

@@ -436,13 +436,14 @@ def monitors(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
     theta_n and tau, one block of ``block_rows(dim)`` steps at a time: u, A u,
     P_Q, A^T r, T u, the blend and y are each one stacked call over the
     block's rows, with the bits of one row at a time, so every value has the
-    bits that the step's own vectors give.  S must map stacks of points, as
-    the built-in maps do.
+    bits that the step's own vectors give.  T is called as a ``Mapping``, so
+    an S whose ``fn`` does not map a stack row by row raises a ``ValueError``
+    that says so.
     """
     x, records = history.iterates, history.records
     x0 = as_vector(x0, problem.dim)
     xs = problem.known_solution
-    t_fn = problem.averaged_map(schedule.lam).fn
+    t_map = problem.averaged_map(schedule.lam)
     out = np.empty(len(records), MONITOR_DTYPE)
     size = block_rows(problem.dim)
     for i in range(0, len(records), size):
@@ -454,7 +455,7 @@ def monitors(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCo
         u = x_n + block["theta"][:, None] * (x_n - x_prev)
         gvec = problem.grad_f(u)
         tau_g = block["tau"][:, None] * gvec
-        t_u = t_fn(u)
+        t_u = t_map(u)
         y = _compose_y(config.mode, problem.C.project, u, tau_g, delta[:, None], t_u)
         w_blend = (1.0 - delta[:, None]) * (u - tau_g) + delta[:, None] * t_u
         blend_residual = w_blend - problem.C.project(w_blend)

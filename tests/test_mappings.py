@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sfp.linalg import DimensionMismatch
+from sfp.bench import generate_random_sfp, preset_schedule
+from sfp.linalg import DimensionMismatch, LinearMap, row_dots, row_norms
 from sfp.mappings import (
     Mapping,
     average,
@@ -15,9 +16,23 @@ from sfp.mappings import (
     verify_quasi_nonexpansive,
     zero_map,
 )
+from sfp.sets import Ball, WholeSpace
+from sfp.solver import SfpProblem, StepperConfig, monitors, run
 
 FIXED = np.array([0.875])
 GRID = np.linspace(0.0, 1.0, 10001)[:, None]
+STACK_CONTRACT = r"a Mapping's fn must map a \(k, dim\) stack row by row"
+
+
+def _one_point_at_a_time(mapping, y, x):
+    """Both certificates with the images taken one point at a time, the
+    stacked call's reference."""
+    tx = np.array([mapping(p) for p in x])
+    move2 = row_dots(x - tx, x - tx)
+    moved = move2 > 1e-24
+    gain = row_dots(tx - y, tx - y) - row_dots(x - y, x - y)
+    return (float(np.max(gain[moved] / move2[moved], initial=0.0)),
+            float(np.max(row_norms(tx - y) - row_norms(x - y))))
 
 
 class TestJumpMap:
@@ -168,15 +183,41 @@ class TestClassEstimators:
             with pytest.raises(ValueError, match=r"points must be a \(k, 1\) array"):
                 check(jump, FIXED, points)
 
-    def test_user_map_is_called_one_point_at_a_time(self):
+    def test_certificates_refuse_a_one_point_fn(self):
+        # the sample is one stacked call: a fn that raises on a stack, or that
+        # maps a (dim, dim) stack as one point (swapping rows, not coordinates)
         def one_point_only(x):
             assert x.shape == (2,)
             return 0.5 * x
 
         g = Mapping(fn=one_point_only, dim=2, class_tag="contraction", modulus=0.5)
-        points = np.random.default_rng(4).standard_normal((30, 2))
-        assert estimate_demicontractive_modulus(g, np.zeros(2), points) == 0.0
-        assert verify_quasi_nonexpansive(g, np.zeros(2), points) <= 1e-10
+        swap = Mapping(fn=lambda x: np.array([x[1], x[0]]), dim=2, known_fixed_points=([1.0, 1.0],))
+        for mapping, fixed, points in ((g, np.zeros(2), np.random.default_rng(4).standard_normal((30, 2))),
+                                       (swap, np.ones(2), np.array([[0.3, -0.9], [0.5, 0.2]]))):
+            for check in (estimate_demicontractive_modulus, verify_quasi_nonexpansive):
+                with pytest.raises(ValueError, match=STACK_CONTRACT):
+                    check(mapping, fixed, points)
+
+    @pytest.mark.parametrize("name", ["identity", "zero", "scale", "linear", "pull", "jump"])
+    @pytest.mark.parametrize("lam", [None, 1.0, 0.3])
+    def test_certificates_as_one_point_at_a_time(self, name, lam):
+        # the same floats as the images taken one point at a time
+        rng = np.random.default_rng(7)
+        mapping, fixed = {
+            "identity": (identity_map(3), np.zeros(3)),
+            "zero": (zero_map(3), np.zeros(3)),
+            "scale": (scaling_map(3, 0.5), np.zeros(3)),
+            "linear": (linear_mapping(rng.standard_normal((3, 3))), np.zeros(3)),
+            "pull": (generate_random_sfp(3, 2, "box", 5, include_fixed_point_map=True).S, None),
+            "jump": (unit_interval_jump_map(), FIXED),
+        }[name]
+        fixed = mapping.known_fixed_points[0] if fixed is None else fixed
+        mapping = mapping if lam is None else average(mapping, lam)
+        samples = [GRID, rng.random((50, 1))] if name == "jump" else [3.0 * rng.standard_normal((50, 3))]
+        for points in samples:
+            got = (estimate_demicontractive_modulus(mapping, fixed, points),
+                   verify_quasi_nonexpansive(mapping, fixed, points))
+            assert got == _one_point_at_a_time(mapping, fixed, points)
 
 
 class TestMappingType:
@@ -215,6 +256,74 @@ class TestMappingType:
     def test_dimension_check(self):
         with pytest.raises(Exception):
             identity_map(2)(np.ones(3))
+
+
+class TestStackContract:
+    def test_stack_is_mapped_row_by_row(self):
+        rng = np.random.default_rng(5)
+        mapping = average(linear_mapping(rng.standard_normal((3, 3))), 0.3)
+        x = rng.standard_normal((4, 3))
+        stacked = mapping(x)
+        assert stacked.shape == (4, 3)
+        for i in range(4):
+            assert stacked[i].tobytes() == mapping(x[i]).tobytes()
+            assert fixed_point_residual(mapping, x)[i] == fixed_point_residual(mapping, x[i])
+        assert mapping(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 2), ()])
+    def test_dimension_of_a_point_or_a_stack(self, shape):
+        with pytest.raises(DimensionMismatch):
+            identity_map(2)(np.ones(shape))
+
+    def test_result_of_another_shape_is_refused(self):
+        first = Mapping(fn=lambda x: x[..., :1], dim=2)
+        with pytest.raises(ValueError, match=r"fn's \(3, 1\) result for a \(3, 2\) stack is not fn of each row; "
+                           + STACK_CONTRACT):
+            first(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("shift, refused", [(1e-9, True), (1e-11, False)])
+    def test_first_row_within_a_fixed_points_tolerance(self, shift, refused):
+        # the stack's result is off by shift * sqrt(2) * ||row 0|| in row 0, and
+        # the tolerance is 1e-10 * max(1, ||row 0||), at norm 1 and at 2e6 alike
+        for scale in (1.0, 2e6):
+            mapping = Mapping(fn=lambda x: x + (scale * shift if x.ndim == 2 else 0.0), dim=2)
+            x = np.array([[scale, 0.0], [0.5, 0.5]])
+            if refused:
+                with pytest.raises(ValueError, match=r"\(2, 2\) result for a \(2, 2\) stack is not fn of each row"):
+                    mapping(x)
+            else:
+                assert np.array_equal(mapping(x), x + scale * shift)
+
+    def test_equal_values_pass_nan_included(self):
+        mapping = Mapping(fn=lambda x: np.where(x > 0.0, np.nan, x), dim=2)
+        out = mapping(np.array([[1.0, -1.0], [-2.0, 3.0]]))
+        assert np.array_equal(out, [[np.nan, -1.0], [-2.0, np.nan]], equal_nan=True)
+
+    @staticmethod
+    def _swap_problem(fn):
+        # A = I, C the plane, Q the ball of radius 0.1 about (1, 1), S a swap of the coordinates
+        swap = Mapping(fn=fn, dim=2, known_fixed_points=([1.0, 1.0],))
+        return SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=Ball(np.ones(2), 0.1), S=swap,
+                          known_solution=np.ones(2))
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    def test_monitors_refuse_a_one_point_fn(self, steps):
+        # with 2 steps the one-point swap swaps the stack's rows and used to give
+        # false slacks without an error; with 5 it failed inside numpy
+        problem = self._swap_problem(lambda x: np.array([x[1], x[0]]))
+        schedule, kwargs = preset_schedule("paper-s4")
+        config, x0 = StepperConfig(max_iter=steps, **kwargs), np.array([0.3, -0.9])
+        history = run(problem, schedule, config, x0)
+        assert history.steps == steps
+        with pytest.raises(ValueError, match=STACK_CONTRACT):
+            monitors(problem, schedule, config, x0, history)
+
+    def test_monitors_of_the_swap_written_for_stacks(self):
+        problem = self._swap_problem(lambda x: x[..., ::-1].copy())
+        schedule, kwargs = preset_schedule("paper-s4")
+        config, x0 = StepperConfig(max_iter=2, **kwargs), np.array([0.3, -0.9])
+        slack = monitors(problem, schedule, config, x0, run(problem, schedule, config, x0)).quasi_ne_slack
+        assert slack == pytest.approx([-0.186368, -0.049371], abs=1e-6)
 
 
 class TestRegistry:

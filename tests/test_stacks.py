@@ -125,10 +125,12 @@ def test_builtin_maps_row_by_row(k, dim, seed, scale, lam):
     x = scale * rng.standard_normal((k, dim))
     for mapping in maps + [average(m, lam) for m in maps]:
         _same_rows(mapping.fn(x), lambda i: mapping.fn(x[i]), k)
+        _same_rows(mapping(x), lambda i: mapping.fn(x[i]), k)
     jump = unit_interval_jump_map()
     t = np.concatenate([[[1.0], [0.0]], rng.random((k, 1))])  # both branches
     for m in (jump, average(jump, lam)):
         _same_rows(m.fn(t), lambda i: m.fn(t[i]), k + 2)
+        _same_rows(m(t), lambda i: m.fn(t[i]), k + 2)
 
 
 def test_jump_map_rejects_a_row_outside_its_domain():
