@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import LinearMap, as_vector, block_rows, norm, row_dots, row_norms
+from .linalg import LinearMap, as_integer, as_vector, block_rows, norm, row_dots, row_norms
 from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name, zero_map
 from .sets import (
     AffineNullspace,
@@ -142,6 +142,9 @@ def generate_random_sfp(dim1: int, dim2: int, family: str, seed: int,
     ``include_fixed_point_map`` a contraction toward the planted point is
     attached as S, so the point also lies in Fix(S).
     """
+    dim1, dim2, seed = as_integer(dim1, "dim1"), as_integer(dim2, "dim2"), as_integer(seed, "seed")
+    if not isinstance(include_fixed_point_map, bool):
+        raise ValueError(f"include_fixed_point_map must be true or false, got {include_fixed_point_map!r}")
     if dim1 < 1 or dim2 < 1:
         raise ValueError("dimensions must be >= 1")
     if family not in ("box", "ball", "halfspace"):
@@ -232,15 +235,15 @@ def _sequence(obj) -> Seq:
     which :func:`normalize_config` has written a number that YAML leaves a
     string (``1e-1``) as that number."""
     if isinstance(obj, (int, float)):
-        return Seq.constant(_real(obj, "value"))
+        return Seq.constant(obj)
     if isinstance(obj, (list, tuple)):
-        return Seq.explicit([_real(v, "each value") for v in obj])
+        return Seq.explicit(obj)
     if not isinstance(obj, dict) or obj.get("rule") != "power-law":
         raise ValueError(f"expected a number, a list or {{rule: power-law, const, coeff, power}}, got {obj!r}")
     unknown = set(obj) - {"rule", "const", "coeff", "power"}
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} for rule 'power-law'")
-    return Seq("power-law", **{key: _real(value, key) for key, value in obj.items() if key != "rule"})
+    return Seq("power-law", **{key: value for key, value in obj.items() if key != "rule"})
 
 
 def schedule_from_config(section: dict) -> ParameterSchedule:
@@ -256,19 +259,13 @@ def schedule_from_config(section: dict) -> ParameterSchedule:
     merged.update(section)
     _reject_unknown_keys("schedule", merged, {*_SEQUENCE_KEYS, "theta", "lambda", "preset"})
     values = {}
-    for key in (*_SEQUENCE_KEYS, "theta", "lambda"):
+    for key in _SEQUENCE_KEYS:
         if key not in merged:
             raise ConfigError(f"schedule.{key}: sequence is required")
         value = merged[key]
-        if key == "gamma" and value == "complement":
-            values[key] = None
-        elif key in ("theta", "lambda"):
-            values[key] = _read(f"schedule.{key}", _real, value, key)
-        else:
-            values[key] = _read(f"schedule.{key}", _sequence, value)
-    lam = values.pop("lambda")
+        values[key] = None if key == "gamma" and value == "complement" else _read(f"schedule.{key}", _sequence, value)
     try:
-        return ParameterSchedule(**values, lam=lam)
+        return ParameterSchedule(**values, theta=merged["theta"], lam=merged["lambda"])
     except ValueError as exc:  # its message starts with the offending key
         raise ConfigError(f"schedule.{exc}") from exc
 
@@ -287,30 +284,16 @@ def preset_schedule(name: str):
 # --- config parsing ----------------------------------------------------------
 
 
-def _read(path: str, read, *args, errors=(ValueError, TypeError)):
-    """``read(*args)``, with an exception of ``errors`` from it reported as a
-    ``ConfigError`` at the field ``path``; a ``ConfigError`` passes as it is."""
+def _read(path: str, read, *args, errors=(ValueError, TypeError), **kwargs):
+    """``read(*args, **kwargs)``, with an exception of ``errors`` from it
+    reported as a ``ConfigError`` at the field ``path``; a ``ConfigError``
+    passes as it is."""
     try:
-        return read(*args)
+        return read(*args, **kwargs)
     except ConfigError:
         raise
     except errors as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _integer(value, name: str) -> int:
-    """``int(value)`` for a config value; a bool or a non-integral number is
-    an error, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """``float(value)`` for a config value; a bool is an error, not 1.0 or 0.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _read_number(value, read=float):
@@ -325,8 +308,8 @@ def _read_number(value, read=float):
 
 
 def _read_numbers(schedule: dict, stepper: dict) -> None:
-    """Write, in place, each schedule and stepper value that :func:`_real` or
-    :func:`_integer` reads from a string as that number, so that ``1e-1``
+    """Write, in place, each schedule and stepper value that ``as_real`` or
+    ``as_integer`` reads from a string as that number, so that ``1e-1``
     and ``0.1`` give one fingerprint; other strings stay for the checks."""
     for key, value in schedule.items():
         if key not in (*_SEQUENCE_KEYS, "theta", "lambda"):
@@ -340,26 +323,16 @@ def _read_numbers(schedule: dict, stepper: dict) -> None:
         stepper[key] = _read_number(stepper[key], int if key == "max_iter" else float)
 
 
-def _flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
 # each set kind's constructor and parameters, read in this order: its stanza
-# takes these and ``kind``, nothing else
+# takes these and ``kind``, nothing else.  A vector parameter is read as an
+# array where it is reached, so a bad one is reported before a missing
+# parameter after it; the set checks its numbers itself.
 _SETS = {"box": (Box, ("lower", "upper")), "ball": (Ball, ("center", "radius")),
          "halfspace": (Halfspace, ("normal", "offset")), "hyperplane": (Hyperplane, ("normal", "offset")),
-         "singleton": (Singleton, ("point",)), "affine_nullspace": (AffineNullspace, ("matrix",)),
+         "singleton": (Singleton, ("point",)),
+         "affine_nullspace": (lambda matrix: AffineNullspace(LinearMap(matrix)), ("matrix",)),
          "whole_space": (WholeSpace, ("dim",))}
-
-
-def _set_parameter(value, name: str):
-    if name in ("radius", "offset"):
-        return _real(value, name)
-    if name == "dim":
-        return _integer(value, name)
-    return LinearMap(value) if name == "matrix" else np.array(value, float)
+_VECTORS = ("lower", "upper", "center", "normal", "point")
 
 
 def set_from_config(obj, path: str) -> ConvexSet:
@@ -375,7 +348,7 @@ def set_from_config(obj, path: str) -> ConvexSet:
     for name in names:
         if name not in obj:
             raise ConfigError(f"{path}: missing parameter {name!r} for kind {kind!r}")
-        params.append(_read(path, _set_parameter, obj[name], name))
+        params.append(_read(path, np.array, obj[name], float) if name in _VECTORS else obj[name])
     return _read(path, make, *params)
 
 
@@ -490,15 +463,11 @@ def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
     if not isinstance(spec, dict):
         raise ConfigError("problem.random: must be a mapping")
     _reject_unknown_keys("problem.random", spec, ("dim1", "dim2", "family", "seed", "include_fixed_point_map"))
-    dims = []
     for name in ("dim1", "dim2"):
         if name not in spec:
             raise ConfigError(f"problem.random: missing parameter {name!r}")
-        dims.append(_read("problem.random", _integer, spec[name], name))
-    problem = _read("problem.random", lambda: generate_random_sfp(
-        *dims, spec.get("family", "box"), _integer(spec.get("seed", 0), "seed"),
-        include_fixed_point_map=_flag(spec.get("include_fixed_point_map", False), "include_fixed_point_map"),
-    ))
+    problem = _read("problem.random", generate_random_sfp, spec["dim1"], spec["dim2"], spec.get("family", "box"),
+                    spec.get("seed", 0), include_fixed_point_map=spec.get("include_fixed_point_map", False))
     return problem, [0.0] * problem.dim
 
 
@@ -527,25 +496,6 @@ _PROBLEM_FORMS = {
 }
 
 
-def _stepper_number(st: dict, key: str):
-    """The stepper value ``key`` as its field's type; a value that does not
-    read as one is reported by its key, as a bool is."""
-    integer = key == "max_iter"
-    try:
-        return (_integer if integer else _real)(st[key], key)
-    except (ValueError, TypeError):
-        raise ValueError(f"{key} must be {'an integer' if integer else 'a number'}, got {st[key]!r}") from None
-
-
-def _stepper_from_config(st: dict) -> StepperConfig:
-    stop = {key: _stepper_number(st, key) for key in ("grad_tol", "residual_tol", "max_iter")}
-    StepperConfig(**stop)  # a bad stop value is reported before fixed_step is read
-    values = dict(st, **stop)
-    if values["fixed_step"] is not None:
-        values["fixed_step"] = _stepper_number(st, "fixed_step")
-    return StepperConfig(**values)
-
-
 def build_from_config(raw: dict) -> BuiltConfig:
     """Turn a config dict into runnable objects, reporting errors by field path."""
     cfg = normalize_config(raw)
@@ -557,7 +507,7 @@ def build_from_config(raw: dict) -> BuiltConfig:
 
     schedule = schedule_from_config(cfg["schedule"])
 
-    stepper = _read("stepper", _stepper_from_config, cfg["stepper"], errors=(KeyError, ValueError, TypeError))
+    stepper = _read("stepper", StepperConfig, **cfg["stepper"])
 
     start = cfg["start"]
     x1 = _read("start.x1", as_vector, start.get("x1", default_start))

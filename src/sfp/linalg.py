@@ -26,6 +26,8 @@ import numpy as np
 __all__ = [
     "DimensionMismatch",
     "as_vector",
+    "as_real",
+    "as_integer",
     "norm",
     "within",
     "row_dots",
@@ -79,6 +81,30 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got {v.size}")
     v.flags.writeable = False
     return v
+
+
+def as_real(value, name: str) -> float:
+    """``float(value)`` for a number or a string that reads as one; a bool or
+    anything else is a ``ValueError`` that names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def as_integer(value, name: str) -> int:
+    """``int(value)`` for an integral number or a string of an integer; a
+    bool, a fraction or anything else is a ``ValueError`` that names ``name``."""
+    if not isinstance(value, bool):
+        try:
+            integer = int(value)
+            if isinstance(value, str) or integer == value:
+                return integer
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def norm(x: np.ndarray) -> float:

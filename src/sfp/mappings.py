@@ -93,7 +93,8 @@ class Mapping:
     def __call__(self, x) -> np.ndarray:
         """T x for a point, or T of each row of a ``(k, dim)`` stack in one call
         of ``fn``.  A stack's result is refused with a ``ValueError`` naming
-        the contract when ``fn`` raises on the stack, when its shape is not the
+        the contract when ``fn`` raises on the stack but on none of its rows
+        alone (a row's own error passes as it is), when its shape is not the
         stack's, or when its first row is not :func:`_same_point` as ``fn`` of
         the first point alone, which costs one one-point call."""
         x = np.asarray(x, dtype=float)
@@ -104,6 +105,8 @@ class Mapping:
         try:
             out = np.asarray(self.fn(x), dtype=float)
         except Exception as exc:
+            for row in x:
+                self.fn(row)
             raise ValueError(f"fn raised on a {x.shape} stack ({exc}); {_STACK_CONTRACT}") from exc
         if out.shape != x.shape or len(x) and not _same_point(out[0], self.fn(x[0])):
             raise ValueError(f"fn's {out.shape} result for a {x.shape} stack is not fn of each row; "

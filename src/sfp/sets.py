@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, matvec, norm, row_dots, row_norms
+from .linalg import DimensionMismatch, LinearMap, as_integer, as_real, as_vector, matvec, norm, row_dots, row_norms
 
 __all__ = [
     "ConvexSet",
@@ -83,10 +83,11 @@ class Ball(ConvexSet):
 
     def __post_init__(self):
         c = as_vector(self.center)
-        if not self.radius > 0:
+        radius = as_real(self.radius, "radius")
+        if not radius > 0:
             raise ValueError("ball requires radius > 0")
         object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "dim", c.size)
 
     def project(self, x):
@@ -112,7 +113,7 @@ class _NormalOffset(ConvexSet):
 
     def __post_init__(self):
         a = as_vector(self.normal)
-        offset = float(self.offset)
+        offset = as_real(self.offset, "offset")
         if not math.isfinite(offset):
             raise ValueError(f"{self.kind} offset must be finite, got {offset}")
         with np.errstate(over="ignore"):
@@ -219,6 +220,7 @@ class WholeSpace(ConvexSet):
     kind = "whole_space"
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", as_integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, block_rows, norm, row_dots, row_norms, within
+from .linalg import (DimensionMismatch, LinearMap, as_integer, as_real, as_vector, block_rows, norm, row_dots,
+                     row_norms, within)
 from .mappings import Mapping, average, fixed_point_residual, identity_map, zero_map
 from .sets import ConvexSet, membership_residual
 
@@ -131,7 +132,8 @@ class Seq:
 
     Rules: ``constant`` (value), ``power-law`` (const + coeff / n**power) and
     ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the values
-    at n = lo, ..., hi - 1.
+    at n = lo, ..., hi - 1.  Each number is kept as a float; a bool or a
+    value that does not read as a number is refused.
     """
 
     rule: str
@@ -144,16 +146,19 @@ class Seq:
     def __post_init__(self):
         if self.rule not in ("constant", "power-law", "explicit"):
             raise ValueError(f"unknown sequence rule {self.rule!r}")
+        for name in ("value", "const", "coeff", "power"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "values", tuple(as_real(v, "each value") for v in self.values))
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
 
     @classmethod
     def constant(cls, value: float) -> "Seq":
-        return cls(rule="constant", value=float(value))
+        return cls(rule="constant", value=value)
 
     @classmethod
     def explicit(cls, values) -> "Seq":
-        return cls(rule="explicit", values=tuple(float(v) for v in values))
+        return cls(rule="explicit", values=values)
 
     def block(self, lo: int, hi: int) -> list:
         """The values at n = lo, ..., hi - 1, up to the first n that has none: past
@@ -208,6 +213,8 @@ class ParameterSchedule:
 
     def __post_init__(self):
         # each message starts with its config key, as bench.schedule_from_config reports it
+        object.__setattr__(self, "theta", as_real(self.theta, "theta: theta"))
+        object.__setattr__(self, "lam", as_real(self.lam, "lambda: lambda"))
         if not 0.0 <= self.theta < math.inf:
             raise ValueError(f"theta: must be finite and >= 0, got {self.theta}")
         if not (0.0 < self.lam <= 1.0):
@@ -274,7 +281,9 @@ class StepperConfig:
     (``x``).  ``fixed_step`` goes only with the fixed rule, and ``x`` only
     with the adaptive one.  ``grad_tol``, ``residual_tol`` and ``max_iter``
     are the stop values of ``run``.  These field defaults are also the
-    defaults of a config's ``stepper`` section.
+    defaults of a config's ``stepper`` section, which is built as this class.
+    The tolerances and ``fixed_step`` are kept as floats and ``max_iter`` as
+    an int; a bool, a fraction or a value that does not read as one is refused.
     """
 
     mode: str = "proof"
@@ -286,10 +295,16 @@ class StepperConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
+        # the stop values are checked before fixed_step is read
+        for name in ("grad_tol", "residual_tol"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
         if not (self.grad_tol > 0 and self.residual_tol > 0):  # nan fails too
             raise ValueError("stopping tolerances must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.fixed_step is not None:
+            object.__setattr__(self, "fixed_step", as_real(self.fixed_step, "fixed_step"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.step_rule not in ("adaptive", "fixed"):

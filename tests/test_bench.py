@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -32,7 +33,7 @@ from sfp.bench import (
 )
 from sfp.linalg import block_rows, norm
 from sfp.mappings import average, fixed_point_residual
-from sfp.sets import check_projection_characterization, membership_residual
+from sfp.sets import Ball, Halfspace, Hyperplane, WholeSpace, check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, run
 
 from test_cli import CQ_CONFIG, DIVERGE_CONFIG, MALFORMED_VALUES, MALFORMED_YAML, SHORT_SCHEDULE_CONFIG
@@ -545,6 +546,101 @@ class TestConfig:
     def test_malformed_field_message(self, cfg, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)
+
+
+def _schedule(**section):
+    return {"problem": {"example": "s4"}, "schedule": {"preset": "cq", **section}}
+
+
+def _stepper(**section):
+    return {"problem": {"example": "s4"}, "stepper": section}
+
+
+def _set(role, stanza):
+    line = {"kind": "whole_space", "dim": 1}
+    return {"problem": {"A": [[1.0]], "C": line, "Q": line, role: stanza}}
+
+
+def _random(**spec):
+    return {"problem": {"random": {**_RANDOM, **spec}}}
+
+
+def _number_fields():
+    """(library call, config, the config's path prefix, message, bad value)
+    for each number that a library type holds and each of its bad values."""
+    cq = preset_schedule("cq")[0]
+    number, integer = (True, "abc"), (True, "abc", 2.5)
+    fields = {
+        # a config's string is not a sequence, so only the library gives Seq a string
+        "Seq.value": (lambda v: Seq("constant", value=v), lambda v: _schedule(delta=v), "schedule.delta: ",
+                      "value must be a number", (True,)),
+        "Seq.values": (lambda v: Seq.explicit([0.0, v]), lambda v: _schedule(beta=[0.0, v]), "schedule.beta: ",
+                       "each value must be a number", number),
+        "theta": (lambda v: dataclasses.replace(cq, theta=v), lambda v: _schedule(theta=v), "schedule.",
+                  "theta: theta must be a number", number),
+        "lambda": (lambda v: dataclasses.replace(cq, lam=v), lambda v: _schedule(**{"lambda": v}), "schedule.",
+                   "lambda: lambda must be a number", number),
+        "fixed_step": (lambda v: StepperConfig(step_rule="fixed", fixed_step=v),
+                       lambda v: _stepper(step_rule="fixed", fixed_step=v), "stepper: ",
+                       "fixed_step must be a number", number),
+        "Ball.radius": (lambda v: Ball([0.0], v), lambda v: _set("Q", {"kind": "ball", "center": [0.0], "radius": v}),
+                        "problem.Q: ", "radius must be a number", number),
+        "WholeSpace.dim": (lambda v: WholeSpace(v), lambda v: _set("C", {"kind": "whole_space", "dim": v}),
+                           "problem.C: ", "dim must be an integer", integer),
+        "dim1": (lambda v: generate_random_sfp(v, 3, "box", 0), lambda v: _random(dim1=v), "problem.random: ",
+                 "dim1 must be an integer", integer),
+        "dim2": (lambda v: generate_random_sfp(4, v, "box", 0), lambda v: _random(dim2=v), "problem.random: ",
+                 "dim2 must be an integer", integer),
+        "seed": (lambda v: generate_random_sfp(4, 3, "box", v), lambda v: _random(seed=v), "problem.random: ",
+                 "seed must be an integer", integer),
+        "include_fixed_point_map": (lambda v: generate_random_sfp(4, 3, "box", 0, v),
+                                    lambda v: _random(include_fixed_point_map=v), "problem.random: ",
+                                    "include_fixed_point_map must be true or false", (1, "false")),
+    }
+    for key in ("const", "coeff", "power"):
+        fields[f"Seq.{key}"] = (lambda v, key=key: Seq("power-law", **{key: v}),
+                                lambda v, key=key: _schedule(alpha={"rule": "power-law", key: v}),
+                                "schedule.alpha: ", f"{key} must be a number", number)
+    for key in ("grad_tol", "residual_tol", "max_iter"):
+        fields[key] = (lambda v, key=key: StepperConfig(**{key: v}), lambda v, key=key: _stepper(**{key: v}),
+                       "stepper: ", "max_iter must be an integer" if key == "max_iter" else f"{key} must be a number",
+                       integer if key == "max_iter" else number)
+    for kind in (Halfspace, Hyperplane):
+        fields[f"{kind.__name__}.offset"] = (
+            lambda v, kind=kind: kind([1.0], v),
+            lambda v, kind=kind: _set("Q", {"kind": kind.kind, "normal": [1.0], "offset": v}),
+            "problem.Q: ", "offset must be a number", number)
+    return [pytest.param(make, config, prefix, f"{message}, got {value!r}", value, id=f"{name}={value!r}")
+            for name, (make, config, prefix, message, values) in fields.items() for value in values]
+
+
+class TestNumbersCheckedByTheirType:
+    @pytest.mark.parametrize("make, config, prefix, message, value", _number_fields())
+    def test_library_refuses_what_a_config_refuses(self, make, config, prefix, message, value):
+        # the library's message is the config's after its field path
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(prefix + message)}$"):
+            build_from_config(config(value))
+
+    @pytest.mark.parametrize("cfg, message", [
+        (_schedule(delta=[]), "schedule.delta: explicit sequence needs at least one value"),
+        (_stepper(step_rule="bogus"), "stepper: step_rule must be 'adaptive' or 'fixed'"),
+        (_stepper(tau_numerator="v"), "stepper: tau_numerator must be 'u' or 'x'"),
+        ({"problem": {"A": [[1.0, 0.0]], "C": {"kind": "whole_space", "dim": 2}, "Q": {"kind": "whole_space", "dim": 1},
+                      "S": "linear:[[1.0]]"}}, "problem: fixed-point map S must act on the domain space"),
+        ({"problem": {"A": [[1.0, 0.0]], "C": {"kind": "whole_space", "dim": 2}, "Q": {"kind": "whole_space", "dim": 1},
+                      "g": "linear:[[0.5]]"}}, "problem: contraction g must act on the domain space"),
+    ], ids=["delta=[]", "step_rule=bogus", "tau_numerator=v", "S-dim", "g-dim"])
+    def test_library_check_through_a_config(self, cfg, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build_from_config(cfg)
+
+    def test_numbers_read_from_strings(self):
+        # as a config reads them: an integral float or a string of a number
+        assert WholeSpace(2.0).dim == 2 and Ball([0.0], "2").radius == 2.0 and Halfspace([1.0], "1").offset == 1.0
+        assert np.array_equal(generate_random_sfp(4.0, "3", "box", "7").A.matrix,
+                              generate_random_sfp(4, 3, "box", 7).A.matrix)
 
 
 def _readme_block(heading: str, language: str) -> str:

@@ -299,6 +299,18 @@ class TestStackContract:
         out = mapping(np.array([[1.0, -1.0], [-2.0, 3.0]]))
         assert np.array_equal(out, [[np.nan, -1.0], [-2.0, np.nan]], equal_nan=True)
 
+    @pytest.mark.parametrize("points", [[[1.5], [0.5]], [[0.5], [1.5]]], ids=["first-row", "second-row"])
+    def test_a_rows_own_error_is_the_maps(self, points):
+        # the jump map takes stacks; a point outside [0, 1] fails alone too
+        with pytest.raises(ValueError, match=r"^jump map is defined on \[0, 1\]$"):
+            unit_interval_jump_map()(np.array(points))
+
+    def test_a_fn_that_raises_only_on_the_stack_breaks_the_contract(self):
+        # item() takes a one-value array: each point maps alone, the stack raises
+        mapping = Mapping(fn=lambda x: np.array([x.item()]), dim=1)
+        with pytest.raises(ValueError, match=r"^fn raised on a \(2, 1\) stack \(.+\); " + STACK_CONTRACT):
+            mapping(np.array([[0.5], [1.5]]))
+
     @staticmethod
     def _swap_problem(fn):
         # A = I, C the plane, Q the ball of radius 0.1 about (1, 1), S a swap of the coordinates

@@ -1129,6 +1129,17 @@ class TestSequences:
         with pytest.raises(ValueError, match="indexed from n = 1"):
             Seq.constant(1.0).block(0, 1)
 
+    @pytest.mark.parametrize("make", [lambda: Seq("explicit"), lambda: Seq.explicit([])], ids=["Seq", "Seq.explicit"])
+    def test_empty_list_refused(self, make):
+        with pytest.raises(ValueError, match="^explicit sequence needs at least one value$"):
+            make()
+
+    def test_numbers_read_as_floats(self):
+        assert Seq("constant", value="0.5").block(1, 3) == [0.5, 0.5]
+        assert Seq.explicit(["0.1", 2]).values == (0.1, 2.0)
+        seq = Seq("power-law", const="0", coeff=1, power="2")
+        assert (seq.const, seq.coeff, seq.power) == (0.0, 1.0, 2.0) and seq.block(2, 3) == [0.25]
+
 
 class TestProblemValidation:
     def test_dimension_checks(self):
@@ -1165,6 +1176,12 @@ class TestProblemValidation:
         s_map = linear_mapping([[0.5, 0.5], [0.5, 0.5]]) if role == "S" else None
         with pytest.raises(ValueError, match="known_solution"):
             SfpProblem(A=LinearMap(np.eye(2)), S=s_map, known_solution=np.array(xs), **sets)
+
+    @pytest.mark.parametrize("role, message", [("S", "fixed-point map S must act on the domain space"),
+                                               ("g", "contraction g must act on the domain space")])
+    def test_maps_of_another_dimension_refused(self, role, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=WholeSpace(2), **{role: zero_map(3)})
 
     def test_g_must_be_contraction(self):
         from sfp.mappings import identity_map
@@ -1205,6 +1222,20 @@ class TestConfigValidation:
             StepperConfig(step_rule="fixed", fixed_step=0.01, tau_numerator="x")
         assert StepperConfig(step_rule="fixed", fixed_step=0.01, tau_numerator="u").fixed_step == 0.01
         assert StepperConfig(tau_numerator="x").fixed_step is None
+
+    @pytest.mark.parametrize("values, message", [
+        ({"step_rule": "bogus"}, "step_rule must be 'adaptive' or 'fixed'"),
+        ({"tau_numerator": "v"}, "tau_numerator must be 'u' or 'x'"),
+    ], ids=["step_rule", "tau_numerator"])
+    def test_unknown_names_refused(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StepperConfig(**values)
+
+    def test_integral_max_iter_runs_its_steps(self, s4):
+        schedule, kwargs = preset_schedule("cq")
+        config = StepperConfig(max_iter=3.0, **kwargs)
+        assert config.max_iter == 3 and type(config.max_iter) is int
+        assert run(s4, schedule, config, np.ones(5)).steps == 3
 
     def test_stopping_rule_positive(self):
         for values, message in [
