@@ -243,7 +243,7 @@ def _sequence(obj) -> Seq:
     unknown = set(obj) - {"rule", "const", "coeff", "power"}
     if unknown:
         raise ValueError(f"unknown key(s) {sorted(unknown)} for rule 'power-law'")
-    return Seq("power-law", **{key: value for key, value in obj.items() if key != "rule"})
+    return Seq(**obj)
 
 
 def schedule_from_config(section: dict) -> ParameterSchedule:
