@@ -46,7 +46,6 @@ __all__ = [
     "build_example_s4",
     "generate_random_sfp",
     "PRESETS",
-    "preset_schedule",
     "schedule_from_config",
     "parse_config",
     "normalize_config",
@@ -276,11 +275,6 @@ def _reject_unknown_keys(path: str, section: dict, known) -> None:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
 
 
-def preset_schedule(name: str):
-    """Return (ParameterSchedule, stepper keyword defaults) for a named preset."""
-    return schedule_from_config({"preset": name}), {"mode": _preset(name)[1]}
-
-
 # --- config parsing ----------------------------------------------------------
 
 
@@ -324,8 +318,8 @@ def _read_numbers(schedule: dict, stepper: dict) -> None:
 
 
 # each set kind's constructor and parameters, read in this order: its stanza
-# takes these and ``kind``, nothing else.  A vector parameter is read as an
-# array where it is reached, so a bad one is reported before a missing
+# takes these and ``kind``, nothing else.  A vector parameter is read by
+# ``as_vector`` where it is reached, so a bad one is reported before a missing
 # parameter after it; the set checks its numbers itself.
 _SETS = {"box": (Box, ("lower", "upper")), "ball": (Ball, ("center", "radius")),
          "halfspace": (Halfspace, ("normal", "offset")), "hyperplane": (Hyperplane, ("normal", "offset")),
@@ -348,7 +342,7 @@ def set_from_config(obj, path: str) -> ConvexSet:
     for name in names:
         if name not in obj:
             raise ConfigError(f"{path}: missing parameter {name!r} for kind {kind!r}")
-        params.append(_read(path, np.array, obj[name], float) if name in _VECTORS else obj[name])
+        params.append(_read(path, as_vector, obj[name], name=name) if name in _VECTORS else obj[name])
     return _read(path, make, *params)
 
 
@@ -452,13 +446,13 @@ class BuiltConfig:
     fingerprint: str
 
 
-def _example_problem(pr: dict) -> tuple[SfpProblem, list]:
+def _example_problem(pr: dict) -> tuple[SfpProblem, np.ndarray]:
     if pr["example"] != "s4":
         raise ConfigError(f"problem.example: unknown example {pr['example']!r}")
-    return build_example_s4(), [1.0] * 5
+    return build_example_s4(), np.ones(5)
 
 
-def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
+def _random_problem(pr: dict) -> tuple[SfpProblem, np.ndarray]:
     spec = pr["random"]
     if not isinstance(spec, dict):
         raise ConfigError("problem.random: must be a mapping")
@@ -468,10 +462,10 @@ def _random_problem(pr: dict) -> tuple[SfpProblem, list]:
             raise ConfigError(f"problem.random: missing parameter {name!r}")
     problem = _read("problem.random", generate_random_sfp, spec["dim1"], spec["dim2"], spec.get("family", "box"),
                     spec.get("seed", 0), include_fixed_point_map=spec.get("include_fixed_point_map", False))
-    return problem, [0.0] * problem.dim
+    return problem, np.zeros(problem.dim)
 
 
-def _explicit_problem(pr: dict) -> tuple[SfpProblem, list]:
+def _explicit_problem(pr: dict) -> tuple[SfpProblem, np.ndarray]:
     if "A" not in pr:
         raise ConfigError("problem.A: matrix is required for an explicit problem")
     a_map = _read("problem.A", LinearMap, pr["A"])
@@ -483,7 +477,7 @@ def _explicit_problem(pr: dict) -> tuple[SfpProblem, list]:
     if known is not None:
         known = _read("problem.known_solution", as_vector, known, a_map.cols)
     problem = _read("problem", SfpProblem, a_map, c_set, q_set, s_map, g_map, known, errors=(ValueError,))
-    return problem, [0.0] * problem.dim
+    return problem, np.zeros(problem.dim)
 
 
 # The three forms of the problem section, each with the keys it takes and its
@@ -510,10 +504,8 @@ def build_from_config(raw: dict) -> BuiltConfig:
     stepper = _read("stepper", StepperConfig, **cfg["stepper"])
 
     start = cfg["start"]
-    x1 = _read("start.x1", as_vector, start.get("x1", default_start))
-    x0 = _read("start.x0", as_vector, start.get("x0", x1))
-    if x1.size != problem.dim or x0.size != problem.dim:
-        raise ConfigError(f"start: vectors must have dimension {problem.dim}")
+    x1 = _read("start.x1", as_vector, start.get("x1", default_start), problem.dim)
+    x0 = _read("start.x0", as_vector, start["x0"], problem.dim) if "x0" in start else x1
 
     fingerprint = _fingerprint(cfg)
     csv_name = cfg["output"].get("csv") or f"run_{fingerprint}.csv"

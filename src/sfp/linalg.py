@@ -25,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatch",
+    "as_array",
     "as_vector",
     "as_real",
     "as_integer",
@@ -40,6 +41,7 @@ __all__ = [
 
 # Values per block of stacked rows of a narrow problem (see block_rows).
 BLOCK_VALUES = 1024
+_BOOLS = frozenset({bool, np.bool_})  # the types of a bool entry, which as_array refuses
 
 
 def block_rows(width: int) -> int:
@@ -66,20 +68,29 @@ class DimensionMismatch(ValueError):
     """Vector or operator dimensions are incompatible."""
 
 
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Return ``x`` as a validated, read-only 1-D float64 array.
+def as_array(x, ndim: int, name: str) -> np.ndarray:
+    """A new read-only float64 copy of ``x`` with ``ndim`` (1 or 2) nonempty axes
+    and finite entries.  A bool array, or a bool at any depth of a list, is
+    refused as :func:`as_real` refuses a bool; ``name`` leads the message."""
+    a = np.array(x, dtype=float)
+    if a.ndim != ndim or 0 in a.shape:
+        shape = "1-D vector with >= 1 entry" if ndim == 1 else "2-D matrix"
+        raise ValueError(f"expected a {shape}, got shape {a.shape}")
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        entry = next((e for e in np.array(x, dtype=object).flat if type(e) in _BOOLS), None)
+        if entry is not None:
+            raise ValueError(f"{name} entries must be numbers, got {bool(entry)}")
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):  # .all() without its Python wrapper
+        raise ValueError(f"{name} entries must all be finite")
+    a.flags.writeable = False
+    return a
 
-    Rejects empty vectors and non-finite entries; when ``dim`` is given the
-    length must match.
-    """
-    v = np.array(x, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector with >= 1 entry, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must all be finite")
+
+def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    """:func:`as_array` for a vector, whose length must be ``dim`` when given."""
+    v = as_array(x, 1, name)
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected a vector of dimension {dim}, got {v.size}")
-    v.flags.writeable = False
     return v
 
 
@@ -146,14 +157,8 @@ class LinearMap:
     adjoint: np.ndarray = field(init=False, repr=False)  # the view matrix.T, made once
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must all be finite")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "adjoint", m.T)
+        object.__setattr__(self, "matrix", as_array(self.matrix, 2, "matrix"))
+        object.__setattr__(self, "adjoint", self.matrix.T)
 
     @property
     def rows(self) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_vector, matvec, norm, row_dots, row_norms, within
+from .linalg import DimensionMismatch, as_array, as_vector, matvec, norm, row_dots, row_norms, within
 
 __all__ = [
     "CLASS_TAGS",
@@ -217,7 +217,7 @@ def scaling_map(dim: int, c: float) -> Mapping:
 def linear_mapping(matrix, class_tag: str = "generic", modulus: float | None = None,
                    known_fixed_points=(), name: str = "") -> Mapping:
     """Mapping given by a finite square matrix, read as :class:`LinearMap` reads it."""
-    m = LinearMap(matrix).matrix
+    m = as_array(matrix, 2, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ValueError("linear mapping needs a square matrix")
     return Mapping(

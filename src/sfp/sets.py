@@ -60,8 +60,8 @@ class Box(ConvexSet):
     kind = "box"
 
     def __post_init__(self):
-        lo = as_vector(self.lower)
-        up = as_vector(self.upper, lo.size)
+        lo = as_vector(self.lower, name="lower")
+        up = as_vector(self.upper, lo.size, "upper")
         if np.any(lo > up):
             raise ValueError("box requires lower <= upper componentwise")
         object.__setattr__(self, "lower", lo)
@@ -82,7 +82,7 @@ class Ball(ConvexSet):
     kind = "ball"
 
     def __post_init__(self):
-        c = as_vector(self.center)
+        c = as_vector(self.center, name="center")
         radius = as_real(self.radius, "radius")
         if not radius > 0:
             raise ValueError("ball requires radius > 0")
@@ -112,7 +112,7 @@ class _NormalOffset(ConvexSet):
     normal_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = as_vector(self.normal)
+        a = as_vector(self.normal, name="normal")
         offset = as_real(self.offset, "offset")
         if not math.isfinite(offset):
             raise ValueError(f"{self.kind} offset must be finite, got {offset}")
@@ -169,7 +169,7 @@ class Singleton(ConvexSet):
     kind = "singleton"
 
     def __post_init__(self):
-        p = as_vector(self.point)
+        p = as_vector(self.point, name="point")
         object.__setattr__(self, "point", p)
         object.__setattr__(self, "dim", p.size)
 

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from sfp.bench import (
+    PRESETS,
     generate_random_sfp,
     gradient_property_suite,
     mapping_property_suite,
-    preset_schedule,
     projection_property_suite,
     run_experiment,
+    schedule_from_config,
 )
 from sfp.solver import ParameterSchedule, Seq, StepperConfig, monitors, run
 
@@ -106,8 +107,8 @@ def test_criterion_5_mapping_taxonomy():
 
 
 def test_criterion_6_fejer_monitors():
-    schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs, max_iter=150)
+    schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+    config = StepperConfig(mode=mode, max_iter=150)
     families = ("box", "ball", "halfspace")
     dims = ((4, 3), (5, 5), (3, 6), (6, 4))
     gated = 0

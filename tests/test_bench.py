@@ -24,12 +24,12 @@ from sfp.bench import (
     gradient_property_suite,
     normalize_config,
     parse_config,
-    preset_schedule,
     projection_property_suite,
     read_csv_iterates,
     representative_sets,
     run_experiment,
     run_property_suites,
+    schedule_from_config,
 )
 from sfp.linalg import block_rows, norm
 from sfp.mappings import average, fixed_point_residual
@@ -115,18 +115,18 @@ class TestPresets:
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            preset_schedule("does-not-exist")
+            schedule_from_config({"preset": "does-not-exist"})
 
     def test_viscosity_preset_shape(self):
-        schedule, kwargs = preset_schedule("viscosity")
+        schedule, mode = schedule_from_config({"preset": "viscosity"}), PRESETS["viscosity"][1]
         assert schedule.theta == 0.0
         assert schedule.lam == 1.0
-        assert kwargs["mode"] == "statement"
+        assert mode == "statement"
 
     def test_all_presets_step_on_reference_problem(self, s4):
         for name in PRESETS:
-            schedule, kwargs = preset_schedule(name)
-            history = run(s4, schedule, StepperConfig(**kwargs, max_iter=1), np.ones(5))
+            schedule, mode = schedule_from_config({"preset": name}), PRESETS[name][1]
+            history = run(s4, schedule, StepperConfig(mode=mode, max_iter=1), np.ones(5))
             assert history.steps == 1 and np.isfinite(history.iterates[1]).all()
 
 
@@ -140,6 +140,7 @@ stepper:
 """
 
 _RANDOM = {"dim1": 4, "dim2": 3, "family": "box"}
+_LINE = {"kind": "whole_space", "dim": 1}
 _KINDS = "('box', 'ball', 'halfspace', 'hyperplane', 'singleton', 'affine_nullspace', 'whole_space')"
 # the start of the error for a schedule value in none of the three accepted forms
 _SEQUENCE_FORMS = re.escape("expected a number, a list or {rule: power-law, const, coeff, power}, got ")
@@ -275,7 +276,7 @@ class TestConfig:
         cfg = {"problem": {"example": "s4"}, "schedule": {"preset": preset, "gamma": gamma}}
         schedule = build_from_config(cfg).schedule
         assert schedule.gamma == expected
-        assert schedule.alpha == preset_schedule(preset)[0].alpha
+        assert schedule.alpha == schedule_from_config({"preset": preset}).alpha
 
     def test_unknown_schedule_key_without_preset(self):
         cfg = {"problem": {"example": "s4"}, "schedule": {**EXPLICIT_SCHEDULE, "omega": 1.0}}
@@ -517,10 +518,22 @@ class TestConfig:
         ({"kind": ["box"]}, f"problem.C.kind: unknown set kind ['box'] (have {_KINDS})"),
         ({"lower": [0.0]}, "problem.C: expected a mapping with a 'kind' key"),
         ([1, 2], "problem.C: expected a mapping with a 'kind' key"),
+        # a bool entry is refused as a bool number is, and the message names the parameter
+        ({"kind": "box", "lower": [True]}, "problem.C: lower entries must be numbers, got True"),
+        ({"kind": "box", "lower": [0.0], "upper": [False]}, "problem.C: upper entries must be numbers, got False"),
+        ({"kind": "ball", "center": [True], "radius": 2}, "problem.C: center entries must be numbers, got True"),
+        ({"kind": "halfspace", "normal": [True], "offset": 0.0}, "problem.C: normal entries must be numbers, got True"),
+        ({"kind": "hyperplane", "normal": [False], "offset": 0.0},
+         "problem.C: normal entries must be numbers, got False"),
+        ({"kind": "singleton", "point": [True]}, "problem.C: point entries must be numbers, got True"),
+        ({"kind": "affine_nullspace", "matrix": [[True]]}, "problem.C: matrix entries must be numbers, got True"),
+        ({"kind": "box", "lower": [0.0], "upper": [float("nan")]}, "problem.C: upper entries must all be finite"),
     ], ids=["box-bad-lower-no-upper", "box-no-lower", "ball-no-center", "halfspace-no-offset",
             "hyperplane-no-normal", "singleton-no-point", "affine_nullspace-no-matrix", "whole_space-no-dim",
             "ball.radius=true", "whole_space.dim=2.5", "whole_space.dim=0", "kind=cube", "kind=[box]",
-            "no-kind", "list"])
+            "no-kind", "list", "box.lower=[true]-no-upper", "box.upper=[false]", "ball.center=[true]",
+            "halfspace.normal=[true]", "hyperplane.normal=[false]", "singleton.point=[true]",
+            "affine_nullspace.matrix=[[true]]", "box.upper=[nan]"])
     def test_malformed_set_stanza_message(self, stanza, message):
         problem = {"A": [[1.0]], "C": stanza, "Q": {"kind": "whole_space", "dim": 1}}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -542,7 +555,20 @@ class TestConfig:
          "start.x1: expected a 1-D vector with >= 1 entry, got shape ()"),
         ({"problem": {"example": "s4"}, "stepper": {"mode": 3}},
          "stepper: mode must be one of ('proof', 'statement', 'explore'), got 3"),
-    ], ids=["example=5", "family=cube", "seed=-1", "no-dim1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3"])
+        ({"problem": {"A": [[True]], "C": _LINE, "Q": _LINE}}, "problem.A: matrix entries must be numbers, got True"),
+        ({"problem": {"A": [[1.0]], "C": _LINE, "Q": _LINE, "S": "linear:[[true]]"}},
+         "problem.S: matrix entries must be numbers, got True"),
+        ({"problem": {"A": [[1.0]], "C": _LINE, "Q": _LINE, "known_solution": [False]}},
+         "problem.known_solution: vector entries must be numbers, got False"),
+        ({"problem": {"example": "s4"}, "start": {"x0": [1.0, 1.0, 1.0, 1.0, True]}},
+         "start.x0: vector entries must be numbers, got True"),
+        ({"problem": {"example": "s4"}, "start": {"x1": [False, 1.0, 1.0, 1.0, 1.0]}},
+         "start.x1: vector entries must be numbers, got False"),
+        ({"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}, "start.x1: expected a vector of dimension 5, got 2"),
+        ({"problem": {"example": "s4"}, "start": {"x0": [1.0, 2.0]}}, "start.x0: expected a vector of dimension 5, got 2"),
+    ], ids=["example=5", "family=cube", "seed=-1", "no-dim1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3",
+            "A=[[true]]", "S=linear:[[true]]", "known_solution=[false]", "x0=[...,true]", "x1=[false,...]", "x1-dim",
+            "x0-dim"])
     def test_malformed_field_message(self, cfg, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)
@@ -557,8 +583,7 @@ def _stepper(**section):
 
 
 def _set(role, stanza):
-    line = {"kind": "whole_space", "dim": 1}
-    return {"problem": {"A": [[1.0]], "C": line, "Q": line, role: stanza}}
+    return {"problem": {"A": [[1.0]], "C": _LINE, "Q": _LINE, role: stanza}}
 
 
 def _random(**spec):
@@ -568,7 +593,7 @@ def _random(**spec):
 def _number_fields():
     """(library call, config, the config's path prefix, message, bad value)
     for each number that a library type holds and each of its bad values."""
-    cq = preset_schedule("cq")[0]
+    cq = schedule_from_config({"preset": "cq"})
     number, integer = (True, "abc"), (True, "abc", 2.5)
     fields = {
         # a config's string is not a sequence, so only the library gives Seq a string
@@ -635,6 +660,32 @@ class TestNumbersCheckedByTheirType:
     def test_library_check_through_a_config(self, cfg, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: linalg.as_vector(np.array([True])), "vector entries must be numbers, got True"),
+        (lambda: linalg.as_vector([np.bool_(True)]), "vector entries must be numbers, got True"),
+        (lambda: linalg.LinearMap([[1.0, True]]), "matrix entries must be numbers, got True"),
+        (lambda: linalg.LinearMap(np.zeros((2, 2), bool)), "matrix entries must be numbers, got False"),
+        (lambda: mappings.linear_mapping([[np.False_]]), "matrix entries must be numbers, got False"),
+        (lambda: sets.Box([True], [2.0]), "lower entries must be numbers, got True"),
+        (lambda: Ball([0.0, True], 1.0), "center entries must be numbers, got True"),
+        (lambda: Halfspace([True], 0.0), "normal entries must be numbers, got True"),
+        (lambda: sets.Singleton([False]), "point entries must be numbers, got False"),
+        (lambda: solver.SfpProblem(linalg.LinearMap([[1.0]]), WholeSpace(1), WholeSpace(1), known_solution=[True]),
+         "vector entries must be numbers, got True"),
+        (lambda: mappings.Mapping(lambda x: x, 1, known_fixed_points=([True],)),
+         "vector entries must be numbers, got True"),
+        (lambda: run(build_example_s4(), schedule_from_config({"preset": "cq"}), StepperConfig(), [True] * 5),
+         "vector entries must be numbers, got True"),
+        (lambda: run(build_example_s4(), schedule_from_config({"preset": "cq"}), StepperConfig(), np.ones(5),
+                     np.ones(5, bool)), "vector entries must be numbers, got True"),
+    ], ids=["as_vector(bool-array)", "as_vector([np.bool_])", "LinearMap", "LinearMap(bool-array)", "linear_mapping",
+            "Box", "Ball", "Halfspace", "Singleton", "SfpProblem.known_solution", "Mapping.known_fixed_points",
+            "run-x0", "run-x1"])
+    def test_library_refuses_a_bool_entry(self, make, message):
+        # as a bool scalar is refused: the message a config prints after its field path
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_numbers_read_from_strings(self):
         # as a config reads them: an integral float or a string of a number
@@ -1223,8 +1274,8 @@ def test_reference_preset_converges_end_to_end(s4, x_star):
     # documented reference schedule needs several hundred thousand steps to
     # reach 1e-6; driven through run's step loop one block of steps at a time,
     # keeping no history, so memory stays flat
-    schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs, max_iter=700_000)
+    schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+    config = StepperConfig(mode=mode, max_iter=700_000)
     start = np.ones(5)
     steps, reached = 0, None
     for iterates, _, reason, _ in solver._blocks(s4, schedule, config, start, start):

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from sfp import cli as sfp_cli
-from sfp.bench import compare_to_table1, preset_schedule
+from sfp.bench import compare_to_table1, schedule_from_config
 from sfp.solver import MODES, StepperConfig, run
 
 CLI = [sys.executable, "-m", "sfp"]
@@ -101,6 +101,8 @@ MALFORMED_VALUES = [
         ("known_solution=0", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, known_solution: 0}\n",
          "config error: problem.known_solution: expected a 1-D vector"),
         ("random=3", "problem: {random: 3}\n", "config error: problem.random: must be a mapping"),
+        ("A=[[true]]", "problem: {A: [[true]], C: {kind: whole_space, dim: 1}, Q: {kind: whole_space, dim: 1}}\n",
+         "config error: problem.A: matrix entries must be numbers, got True"),
         ("S-matrix=mapping", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {matrix: {a: 1}}}\n",
          "config error: problem.S: "),
         ("S-name=3", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {name: 3}}\n",
@@ -295,7 +297,7 @@ class TestExampleCommand:
         reports = table1_run.reports
         blocks = table1_run.stdout.split("example-s4 preset=table-1 mode=")[1:]
         assert len(blocks) == len(MODES) == len(reports)
-        schedule, _ = preset_schedule("table-1")
+        schedule = schedule_from_config({"preset": "table-1"})
         for mode, block in zip(MODES, blocks):
             assert block.startswith(f"{mode}: reason=max_iter steps=33 ")
             assert block.endswith(f"\n{reports[mode].text()}\nall reference rows matched: False\n")

@@ -34,6 +34,25 @@ class TestAsVector:
         with pytest.raises(ValueError):
             as_vector([[1.0, 2.0]])
 
+    def test_numbers_that_read_as_zero_or_one_are_kept(self):
+        # only a bool is refused: ints, floats and numeric strings of 0 and 1 are numbers
+        for x in ([0, 1], [0.0, 1.0], ["0", "1"], np.array([0, 1]), [np.int64(0), np.float64(1.0)]):
+            assert as_vector(x).tolist() == [0.0, 1.0]
+        assert LinearMap([[1, 0], [0, 1]]).matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("entries, finite", [
+        ([1e308, 1e308], True), ([[1e308], [1e308]], True), ([1e308, -1e308, float("inf")], False),
+        ([float("inf"), float("-inf")], False), ([1e308, 1e308, float("nan")], False),
+    ])
+    def test_finiteness_does_not_depend_on_the_sum(self, entries, finite):
+        # the entries' sum overflows or cancels; only a non-finite entry is refused
+        read = (lambda: LinearMap(entries)) if isinstance(entries[0], list) else (lambda: as_vector(entries))
+        if finite:
+            read()
+        else:
+            with pytest.raises(ValueError, match="entries must all be finite"):
+                read()
+
     def test_dim_check(self):
         with pytest.raises(DimensionMismatch):
             as_vector([1.0, 2.0], dim=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfp.bench import generate_random_sfp, preset_schedule
+from sfp.bench import PRESETS, generate_random_sfp, schedule_from_config
 from sfp.linalg import DimensionMismatch, LinearMap, row_dots, row_norms
 from sfp.mappings import (
     Mapping,
@@ -323,8 +323,8 @@ class TestStackContract:
         # with 2 steps the one-point swap swaps the stack's rows and used to give
         # false slacks without an error; with 5 it failed inside numpy
         problem = self._swap_problem(lambda x: np.array([x[1], x[0]]))
-        schedule, kwargs = preset_schedule("paper-s4")
-        config, x0 = StepperConfig(max_iter=steps, **kwargs), np.array([0.3, -0.9])
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config, x0 = StepperConfig(max_iter=steps, mode=mode), np.array([0.3, -0.9])
         history = run(problem, schedule, config, x0)
         assert history.steps == steps
         with pytest.raises(ValueError, match=STACK_CONTRACT):
@@ -332,8 +332,8 @@ class TestStackContract:
 
     def test_monitors_of_the_swap_written_for_stacks(self):
         problem = self._swap_problem(lambda x: x[..., ::-1].copy())
-        schedule, kwargs = preset_schedule("paper-s4")
-        config, x0 = StepperConfig(max_iter=2, **kwargs), np.array([0.3, -0.9])
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config, x0 = StepperConfig(max_iter=2, mode=mode), np.array([0.3, -0.9])
         slack = monitors(problem, schedule, config, x0, run(problem, schedule, config, x0)).quasi_ne_slack
         assert slack == pytest.approx([-0.186368, -0.049371], abs=1e-6)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfp import solver
-from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, preset_schedule, representative_sets
+from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, representative_sets, schedule_from_config
 from sfp.linalg import LinearMap, block_rows, norm
 from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
@@ -287,8 +287,8 @@ class TestStep:
         assert history.error == "(range) alpha(1) = -0.1 outside [0, 1]"
 
     def test_inertial_bound_structural(self, s4):
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, max_iter=39)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, max_iter=39)
         history = run(s4, schedule, config, np.ones(5), np.ones(5) * 1.5)
         seeds = np.vstack([np.ones(5), history.iterates])
         assert history.steps == 39
@@ -314,9 +314,9 @@ class TestStep:
     def test_convex_combination_identity(self):
         # x_{n+1} = alpha g(x_n) + (1 - alpha) v_n with v_n the (beta, gamma) blend
         problem = generate_random_sfp(3, 3, "halfspace", seed=8)
-        schedule, kwargs = preset_schedule("paper-s4")
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
         rng = np.random.default_rng(10)  # seeds whose gradient does not vanish within 9 steps
-        seeds = run_seeds(problem, schedule, StepperConfig(**kwargs, max_iter=9),
+        seeds = run_seeds(problem, schedule, StepperConfig(mode=mode, max_iter=9),
                           rng.standard_normal(3), rng.standard_normal(3))
         for n in (1, 4, 9):
             p = schedule.at(n)
@@ -361,35 +361,35 @@ def fixed_step_limit(a):
 
 class TestRun:
     def test_start_at_solution(self, s4, x_star):
-        schedule, kwargs = preset_schedule("paper-s4")
-        history = run(s4, schedule, StepperConfig(**kwargs), x_star, x_star)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        history = run(s4, schedule, StepperConfig(mode=mode), x_star, x_star)
         assert history.termination_reason == "residual_met" and history.error is None
         assert history.steps == 0
         assert len(history.iterates) == 1
 
     def test_default_second_seed(self, s4, x_star):
-        schedule, kwargs = preset_schedule("paper-s4")
-        history = run(s4, schedule, StepperConfig(**kwargs), x_star)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        history = run(s4, schedule, StepperConfig(mode=mode), x_star)
         assert history.termination_reason == "residual_met"
 
     def test_cq_preset_converges(self, s4, x_star):
-        schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(**kwargs, max_iter=1000)
+        schedule, mode = schedule_from_config({"preset": "cq"}), PRESETS["cq"][1]
+        config = StepperConfig(mode=mode, max_iter=1000)
         history = run(s4, schedule, config, np.ones(5))
         assert history.termination_reason == "residual_met"
         assert np.max(np.abs(history.final - x_star)) <= 1e-10
 
     def test_cq_on_random_instances_drives_f_to_zero(self):
-        schedule, kwargs = preset_schedule("cq")
+        schedule, mode = schedule_from_config({"preset": "cq"}), PRESETS["cq"][1]
         for seed, family in ((1, "box"), (2, "ball"), (3, "halfspace")):
             problem = generate_random_sfp(5, 4, family, seed=seed)
-            config = StepperConfig(**kwargs, max_iter=10_000)
+            config = StepperConfig(mode=mode, max_iter=10_000)
             history = run(problem, schedule, config, np.zeros(5))
             assert problem.f_value(history.final) <= 1e-10
 
     def test_determinism_bitwise(self, s4):
-        schedule, kwargs = preset_schedule("fast")
-        config = StepperConfig(**kwargs, max_iter=300)
+        schedule, mode = schedule_from_config({"preset": "fast"}), PRESETS["fast"][1]
+        config = StepperConfig(mode=mode, max_iter=300)
         h1 = run(s4, schedule, config, np.ones(5))
         h2 = run(s4, schedule, config, np.ones(5))
         assert h1.termination_reason == h2.termination_reason
@@ -435,16 +435,16 @@ class TestRun:
         assert history.steps == 0
 
     def test_max_iter_reason(self, s4):
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, max_iter=5)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, max_iter=5)
         history = run(s4, schedule, config, np.ones(5))
         assert history.termination_reason == "max_iter" and history.error is None
         assert history.steps == 5
         assert len(history.iterates) == 6
 
     def test_fejer_monitors_on_reference_problem(self, s4):
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, max_iter=400)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, max_iter=400)
         history = run(s4, schedule, config, np.ones(5))
         checked = 0
         for rec in monitors(s4, schedule, config, np.ones(5), history):
@@ -455,7 +455,7 @@ class TestRun:
         assert checked > 0
 
     def test_fixed_step_validated_against_operator_norm(self, s4):
-        schedule, _ = preset_schedule("cq")
+        schedule = schedule_from_config({"preset": "cq"})
         too_big = 2.0 / (0.9 * S4_NORM_SQ)
         config = StepperConfig(step_rule="fixed", fixed_step=too_big)
         with pytest.raises(ValueError, match="fixed step"):
@@ -544,9 +544,9 @@ class TestJumpMapMonitors:
     def monitored(lam, x1):
         problem = SfpProblem(A=LinearMap([[1.0]]), C=WholeSpace(1), Q=Singleton(np.array([0.875])),
                              S=unit_interval_jump_map(), known_solution=np.array([0.875]))
-        schedule, kwargs = preset_schedule("paper-s4")
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
         schedule = dataclasses.replace(schedule, lam=lam)
-        config = StepperConfig(**kwargs, max_iter=200)
+        config = StepperConfig(mode=mode, max_iter=200)
         history = run(problem, schedule, config, np.array([x1]))
         assert (history.termination_reason, history.steps) == ("max_iter", 200)
         return monitors(problem, schedule, config, np.array([x1]), history)
@@ -592,15 +592,15 @@ class TestRunIsStepLoop:
     @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_reference_problem(self, s4, preset, mode, numerator):
-        schedule, _ = preset_schedule(preset)
+        schedule = schedule_from_config({"preset": preset})
         config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         assert_run_is_step_loop(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("numerator", ["u", "x"])
     def test_random_problem_with_fixed_point_map(self, numerator):
         problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, tau_numerator=numerator, max_iter=50)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         x0 = np.random.default_rng(9).standard_normal(6)
         assert_run_is_step_loop(problem, schedule, config, x0)
 
@@ -676,35 +676,35 @@ class TestRunMatchesWrittenOutStep:
     @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_reference_problem(self, s4, preset, mode, numerator):
-        schedule, _ = preset_schedule(preset)
+        schedule = schedule_from_config({"preset": preset})
         config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("numerator", ["u", "x"])
     def test_random_problem_with_fixed_point_map(self, numerator):
         problem = generate_random_sfp(6, 4, "box", seed=8, include_fixed_point_map=True)
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, tau_numerator=numerator, max_iter=50)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, tau_numerator=numerator, max_iter=50)
         assert_run_is_written_out_step(problem, schedule, config, np.random.default_rng(9).standard_normal(6))
 
     @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
     def test_fixed_step_rule(self, s4, mode):
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         config = StepperConfig(mode=mode, step_rule="fixed", fixed_step=1e-3, max_iter=50)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
     @pytest.mark.parametrize("mode", ["proof", "statement", "explore"])
     def test_distinct_seeds(self, s4, mode):
         # x0 is the iterate before x1, so the first step extrapolates along x1 - x0
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = dataclasses.replace(StepperConfig(**kwargs), mode=mode, max_iter=2 * BLOCK_S4 + 40)
+        schedule = schedule_from_config({"preset": "paper-s4"})
+        config = StepperConfig(mode=mode, max_iter=2 * BLOCK_S4 + 40)
         assert_run_is_written_out_step(s4, schedule, config, np.arange(5.0), x1=np.ones(5))
 
     def test_no_known_solution(self, s4):
         # without x* the gaps are NaN, and psi is still taken
         problem = SfpProblem(A=s4.A, C=s4.C, Q=s4.Q, S=s4.S)
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, max_iter=50)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, max_iter=50)
         history = assert_run_is_written_out_step(problem, schedule, config, np.ones(5))
         monitored = monitors(problem, schedule, config, np.ones(5), history)
         for name in ("fejer_gap_y", "fejer_gap_v", "quasi_ne_slack"):
@@ -722,8 +722,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("preset", ["paper-s4", "fast"])
     def test_several_blocks_at_dim_five(self, s4, preset):
-        schedule, kwargs = preset_schedule(preset)
-        config = StepperConfig(**kwargs, max_iter=2 * BLOCK_S4 + 40)
+        schedule, mode = schedule_from_config({"preset": preset}), PRESETS[preset][1]
+        config = StepperConfig(mode=mode, max_iter=2 * BLOCK_S4 + 40)
         assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
 
     # about 1,024 values to a block up to dim 64, then 16 steps until 16 rows
@@ -735,8 +735,8 @@ class TestBlocks:
         else:
             problem = generate_random_sfp(dim, min(dim // 2, 300), "box", seed=8, include_fixed_point_map=True)
             x0 = np.random.default_rng(9).standard_normal(dim)
-        schedule, kwargs = preset_schedule("paper-s4")
-        config = StepperConfig(**kwargs, max_iter=3 * block + 2)
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        config = StepperConfig(mode=mode, max_iter=3 * block + 2)
         lengths = []
         assert_run_is_written_out_step(problem, schedule, config, x0,
                                        on_block=lambda iterates, records: lengths.append(len(records)))
@@ -745,8 +745,8 @@ class TestBlocks:
     def test_vanishing_gradient_records(self, s4):
         # with a grad_tol below 1e-12 the run keeps steps whose ||grad f||^2 is at
         # most GRAD_GUARD: tau = 0 and psi has no gradient term
-        schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(**kwargs, grad_tol=1e-300, residual_tol=1e-300, max_iter=1500)
+        schedule, mode = schedule_from_config({"preset": "cq"}), PRESETS["cq"][1]
+        config = StepperConfig(mode=mode, grad_tol=1e-300, residual_tol=1e-300, max_iter=1500)
         history = assert_run_is_written_out_step(s4, schedule, config, np.ones(5))
         guarded = [r for r in history.records if r.grad_norm_u ** 2 <= GRAD_GUARD]
         assert len(guarded) > BLOCK_S4 and all(r.tau == 0.0 for r in guarded)
@@ -756,12 +756,12 @@ class TestHistoryArrays:
     """A run's history is one iterate array and one column per record field."""
 
     def test_a_long_run_holds_few_bytes_per_step(self, s4):
-        schedule, kwargs = preset_schedule("paper-s4")
-        run(s4, schedule, StepperConfig(**kwargs, max_iter=300), np.ones(5))  # first-call allocations
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+        run(s4, schedule, StepperConfig(mode=mode, max_iter=300), np.ones(5))  # first-call allocations
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            history = run(s4, schedule, StepperConfig(**kwargs, max_iter=20_000), np.ones(5))
+            history = run(s4, schedule, StepperConfig(mode=mode, max_iter=20_000), np.ones(5))
             held, peak = (traced - before for traced in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
@@ -777,12 +777,12 @@ class TestHistoryArrays:
         assert (history.records[0].n, history.records[-1].n) == (1, 20_000)
 
     def test_a_run_without_steps(self, s4, x_star):
-        schedule, kwargs = preset_schedule("paper-s4")
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
         broken = dataclasses.replace(schedule, alpha=Seq.explicit([1.5]))
-        for history in (run(s4, schedule, StepperConfig(**kwargs), x_star),
-                        run(s4, broken, StepperConfig(**kwargs), np.ones(5))):
+        for history in (run(s4, schedule, StepperConfig(mode=mode), x_star),
+                        run(s4, broken, StepperConfig(mode=mode), np.ones(5))):
             assert history.iterates.shape == (1, 5) and len(history.records) == 0
-            assert len(monitors(s4, schedule, StepperConfig(**kwargs), history.iterates[0], history)) == 0
+            assert len(monitors(s4, schedule, StepperConfig(mode=mode), history.iterates[0], history)) == 0
         assert history.error == "(range) alpha(1) = 1.5 outside [0, 1]"
 
 
@@ -799,8 +799,8 @@ def _ending_case(ending, n, dim=5):
     origin = Singleton(np.zeros(3))
     problem = SfpProblem(A=a, C=Box(-np.ones(dim), np.ones(dim)), Q=origin, known_solution=np.zeros(dim))
     x0 = np.full(dim, 3.0)
-    schedule, kwargs = preset_schedule("paper-s4")
-    config = StepperConfig(**kwargs)
+    schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
+    config = StepperConfig(mode=mode)
     error = None
     if ending in ("residual_met", "grad_zero"):
         # alpha(n - 1) = 1 moves x_n to g(x_{n-1}) = 0, where Q holds A x and
@@ -824,7 +824,7 @@ def _ending_case(ending, n, dim=5):
         schedule = dataclasses.replace(schedule, epsilon=Seq.explicit([0.01] * (n - 1)))
         error = f"explicit sequence exhausted at n = {n} (length {n - 1})"
     elif ending == "max_iter":
-        config = StepperConfig(**kwargs, max_iter=n)
+        config = StepperConfig(mode=mode, max_iter=n)
     return problem, schedule, config, x0, error
 
 
@@ -911,19 +911,19 @@ class TestOnBlock:
         assert lo == history.steps and len(blocks[-1][1]) == 0
 
     def test_a_hook_that_raises_ends_the_run(self, s4):
-        schedule, kwargs = preset_schedule("paper-s4")
+        schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
 
         def hook(iterates, records):
             if records["n"][0] > BLOCK_S4:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run(s4, schedule, StepperConfig(**kwargs, max_iter=3 * BLOCK_S4), np.ones(5), on_block=hook)
+            run(s4, schedule, StepperConfig(mode=mode, max_iter=3 * BLOCK_S4), np.ones(5), on_block=hook)
 
 
 class TestPsiDiagnostic:
     def test_zero_at_solution(self, s4, x_star):
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         assert monitors_at(s4, schedule, 1, x_star, x_star).psi <= 1e-20
 
     def test_delta_one_kills_first_two_terms(self, s4):
@@ -940,7 +940,7 @@ class TestPsiDiagnostic:
 
     def test_nonnegative_on_random_steps(self):
         problem = generate_random_sfp(4, 4, "box", seed=17, include_fixed_point_map=True)
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         rng = np.random.default_rng(18)
         for n in range(1, 30):
             u = rng.standard_normal(4) * 2.0
@@ -950,8 +950,8 @@ class TestPsiDiagnostic:
         # f_u * f_u overflows: Python floats give inf in silence, and the
         # per-block arithmetic must not warn where the scalar formula did not
         problem = SfpProblem(A=LinearMap(np.eye(2)), C=WholeSpace(2), Q=Singleton(np.zeros(2)))
-        schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(**kwargs, max_iter=3)
+        schedule, mode = schedule_from_config({"preset": "cq"}), PRESETS["cq"][1]
+        config = StepperConfig(mode=mode, max_iter=3)
         x0 = np.array([1e80, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -963,7 +963,7 @@ class TestPsiDiagnostic:
 
 class TestValidateSchedule:
     def test_reference_schedule_passes(self):
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         report = validate_schedule(schedule, horizon=10_000)
         assert report.ok
         levels = {e.condition: e.level for e in report.entries}
@@ -971,7 +971,7 @@ class TestValidateSchedule:
             assert levels[cond] == "pass", report.text()
 
     def test_zero_beta_warns_on_range_not_c1(self):
-        schedule, _ = preset_schedule("table-1")
+        schedule = schedule_from_config({"preset": "table-1"})
         report = validate_schedule(schedule, horizon=1000)
         assert report.ok  # warnings only
         c1 = [e for e in report.entries if e.condition == "(c1)"]
@@ -1053,7 +1053,7 @@ class TestValidateSchedule:
             assert not flagged, report.text()
 
     def test_cq_schedule_warns_on_vanishing_alpha(self):
-        schedule, _ = preset_schedule("cq")
+        schedule = schedule_from_config({"preset": "cq"})
         report = validate_schedule(schedule, horizon=100)
         assert report.ok
         warned = {e.condition for e in report.entries if e.level == "warn"}
@@ -1075,7 +1075,7 @@ class TestValidateSchedule:
         assert report.text().startswith("schedule check over n = 1..2\n")
 
     def test_horizon_validated(self):
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         with pytest.raises(ValueError):
             validate_schedule(schedule, horizon=0)
 
@@ -1232,8 +1232,8 @@ class TestConfigValidation:
             StepperConfig(**values)
 
     def test_integral_max_iter_runs_its_steps(self, s4):
-        schedule, kwargs = preset_schedule("cq")
-        config = StepperConfig(max_iter=3.0, **kwargs)
+        schedule, mode = schedule_from_config({"preset": "cq"}), PRESETS["cq"][1]
+        config = StepperConfig(max_iter=3.0, mode=mode)
         assert config.max_iter == 3 and type(config.max_iter) is int
         assert run(s4, schedule, config, np.ones(5)).steps == 3
 
@@ -1249,7 +1249,7 @@ class TestConfigValidation:
                 StepperConfig(**values)
 
     def test_schedule_pickles(self):
-        schedule, _ = preset_schedule("paper-s4")
+        schedule = schedule_from_config({"preset": "paper-s4"})
         schedule = dataclasses.replace(schedule, epsilon=Seq.explicit([0.1, 0.05]))
         copy = pickle.loads(pickle.dumps(schedule))
         assert copy == schedule
