@@ -564,8 +564,10 @@ class TestConfig:
          "start.x0: vector entries must be numbers, got True"),
         ({"problem": {"example": "s4"}, "start": {"x1": [False, 1.0, 1.0, 1.0, 1.0]}},
          "start.x1: vector entries must be numbers, got False"),
-        ({"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}}, "start.x1: expected a vector of dimension 5, got 2"),
-        ({"problem": {"example": "s4"}, "start": {"x0": [1.0, 2.0]}}, "start.x0: expected a vector of dimension 5, got 2"),
+        ({"problem": {"example": "s4"}, "start": {"x1": [1.0, 2.0]}},
+         "start.x1: expected a vector of dimension 5, got 2"),
+        ({"problem": {"example": "s4"}, "start": {"x0": [1.0, 2.0]}},
+         "start.x0: expected a vector of dimension 5, got 2"),
     ], ids=["example=5", "family=cube", "seed=-1", "no-dim1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3",
             "A=[[true]]", "S=linear:[[true]]", "known_solution=[false]", "x0=[...,true]", "x1=[false,...]", "x1-dim",
             "x0-dim"])
