@@ -4,6 +4,7 @@ reference-table comparison for the 5-variable linear-system experiment.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -605,6 +606,21 @@ def emit_csv(rows, path) -> None:
         out.writelines(row_format % tuple(row) for row in rows)
 
 
+def _replace_csv(rows, path: Path) -> None:
+    """:func:`emit_csv` to a part file beside ``path``, renamed over it once
+    complete with the permission bits of the CSV it replaces (as a file written
+    in place keeps them); a failure removes the part and leaves ``path`` as it was."""
+    part = path.with_name(f".sfp-{os.getpid()}.part")  # its length does not depend on the CSV name's
+    try:
+        emit_csv(rows, part)
+        with contextlib.suppress(FileNotFoundError):  # a new CSV: the mode that the umask gives
+            os.chmod(part, os.stat(path).st_mode & 0o777)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _csv_rows(path):
     """Yield the header and then each row of an emitted CSV, split into strings."""
     with open(path) as lines:
@@ -700,15 +716,15 @@ class _CsvWriter:
     Then, where :func:`_may_fork`, it forks a writer process that inherits
     the problem and the blocks so far, reads each later block from a pipe as
     raw bytes and writes every row through ``_history_rows`` and
-    ``emit_csv`` while the parent steps on.  The pipe holds up to 1 MiB where
-    the kernel allows it, so that the solve does not wait while the writer
-    catches up on the rows made before the fork.  A shorter run, a run in a
-    process with more threads or one CPU, and a run whose CSV path is a
-    link or a special file, is written in process from its history by
-    :meth:`finish`, and the blocks are let go (``blocks`` is None) once the
-    writer is ruled out.  Either way ``_history_rows`` builds the rows of
-    ``run``'s blocks of ``block_rows(dim)`` steps, one block at a time, and
-    the rows and bytes are the same.
+    ``_replace_csv`` while the parent steps on.  The pipe holds up to 1 MiB
+    where the kernel allows it, so that the solve does not wait while the
+    writer catches up on the rows made before the fork.  A shorter run, and a
+    run in a process with more threads or one CPU, is written in process from
+    its history by :meth:`finish` through ``_replace_csv`` too; a CSV path that
+    is a link or a special file is written through, in process.  The blocks
+    are let go (``blocks`` is None) once the writer is ruled out.  Either way
+    ``_history_rows`` builds the rows of ``run``'s blocks of
+    ``block_rows(dim)`` steps, one block at a time, and the bytes are the same.
     """
 
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
@@ -717,6 +733,7 @@ class _CsvWriter:
         self.width = problem.dim + 9  # values per CSV row
         self.values = self.width  # the start point's row
         self.pid = self.data = self.errors = None  # the writer's pid and the parent's pipe ends
+        self.replaceable = not path.is_symlink() and (path.is_file() or not path.exists())
 
     def __call__(self, iterates: np.ndarray, records: np.ndarray) -> None:
         if self.pid is not None:
@@ -727,10 +744,7 @@ class _CsvWriter:
         self.blocks.append((iterates, records))
         self.values += len(records) * self.width
         if self.values >= _FORK_VALUES:
-            # the writer renames its file over the path, which would replace a
-            # link or a device where the in-process path writes through it
-            path = self.path
-            if _may_fork() and not path.is_symlink() and (path.is_file() or not path.exists()):
+            if _may_fork() and self.replaceable:
                 self._fork()
             self.blocks = None
 
@@ -785,37 +799,23 @@ class _CsvWriter:
                 yield iterates, np.frombuffer(read(k * RECORD_DTYPE.itemsize), RECORD_DTYPE)
 
     def _write(self, data: int, errors: int) -> None:
-        """The writer process: write the CSV to a file beside it, rename that
-        over the CSV once the run has returned, send any exception back on
-        ``errors`` and exit.  A run that raised, or a write that failed,
-        leaves the CSV's path as it was."""
-        # a name whose length does not depend on the CSV's, which may be up to NAME_MAX
-        part = self.path.with_name(f".sfp-{os.getpid()}.part")
+        """The writer process: write the CSV with :func:`_replace_csv` once the
+        run has returned, send any exception back on ``errors`` and exit."""
         code = 1
         try:
+            _replace_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), self.path)
+            code = 0
+        except _Aborted:
+            pass
+        except BaseException as exc:  # each failure, Ctrl-C too, is the parent's to raise
             try:
-                emit_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), part)
-                try:  # the CSV it replaces keeps its permission bits, as a file written in place does
-                    os.chmod(part, os.stat(self.path).st_mode & 0o777)
-                except FileNotFoundError:  # a new CSV: the mode that the umask gives
-                    pass
-                os.replace(part, self.path)
-                code = 0
-            except _Aborted:
-                pass
-            except BaseException as exc:  # each failure, Ctrl-C too, is the parent's to raise
-                try:
-                    report = pickle.dumps(exc)
-                    pickle.loads(report)  # an exception class with other arguments does not load
-                except Exception:
-                    report = pickle.dumps(RuntimeError(f"CSV writer: {type(exc).__name__}: {exc}"))
-                _write_all(errors, report)
+                report = pickle.dumps(exc)
+                pickle.loads(report)  # an exception class with other arguments does not load
+            except Exception:
+                report = pickle.dumps(RuntimeError(f"CSV writer: {type(exc).__name__}: {exc}"))
+            _write_all(errors, report)
         finally:
-            try:
-                if code:
-                    part.unlink(missing_ok=True)
-            finally:
-                os._exit(code)
+            os._exit(code)
 
     def finish(self, history: RunHistory) -> None:
         """Complete the CSV of a run that returned: write it in process from
@@ -824,7 +824,8 @@ class _CsvWriter:
         if self.pid is None:
             x, records, n = history.iterates[1:], history.records, block_rows(self.problem.dim)
             blocks = ((x[i:i + n], records[i:i + n]) for i in range(0, len(records), n))
-            emit_csv(_history_rows(self.problem, self.schedule, self.start, blocks), self.path)
+            rows = _history_rows(self.problem, self.schedule, self.start, blocks)
+            (_replace_csv if self.replaceable else emit_csv)(rows, self.path)
             return
         self._send(_END)
         error = self.stop()

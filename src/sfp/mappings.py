@@ -153,9 +153,10 @@ def _checked(mapping, fixed_point, points) -> tuple[np.ndarray, np.ndarray, np.n
     y = as_vector(fixed_point, mapping.dim)
     if not within(fixed_point_residual(mapping, y), y, 1e-10):
         raise ValueError("fixed_point is not a fixed point (residual > 1e-10 * max(1, ||p||))")
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != mapping.dim:
-        raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got shape {x.shape}")
+    shape = np.shape(points)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != mapping.dim:
+        raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got shape {shape}")
+    x = as_array(points, 2, "points")
     return y, x, mapping(x)
 
 

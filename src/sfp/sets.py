@@ -247,7 +247,7 @@ def check_projection_characterization(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, cset.dim, "x")
     z = cset.project(x)
     rng = np.random.default_rng(seed)
     members = cset.project(rng.standard_normal((samples, cset.dim)) * (1.0 + norm(x)))

@@ -681,9 +681,16 @@ class TestNumbersCheckedByTheirType:
          "vector entries must be numbers, got True"),
         (lambda: run(build_example_s4(), schedule_from_config({"preset": "cq"}), StepperConfig(), np.ones(5),
                      np.ones(5, bool)), "vector entries must be numbers, got True"),
+        (lambda: mappings.verify_quasi_nonexpansive(mappings.unit_interval_jump_map(), [0.875], [[True], [False]]),
+         "points entries must be numbers, got True"),
+        (lambda: mappings.estimate_demicontractive_modulus(mappings.unit_interval_jump_map(), [0.875],
+                                                           np.array([[0.5], [True]], dtype=object)),
+         "points entries must be numbers, got True"),
+        (lambda: check_projection_characterization(Ball([0.0], 1.0), [True]), "x entries must be numbers, got True"),
     ], ids=["as_vector(bool-array)", "as_vector([np.bool_])", "LinearMap", "LinearMap(bool-array)", "linear_mapping",
             "Box", "Ball", "Halfspace", "Singleton", "SfpProblem.known_solution", "Mapping.known_fixed_points",
-            "run-x0", "run-x1"])
+            "run-x0", "run-x1", "verify_quasi_nonexpansive", "estimate_demicontractive_modulus",
+            "check_projection_characterization"])
     def test_library_refuses_a_bool_entry(self, make, message):
         # as a bool scalar is refused: the message a config prints after its field path
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

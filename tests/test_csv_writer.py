@@ -235,9 +235,9 @@ class TestWriterErrors:
         assert (facts["code"], facts["forks"], facts["child_left"]) == (4, 0, False)
         assert stderr == "i/o error: [Errno 28] No space left on device\n"
 
-    # the in-process path leaves the part it wrote, as before; the writer
-    # leaves the CSV's path as it was
-    @pytest.mark.parametrize("max_iter, forks, left", [(100, 0, ["big.csv", "big.yaml"]),
+    # in process and in the writer, a CSV that could not be written whole
+    # leaves the CSV's path as it was, and no part file
+    @pytest.mark.parametrize("max_iter, forks, left", [(100, 0, ["big.yaml"]),
                                                        pytest.param(5000, 1, ["big.yaml"], marks=needs_two_cpus)],
                              ids=["in-process", "forked"])
     def test_a_file_size_limit_is_an_io_error(self, tmp_path, max_iter, forks, left):
@@ -268,8 +268,8 @@ class TestWriterErrors:
 
 
 class TestReplacedCsv:
-    # the writer renames a new file over the CSV; it takes the old file's
-    # permission bits, as the file that the in-process path truncates keeps them
+    # both paths rename a new file over the CSV; it takes the old file's
+    # permission bits, as a file written in place keeps them
     @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
     @pytest.mark.parametrize("fork_values, forks", [(2**16, 0), pytest.param(1, 1, marks=needs_two_cpus)],
                              ids=["in-process", "forked"])
@@ -288,6 +288,21 @@ class TestReplacedCsv:
 
 
 class TestAbortedRun:
+    # the run's one step goes from 0.5 to 2.0, outside [0, 1], where the CSV's
+    # res_fix column calls the jump map
+    @pytest.mark.parametrize("fork_values, forks", [(2**16, 0), pytest.param(1, 1, marks=needs_two_cpus)],
+                             ids=["in-process", "forked"])
+    def test_a_row_outside_the_maps_domain_keeps_the_earlier_csv(self, tmp_path, fork_values, forks):
+        (tmp_path / "jump.csv").write_text("an earlier run's CSV\n")
+        config = _write_config(tmp_path / "jump.yaml", {
+            **JUMP_MAP, "problem": {**JUMP_MAP["problem"], "Q": {"kind": "singleton", "point": [2.0]}},
+            "start": {"x1": [0.5]}, "stepper": {"max_iter": 1}, "output": {"csv": "jump.csv"}})
+        facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, fork_values)
+        assert (facts["code"], facts["forks"], facts["child_left"]) == (2, forks, False)
+        assert stderr == "error: jump map is defined on [0, 1]\n"
+        assert sorted(os.listdir(tmp_path)) == ["jump.csv", "jump.yaml"]
+        assert (tmp_path / "jump.csv").read_text() == "an earlier run's CSV\n"
+
     def test_a_map_outside_its_domain_leaves_no_csv(self, tmp_path):
         config = _write_config(tmp_path / "jump.yaml", {**JUMP_MAP, "output": {"csv": "jump.csv"}})
         facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, 1)

@@ -183,6 +183,13 @@ class TestClassEstimators:
             with pytest.raises(ValueError, match=r"points must be a \(k, 1\) array"):
                 check(jump, FIXED, points)
 
+    @pytest.mark.parametrize("points", [[[0.5], [np.nan]], np.array([[np.inf]])])
+    def test_points_must_be_finite(self, points):
+        jump = unit_interval_jump_map()
+        for check in (estimate_demicontractive_modulus, verify_quasi_nonexpansive):
+            with pytest.raises(ValueError, match=r"^points entries must all be finite$"):
+                check(jump, FIXED, points)
+
     def test_certificates_refuse_a_one_point_fn(self):
         # the sample is one stacked call: a fn that raises on a stack, or that
         # maps a (dim, dim) stack as one point (swapping rows, not coordinates)

@@ -160,6 +160,12 @@ class TestProjectionProperties:
         box = Box(-np.ones(3), np.ones(3))
         assert check_projection_characterization(box, np.zeros(3), samples=100, seed=0) <= TOL
 
+    @pytest.mark.parametrize("x, message", [([np.nan, 0.0], "x entries must all be finite"),
+                                            ([0.0, 0.0, 0.0], "expected a vector of dimension 2, got 3")])
+    def test_characterization_reads_x_as_a_vector(self, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_projection_characterization(Box(np.zeros(2), np.ones(2)), x)
+
     def test_characterization_direct_arithmetic(self):
         # Projecting (2, 0.5) on the unit box gives (1, 0.5); the member (0, 0)
         # has <x - z, y - z> = <(1, 0), (-1, -0.5)> = -1.

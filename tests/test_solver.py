@@ -961,6 +961,9 @@ class TestPsiDiagnostic:
         assert monitors(problem, schedule, config, x0, history)[0].psi == math.inf
 
 
+NO_LIMIT = " is an explicit list, which ends the run where it runs out, so it has no limit"
+
+
 class TestValidateSchedule:
     def test_reference_schedule_passes(self):
         schedule = schedule_from_config({"preset": "paper-s4"})
@@ -1019,7 +1022,7 @@ class TestValidateSchedule:
 
     @settings(derandomize=True, max_examples=50)
     @given(values=st.dictionaries(st.sampled_from(StepParams._fields), SCHEDULE_VALUES))
-    @example(values={"alpha": 1e-300, "epsilon": 1e300})  # epsilon / alpha overflows in the (c2) proxy
+    @example(values={"alpha": 1e-300, "epsilon": 1e300})  # epsilon / alpha overflows a float
     def test_run_and_validation_agree_on_random_values(self, s4, values):
         # the drawn values replace those of an admissible schedule; gamma is the
         # complement unless it is drawn
@@ -1078,6 +1081,72 @@ class TestValidateSchedule:
         schedule = schedule_from_config({"preset": "paper-s4"})
         with pytest.raises(ValueError):
             validate_schedule(schedule, horizon=0)
+
+    @staticmethod
+    def asymptotic(schedule, horizon=1000):
+        """The (c1)-(c4) entries of the report, as (condition, level, message)."""
+        report = validate_schedule(schedule, horizon=horizon)
+        return [(e.condition, e.level, e.message) for e in report.entries
+                if e.condition in ("(c1)", "(c2)", "(c3)", "(c4)")]
+
+    # paper-s4 with one sequence replaced: epsilon/alpha stays 0.009, and
+    # sum 0.1 / n**1.05 converges, though a finite tail of either looks as if
+    # the condition held
+    @pytest.mark.parametrize("replaced, condition, message", [
+        ({"epsilon": Seq("power-law", coeff=0.0009, power=1.0)}, "(c2)",
+         "epsilon/alpha does not tend to 0: epsilon ~ 0.0009/n^1, alpha ~ 0.1/n^1"),
+        ({"alpha": Seq("power-law", coeff=0.1, power=1.05)}, "(c3)",
+         "alpha ~ 0.1/n^1.05 tends to 0 and its sum converges"),
+    ], ids=["epsilon-over-alpha", "summable-alpha"])
+    @pytest.mark.parametrize("horizon", [1000, 100_000])
+    def test_a_condition_that_fails_on_every_tail_warns(self, replaced, condition, message, horizon):
+        schedule = dataclasses.replace(schedule_from_config({"preset": "paper-s4"}), **replaced)
+        entries = self.asymptotic(schedule, horizon)
+        assert (condition, "warn", message) in entries
+        assert [level for _, level, _ in entries].count("warn") == 1
+
+    def test_fast_alpha_has_a_convergent_sum(self):
+        entries = self.asymptotic(schedule_from_config({"preset": "fast"}))
+        assert ("(c3)", "warn", "alpha ~ 0.1/n^3 tends to 0 and its sum converges") in entries
+
+    @pytest.mark.parametrize("preset, warned", [("paper-s4", []), ("viscosity", []), ("fast", ["(c3)"]),
+                                                ("cq", ["(c2)", "(c3)", "(c4)"]), ("table-1", ["(c4)"])])
+    def test_asymptotic_verdicts_do_not_depend_on_the_horizon(self, preset, warned):
+        schedule = schedule_from_config({"preset": preset})
+        entries = self.asymptotic(schedule, 10)
+        assert [condition for condition, level, _ in entries if level == "warn"] == warned
+        assert entries == self.asymptotic(schedule, 1000) == self.asymptotic(schedule, 100_000)
+
+    @pytest.mark.parametrize("replaced, undecided", [
+        ({"alpha": Seq.explicit([0.1] * 5)}, {"(c2)": "alpha" + NO_LIMIT, "(c3)": "alpha" + NO_LIMIT}),
+        ({"delta": Seq.explicit([0.5] * 5)}, {"(c4)": "delta" + NO_LIMIT}),
+        ({"epsilon": Seq.constant(math.inf)}, {"(c2)": "a parameter of epsilon is not finite"}),
+        ({"beta": Seq("power-law", const=0.5, coeff=-0.05, power=math.nan)},
+         {"(c1)": "a parameter of beta is not finite"}),
+    ], ids=["alpha-list", "delta-list", "epsilon-inf", "beta-power-nan"])
+    def test_a_list_or_a_non_finite_parameter_is_undecided(self, replaced, undecided):
+        schedule = dataclasses.replace(schedule_from_config({"preset": "paper-s4"}), **replaced)
+        warned = {condition: message for condition, level, message in self.asymptotic(schedule, 5) if level == "warn"}
+        assert warned == {condition: f"undecided: {why}" for condition, why in undecided.items()}
+
+    # the leading term c / n**p of const + coeff / n**power, checked against the
+    # sequence's own values at n = 1e20: with |power| >= 0.5 and the magnitudes
+    # of const and coeff within a factor 1e3, the other term is at most
+    # 1e3 / 1e10 = 1e-7 of the leading one there
+    @settings(derandomize=True, max_examples=200)
+    @given(const=st.sampled_from([0.0]) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+           coeff=st.sampled_from([0.0]) | st.floats(0.01, 10.0) | st.floats(-10.0, -0.01),
+           power=st.sampled_from([0.0]) | st.floats(0.5, 3.0) | st.floats(-3.0, -0.5),
+           rule=st.sampled_from(["constant", "power-law"]))
+    def test_the_leading_term_is_that_of_the_values(self, const, coeff, power, rule):
+        seq = Seq.constant(const) if rule == "constant" else Seq("power-law", const=const, coeff=coeff, power=power)
+        c, p = solver._leading(seq)
+        n = 10**20
+        value = seq.block(n, n + 1)[0]
+        if c == 0.0:
+            assert p == 0.0 and value == 0.0
+        else:
+            assert math.isclose(value, c / float(n) ** p, rel_tol=1e-6)
 
 
 class TestSequences:
