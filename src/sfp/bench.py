@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from .linalg import LinearMap, as_integer, as_vector, block_rows, norm, row_dots, row_norms
-from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name, zero_map
+from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name
 from .sets import (
     AffineNullspace,
     Ball,
@@ -119,18 +119,16 @@ def build_example_s4() -> SfpProblem:
     """The 5-variable experiment: C = Fix(S) as a null space, Q = {b}.
 
     The matrix S is not quasi-nonexpansive (its spectral norm exceeds 1) and
-    the demicontractivity gain is unbounded on Fix(S)'s complement, so it is
-    tagged ``generic``; the averaged map is still well defined.
+    the demicontractivity gain is unbounded on Fix(S)'s complement, so it
+    keeps the default tag ``generic``; the averaged map is still well defined.
     """
     s_mat = np.array(_S_MATRIX)
     a_map = LinearMap(np.array(_A_MATRIX, dtype=float))
     xs = np.array(_X_STAR)
-    s_mapping = linear_mapping(
-        s_mat, class_tag="generic", known_fixed_points=(xs,), name="s4-averaging-matrix"
-    )
+    s_mapping = linear_mapping(s_mat, known_fixed_points=(xs,))
     c_set = AffineNullspace(LinearMap(np.eye(5) - s_mat))
     q_set = Singleton(np.array(_B_VECTOR))
-    return SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_mapping, g=zero_map(5), known_solution=xs)
+    return SfpProblem(A=a_map, C=c_set, Q=q_set, S=s_mapping, known_solution=xs)
 
 
 def generate_random_sfp(dim1: int, dim2: int, family: str, seed: int,
@@ -180,14 +178,12 @@ def generate_random_sfp(dim1: int, dim2: int, family: str, seed: int,
             class_tag="contraction",
             modulus=0.5,
             known_fixed_points=(xh,),
-            name="pull-to-planted-point",
         )
     return SfpProblem(
         A=LinearMap(a),
         C=make_set(x_hat),
         Q=make_set(y_hat),
         S=s_map,
-        g=zero_map(dim1),
         known_solution=x_hat,
     )
 

@@ -70,11 +70,18 @@ class DimensionMismatch(ValueError):
 
 def as_array(x, ndim: int, name: str) -> np.ndarray:
     """A new read-only float64 copy of ``x`` with ``ndim`` (1 or 2) nonempty axes
-    and finite entries.  A bool array, or a bool at any depth of a list, is
-    refused as :func:`as_real` refuses a bool; ``name`` leads the message."""
-    a = np.array(x, dtype=float)
+    and finite entries.  A ragged list, a bool array or a bool at any depth of a
+    list is refused (a bool as :func:`as_real` refuses one); ``name`` leads the message."""
+    shape = "1-D vector with >= 1 entry" if ndim == 1 else "2-D matrix"
+    try:
+        a = np.array(x, dtype=float)
+    except ValueError:
+        try:
+            np.shape(x)  # numpy gives a ragged list no shape
+        except ValueError:
+            raise ValueError(f"{name} is a ragged list, not a {shape}") from None
+        raise  # an entry that does not read as a number, which numpy's message names
     if a.ndim != ndim or 0 in a.shape:
-        shape = "1-D vector with >= 1 entry" if ndim == 1 else "2-D matrix"
         raise ValueError(f"expected a {shape}, got shape {a.shape}")
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
         entry = next((e for e in np.array(x, dtype=object).flat if type(e) in _BOOLS), None)

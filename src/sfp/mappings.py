@@ -76,7 +76,6 @@ class Mapping:
     class_tag: str = "generic"
     modulus: float | None = None
     known_fixed_points: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
@@ -153,9 +152,13 @@ def _checked(mapping, fixed_point, points) -> tuple[np.ndarray, np.ndarray, np.n
     y = as_vector(fixed_point, mapping.dim)
     if not within(fixed_point_residual(mapping, y), y, 1e-10):
         raise ValueError("fixed_point is not a fixed point (residual > 1e-10 * max(1, ||p||))")
-    shape = np.shape(points)
-    if len(shape) != 2 or shape[0] < 1 or shape[1] != mapping.dim:
-        raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got shape {shape}")
+    try:
+        shape = np.shape(points)
+    except ValueError:  # numpy gives a ragged list no shape
+        shape = None
+    if shape is None or len(shape) != 2 or shape[0] < 1 or shape[1] != mapping.dim:
+        got = "a ragged list" if shape is None else f"shape {shape}"
+        raise ValueError(f"points must be a (k, {mapping.dim}) array with k >= 1, got {got}")
     x = as_array(points, 2, "points")
     return y, x, mapping(x)
 
@@ -186,7 +189,7 @@ def verify_quasi_nonexpansive(mapping, fixed_point, points) -> float:
 
 
 def identity_map(dim: int) -> Mapping:
-    return Mapping(fn=lambda x: x.copy(), dim=dim, class_tag="nonexpansive", name="identity")
+    return Mapping(fn=lambda x: x.copy(), dim=dim, class_tag="nonexpansive")
 
 
 def zero_map(dim: int) -> Mapping:
@@ -197,7 +200,6 @@ def zero_map(dim: int) -> Mapping:
         class_tag="contraction",
         modulus=0.0,
         known_fixed_points=(np.zeros(dim),),
-        name="zero",
     )
 
 
@@ -211,12 +213,10 @@ def scaling_map(dim: int, c: float) -> Mapping:
         class_tag="contraction",
         modulus=abs(c),
         known_fixed_points=(np.zeros(dim),),
-        name=f"contraction-scale:{c}",
     )
 
 
-def linear_mapping(matrix, class_tag: str = "generic", modulus: float | None = None,
-                   known_fixed_points=(), name: str = "") -> Mapping:
+def linear_mapping(matrix, class_tag: str = "generic", modulus: float | None = None, known_fixed_points=()) -> Mapping:
     """Mapping given by a finite square matrix, read as :class:`LinearMap` reads it."""
     m = as_array(matrix, 2, "matrix")
     if m.shape[0] != m.shape[1]:
@@ -227,7 +227,6 @@ def linear_mapping(matrix, class_tag: str = "generic", modulus: float | None = N
         class_tag=class_tag,
         modulus=modulus,
         known_fixed_points=known_fixed_points,
-        name=name or "linear",
     )
 
 
@@ -251,7 +250,6 @@ def unit_interval_jump_map() -> Mapping:
         class_tag="demicontractive",
         modulus=2.0 / 3.0,
         known_fixed_points=(np.array([0.875]),),
-        name="example-2.2",
     )
 
 
@@ -268,7 +266,7 @@ def mapping_from_name(spec: str, dim: int | None = None) -> Mapping:
             rows = json.loads(spec.split(":", 1)[1])
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad matrix literal in {spec!r}: {exc}") from exc
-        return linear_mapping(rows, name=spec)
+        return linear_mapping(rows)
     if spec not in ("identity", "zero") and not spec.startswith("contraction-scale:"):
         raise ValueError(f"unknown mapping name {spec!r}")
     kind = spec.split(":", 1)[0]

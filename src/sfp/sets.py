@@ -182,14 +182,13 @@ class Singleton(ConvexSet):
 class AffineNullspace(ConvexSet):
     """Null space {x : Mx = 0} of a linear map, projected via an orthonormal basis.
 
-    An orthonormal basis of null(M) is precomputed from the SVD of M with rank
-    tolerance ``rank_tol`` = 1e-10 * ||M||, which makes every projection an
-    exact subspace projection B (B^T x).  The set is never empty since 0 is
-    always a member.
+    An orthonormal basis of null(M) is precomputed from the SVD of M, counting
+    as zero the singular values at or below 1e-10 * ||M||, which makes every
+    projection an exact subspace projection B (B^T x).  The set is never empty
+    since 0 is always a member.
     """
 
     map: LinearMap
-    rank_tol: float = field(init=False)
     basis: np.ndarray = field(init=False, repr=False)
     basis_t: np.ndarray = field(init=False, repr=False)  # the view basis.T, made once
     kind = "affine_nullspace"
@@ -200,7 +199,6 @@ class AffineNullspace(ConvexSet):
         rank = int(np.sum(s > tol)) if s[0] > 0.0 else 0
         basis = vt[rank:].T.copy()  # (cols, cols - rank), orthonormal columns
         basis.flags.writeable = False
-        object.__setattr__(self, "rank_tol", tol)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "basis_t", basis.T)
         object.__setattr__(self, "dim", self.map.cols)

@@ -128,25 +128,24 @@ class SfpProblem:
 
 @dataclass(frozen=True)
 class Seq:
-    """A scalar sequence indexed from n = 1: a named closed-form rule or a list.
+    """A scalar sequence indexed from n = 1: a closed-form power law or a list.
 
-    Rules: ``constant`` (value), ``power-law`` (const + coeff / n**power) and
-    ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the values
-    at n = lo, ..., hi - 1.  Each number is kept as a float; a bool or a
-    value that does not read as a number is refused.
+    Rules: ``power-law`` (const + coeff / n**power; a :meth:`constant` has power
+    0) and ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the
+    values at n = lo, ..., hi - 1.  Each number is kept as a float; a bool or
+    a value that does not read as a number is refused.
     """
 
     rule: str
-    value: float = 0.0
     const: float = 0.0
     coeff: float = 0.0
     power: float = 1.0
     values: tuple = ()
 
     def __post_init__(self):
-        if self.rule not in ("constant", "power-law", "explicit"):
+        if self.rule not in ("power-law", "explicit"):
             raise ValueError(f"unknown sequence rule {self.rule!r}")
-        for name in ("value", "const", "coeff", "power"):
+        for name in ("const", "coeff", "power"):
             object.__setattr__(self, name, as_real(getattr(self, name), name))
         object.__setattr__(self, "values", tuple(as_real(v, "each value") for v in self.values))
         if self.rule == "explicit" and len(self.values) == 0:
@@ -154,7 +153,8 @@ class Seq:
 
     @classmethod
     def constant(cls, value: float) -> "Seq":
-        return cls(rule="constant", value=value)
+        """``value`` at every n: const + -0.0 is const bit for bit, -0.0 included."""
+        return cls(rule="power-law", const=as_real(value, "value"), coeff=-0.0, power=0.0)
 
     @classmethod
     def explicit(cls, values) -> "Seq":
@@ -166,13 +166,13 @@ class Seq:
         Raises :class:`ScheduleViolation` when that n is ``lo``."""
         if lo < 1:
             raise ValueError("sequences are indexed from n = 1")
-        if self.rule == "constant":
-            return [self.value] * (hi - lo)
         if self.rule == "explicit":
             if lo > len(self.values):
                 raise ScheduleViolation(f"explicit sequence exhausted at n = {lo} (length {len(self.values)})")
             return list(self.values[lo - 1:hi - 1])
         const, coeff, power = self.const, self.coeff, self.power
+        if power == 0.0:  # n**0.0 is 1.0 at every n, so the loop's value is const + coeff
+            return [const + coeff] * (hi - lo)
         values = []
         try:
             for n in range(lo, hi):
@@ -633,20 +633,20 @@ class ScheduleReport:
 
 
 def _leading(seq: Seq) -> tuple[float, float]:
-    """The leading term (c, p) of a constant or power-law ``seq``: seq(n) =
-    c / n**p + o(n**-p) as n -> oo, and (0, 0) where seq is 0 from some n on."""
-    const, coeff, power = (seq.value, 0.0, 1.0) if seq.rule == "constant" else (seq.const, seq.coeff, seq.power)
+    """The leading term (c, p) of a power-law ``seq``, a constant included: seq(n)
+    = c / n**p + o(n**-p) as n -> oo, and (0, 0) where seq is 0 from some n on."""
+    const, coeff, power = seq.const, seq.coeff, seq.power
     if power != 0.0 and coeff != 0.0 and (power < 0.0 or const == 0.0):
         return coeff, power
-    return const + (coeff if power == 0.0 else 0.0), 0.0
+    return (const + coeff if power == 0.0 else const) + 0.0, 0.0  # + 0.0 reads a limit of -0.0 as 0
 
 
 def _undecided(name: str, seq: Seq) -> str | None:
     """Why the limit of ``seq`` is not read from its fields (None when it is)."""
     if seq.rule == "explicit":
         return f"undecided: {name} is an explicit list, which ends the run where it runs out, so it has no limit"
-    fields = (seq.value,) if seq.rule == "constant" else (seq.const, seq.coeff, seq.power)
-    return None if all(map(math.isfinite, fields)) else f"undecided: a parameter of {name} is not finite"
+    finite = all(map(math.isfinite, (seq.const, seq.coeff, seq.power)))
+    return None if finite else f"undecided: a parameter of {name} is not finite"
 
 
 def validate_schedule(schedule: ParameterSchedule, horizon: int) -> ScheduleReport:

@@ -48,7 +48,7 @@ class TestExampleProblem:
     def test_matrix_shapes(self, s4):
         assert s4.A.rows == s4.A.cols == 5
         assert s4.S is not None and s4.S.dim == 5
-        assert s4.g.name == "zero"
+        assert s4.g.dim == 5 and np.array_equal(s4.g(np.ones(5)), np.zeros(5))
 
     def test_fixed_point_map_fixes_solution(self, s4, x_star):
         assert norm(s4.S(x_star) - x_star) <= 1e-15
@@ -528,12 +528,18 @@ class TestConfig:
         ({"kind": "singleton", "point": [True]}, "problem.C: point entries must be numbers, got True"),
         ({"kind": "affine_nullspace", "matrix": [[True]]}, "problem.C: matrix entries must be numbers, got True"),
         ({"kind": "box", "lower": [0.0], "upper": [float("nan")]}, "problem.C: upper entries must all be finite"),
+        # a ragged list is reported in the reader's words, with the parameter's name
+        ({"kind": "ball", "center": [[1.0], 2.0], "radius": 2},
+         "problem.C: center is a ragged list, not a 1-D vector with >= 1 entry"),
+        ({"kind": "affine_nullspace", "matrix": [[1.0], [2.0, 3.0]]},
+         "problem.C: matrix is a ragged list, not a 2-D matrix"),
     ], ids=["box-bad-lower-no-upper", "box-no-lower", "ball-no-center", "halfspace-no-offset",
             "hyperplane-no-normal", "singleton-no-point", "affine_nullspace-no-matrix", "whole_space-no-dim",
             "ball.radius=true", "whole_space.dim=2.5", "whole_space.dim=0", "kind=cube", "kind=[box]",
             "no-kind", "list", "box.lower=[true]-no-upper", "box.upper=[false]", "ball.center=[true]",
             "halfspace.normal=[true]", "hyperplane.normal=[false]", "singleton.point=[true]",
-            "affine_nullspace.matrix=[[true]]", "box.upper=[nan]"])
+            "affine_nullspace.matrix=[[true]]", "box.upper=[nan]", "ball.center=ragged",
+            "affine_nullspace.matrix=ragged"])
     def test_malformed_set_stanza_message(self, stanza, message):
         problem = {"A": [[1.0]], "C": stanza, "Q": {"kind": "whole_space", "dim": 1}}
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -568,9 +574,15 @@ class TestConfig:
          "start.x1: expected a vector of dimension 5, got 2"),
         ({"problem": {"example": "s4"}, "start": {"x0": [1.0, 2.0]}},
          "start.x0: expected a vector of dimension 5, got 2"),
+        ({"problem": {"A": [[1.0], [2.0, 3.0]], "C": _LINE, "Q": _LINE}},
+         "problem.A: matrix is a ragged list, not a 2-D matrix"),
+        ({"problem": {"A": [[1.0]], "C": _LINE, "Q": _LINE, "S": "linear:[[1.0], [2.0, 3.0]]"}},
+         "problem.S: matrix is a ragged list, not a 2-D matrix"),
+        ({"problem": {"example": "s4"}, "start": {"x1": [1, [2], 3, 4, 5]}},
+         "start.x1: vector is a ragged list, not a 1-D vector with >= 1 entry"),
     ], ids=["example=5", "family=cube", "seed=-1", "no-dim1", "A=[]", "known_solution-dim", "Q-dim", "x1=scalar", "mode=3",
             "A=[[true]]", "S=linear:[[true]]", "known_solution=[false]", "x0=[...,true]", "x1=[false,...]", "x1-dim",
-            "x0-dim"])
+            "x0-dim", "A=ragged", "S=linear:ragged", "x1=ragged"])
     def test_malformed_field_message(self, cfg, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_from_config(cfg)
@@ -599,8 +611,8 @@ def _number_fields():
     number, integer = (True, "abc"), (True, "abc", 2.5)
     fields = {
         # a config's string is not a sequence, so only the library gives Seq a string
-        "Seq.value": (lambda v: Seq("constant", value=v), lambda v: _schedule(delta=v), "schedule.delta: ",
-                      "value must be a number", (True,)),
+        "Seq.constant": (Seq.constant, lambda v: _schedule(delta=v), "schedule.delta: ", "value must be a number",
+                         (True,)),
         "Seq.values": (lambda v: Seq.explicit([0.0, v]), lambda v: _schedule(beta=[0.0, v]), "schedule.beta: ",
                        "each value must be a number", number),
         "theta": (lambda v: dataclasses.replace(cq, theta=v), lambda v: _schedule(theta=v), "schedule.",

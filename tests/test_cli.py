@@ -103,6 +103,8 @@ MALFORMED_VALUES = [
         ("random=3", "problem: {random: 3}\n", "config error: problem.random: must be a mapping"),
         ("A=[[true]]", "problem: {A: [[true]], C: {kind: whole_space, dim: 1}, Q: {kind: whole_space, dim: 1}}\n",
          "config error: problem.A: matrix entries must be numbers, got True"),
+        ("A=ragged", "problem: {A: [[1], [2, 3]], C: {kind: whole_space, dim: 1}, Q: {kind: whole_space, dim: 1}}\n",
+         "config error: problem.A: matrix is a ragged list, not a 2-D matrix"),
         ("S-matrix=mapping", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {matrix: {a: 1}}}\n",
          "config error: problem.S: "),
         ("S-name=3", EXPLICIT_PROBLEM + "{kind: whole_space, dim: 2}, S: {name: 3}}\n",

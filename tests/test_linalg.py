@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfp.linalg import DimensionMismatch, LinearMap, as_vector, norm, row_dots
+from sfp.linalg import DimensionMismatch, LinearMap, as_array, as_vector, norm, row_dots
 
 # largest singular value of the experiment's coefficient matrix, frozen from an
 # independent eigendecomposition of A^T A (np.linalg.eigvalsh) run before the
@@ -52,6 +53,20 @@ class TestAsVector:
         else:
             with pytest.raises(ValueError, match="entries must all be finite"):
                 read()
+
+    @pytest.mark.parametrize("x, ndim, shape", [
+        ([[1.0], [2.0, 3.0]], 2, "2-D matrix"), ([[1.0, 2.0], [3.0, [4.0]]], 2, "2-D matrix"),
+        ([np.zeros(2), np.zeros(3)], 2, "2-D matrix"), ([np.zeros((2, 2)), np.zeros((2, 3))], 2, "2-D matrix"),
+        ([[1.0], 2.0], 1, "1-D vector with >= 1 entry"), ([1, [2], 3], 1, "1-D vector with >= 1 entry"),
+        ([["a"], [1.0, 2.0]], 2, "2-D matrix"),
+    ])
+    def test_a_ragged_list_is_named(self, x, ndim, shape):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'field is a ragged list, not a {shape}')}$"):
+            as_array(x, ndim, "field")
+
+    def test_an_entry_that_is_not_a_number_keeps_numpys_message(self):
+        with pytest.raises(ValueError, match="^could not convert string to float: 'a'$"):
+            as_array([[1.0], ["a"]], 2, "field")
 
     def test_dim_check(self):
         with pytest.raises(DimensionMismatch):

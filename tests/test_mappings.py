@@ -176,7 +176,7 @@ class TestClassEstimators:
             verify_quasi_nonexpansive(jump, np.array([0.2]), GRID)
 
     @pytest.mark.parametrize("points", [np.array([0.5]), np.empty((0, 1)), np.zeros((3, 2)),
-                                        np.zeros((2, 1, 1)), 0.5])
+                                        np.zeros((2, 1, 1)), 0.5, [[0.5], [0.2, 0.3]]])
     def test_points_must_be_a_nonempty_stack(self, points):
         jump = unit_interval_jump_map()
         for check in (estimate_demicontractive_modulus, verify_quasi_nonexpansive):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from sfp import solver
 from sfp.bench import PRESETS, build_example_s4, generate_random_sfp, representative_sets, schedule_from_config
 from sfp.linalg import LinearMap, block_rows, norm
-from sfp.mappings import linear_mapping, scaling_map, unit_interval_jump_map, zero_map
+from sfp.mappings import (estimate_demicontractive_modulus, linear_mapping, scaling_map, unit_interval_jump_map,
+                          verify_quasi_nonexpansive, zero_map)
 from sfp.sets import AffineNullspace, Ball, Box, Singleton, WholeSpace
 from sfp.solver import (
     GRAD_GUARD,
@@ -405,7 +406,7 @@ class TestRun:
             A=LinearMap(np.eye(1)),
             C=WholeSpace(1),
             Q=Singleton(np.array([1.0])),
-            S=linear_mapping([[3.0]], name="expanding"),
+            S=linear_mapping([[3.0]]),
         )
         schedule = constant_schedule(delta=0.9, lam=1.0)
         history = run(problem, schedule, StepperConfig(max_iter=500), np.array([2.0]))
@@ -565,6 +566,60 @@ class TestJumpMapMonitors:
         with pytest.warns(UserWarning, match="averaging weight"):
             monitored = self.monitored(0.5, 1.0)
         assert np.flatnonzero(monitored.quasi_ne_slack > 0.0).tolist() == [0]
+
+
+class TestDemicontractiveMonitorsInSixDimensions:
+    """The paper's class in R^6: S = P_F + c (I - P_F) for a plane F and c = -2
+    is demicontractive with k = (c + 1) / (c - 1) = 1/3, exactly on every point
+    off F, and not quasi-nonexpansive.  The averaged map is P_F + (1 - 3 lam)
+    (I - P_F), so it is quasi-nonexpansive for lam < 1 - k = 2/3 and moves a
+    point off F farther from F above it.  A is a seeded 4 x 6 Gaussian, C = [-1,
+    1]^6 and Q the ball of radius 0.05 about A p for a p in F and C, which is
+    the known solution.  Only the warning and the monitors are asserted, not
+    how a run ends or whether it converges."""
+
+    C_FACTOR = -2.0
+
+    @classmethod
+    def problem(cls):
+        rng = np.random.default_rng(7)
+        basis = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+        p_f = basis @ basis.T
+        p = basis @ rng.standard_normal(2)
+        p *= 0.5 / np.max(np.abs(p))
+        a = rng.standard_normal((4, 6))
+        c = cls.C_FACTOR
+        s = linear_mapping(p_f + c * (np.eye(6) - p_f), "demicontractive", (c + 1.0) / (c - 1.0),
+                           known_fixed_points=(p,))
+        return SfpProblem(A=LinearMap(a), C=Box(-np.ones(6), np.ones(6)), Q=Ball(a @ p, 0.05), S=s,
+                          known_solution=p)
+
+    def test_the_map_is_in_the_paper_class(self):
+        problem = self.problem()
+        points = np.random.default_rng(8).uniform(-3.0, 3.0, (50, 6))
+        xs = problem.known_solution
+        assert math.isclose(estimate_demicontractive_modulus(problem.S, xs, points), 1.0 / 3.0, abs_tol=1e-12)
+        assert verify_quasi_nonexpansive(problem.S, xs, points) > 0.1
+
+    @pytest.mark.parametrize("lam, outside", [(0.3, False), (0.6, False), (0.7, True), (0.9, True)])
+    def test_monitors_follow_the_modulus_bound(self, lam, outside):
+        problem = self.problem()
+        schedule = schedule_from_config({"preset": "paper-s4", "lambda": lam})
+        config = StepperConfig(mode=PRESETS["paper-s4"][1], max_iter=500)
+        for x1 in np.random.default_rng(9).uniform(-3.0, 3.0, (3, 6)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                history = run(problem, schedule, config, x1)
+            messages = [str(w.message) for w in caught]
+            assert len(messages) == outside and all(m.startswith("averaging weight") for m in messages)
+            monitored = monitors(problem, schedule, config, x1, history)
+            assert history.steps > 0 and len(monitored) == history.steps
+            if outside:
+                # every u off F is moved farther from p
+                assert (monitored.quasi_ne_slack > 0.0).all()
+            else:
+                for name in ("quasi_ne_slack", "fejer_gap_y", "fejer_gap_v"):
+                    assert (monitored[name] <= 0.0).all(), name
 
 
 S4_NORM_SQ = 10.591820151285528**2
@@ -1155,13 +1210,22 @@ class TestSequences:
                                      Seq.explicit([0.1, 0.2, 0.3, 0.4])], ids=["constant", "power-1", "power-2.5",
                                                                               "explicit"])
     def test_at_is_the_one_row_block(self, seq):
-        expected = {
-            "constant": [seq.value] * 4,
-            "power-law": [seq.const + seq.coeff / float(n) ** seq.power for n in range(1, 5)],  # Python's power
-            "explicit": list(seq.values),
-        }[seq.rule]
+        # a constant is the power law of power 0, so the formula is its reference too
+        expected = list(seq.values) if seq.rule == "explicit" else [
+            seq.const + seq.coeff / float(n) ** seq.power for n in range(1, 5)]  # Python's power
         assert seq.block(1, 5) == expected == [seq.block(n, n + 1)[0] for n in range(1, 5)]
         assert seq.block(3, 5) == expected[2:]
+
+    @pytest.mark.parametrize("c", [0.5, 0.0, -0.0, math.inf, math.nan, 5e-324])
+    def test_a_constant_block_is_the_constant_bit_for_bit(self, c):
+        assert np.array(Seq.constant(c).block(1, 300)).tobytes() == np.array([c] * 299).tobytes()
+
+    def test_a_constant_is_the_power_law_of_power_0(self):
+        assert Seq.constant(0.3) == Seq("power-law", const=0.3, coeff=-0.0, power=0.0)
+        # its values are not computed from n, so every n has one, however large
+        assert Seq.constant(0.3).block(10**400, 10**400 + 2) == [0.3, 0.3]
+        with pytest.raises(ValueError, match="^unknown sequence rule 'constant'$"):
+            Seq("constant")
 
     def test_block_stops_at_the_end_of_a_list(self):
         seq = Seq.explicit([0.1, 0.2])
@@ -1204,7 +1268,7 @@ class TestSequences:
             make()
 
     def test_numbers_read_as_floats(self):
-        assert Seq("constant", value="0.5").block(1, 3) == [0.5, 0.5]
+        assert Seq.constant("0.5").block(1, 3) == [0.5, 0.5]
         assert Seq.explicit(["0.1", 2]).values == (0.1, 2.0)
         seq = Seq("power-law", const="0", coeff=1, power="2")
         assert (seq.const, seq.coeff, seq.power) == (0.0, 1.0, 2.0) and seq.block(2, 3) == [0.25]
@@ -1260,8 +1324,10 @@ class TestProblemValidation:
                        g=identity_map(2))
 
     def test_default_g_is_null_map(self, s4):
-        assert s4.g.name == "zero"
+        # build_example_s4 passes no g, so s4.g is the default
+        assert (s4.g.class_tag, s4.g.modulus) == ("contraction", 0.0)
         assert np.array_equal(s4.g(np.ones(5)), np.zeros(5))
+        assert np.array_equal(s4.g(np.ones((3, 5))), np.zeros((3, 5)))
 
     def test_averaged_map_is_the_relaxation_bit_for_bit(self, s4):
         # without S the identity stands in for it
