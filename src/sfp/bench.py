@@ -8,7 +8,6 @@ import contextlib
 import hashlib
 import json
 import os
-import pickle
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -606,7 +605,7 @@ def _replace_csv(rows, path: Path) -> None:
     """:func:`emit_csv` to a part file beside ``path``, renamed over it once
     complete with the permission bits of the CSV it replaces (as a file written
     in place keeps them); a failure removes the part and leaves ``path`` as it was."""
-    part = path.with_name(f".sfp-{os.getpid()}.part")  # its length does not depend on the CSV name's
+    part = path.with_name(_PART.format(os.getpid()))
     try:
         emit_csv(rows, part)
         with contextlib.suppress(FileNotFoundError):  # a new CSV: the mode that the umask gives
@@ -677,10 +676,7 @@ def read_csv_iterates(path) -> list[np.ndarray]:
 _FORK_VALUES = 2**16
 _END = (-1).to_bytes(8, "little", signed=True)  # the block header that ends a run
 _PIPE_BYTES = 1 << 20  # Linux's default pipe-max-size, the most an unprivileged process may ask
-
-
-class _Aborted(Exception):
-    """The block pipe ended without the end marker: the run raised."""
+_PART = ".sfp-{}.part"  # _replace_csv's part file, by pid; its length does not depend on the CSV name's
 
 
 def _may_fork() -> bool:
@@ -699,12 +695,6 @@ def _may_fork() -> bool:
     return hasattr(os, "fork") and threads == 1 and cpus > 1
 
 
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class _CsvWriter:
     """The ``on_block`` hook of :func:`run_experiment`, and the writer of its CSV.
 
@@ -721,6 +711,9 @@ class _CsvWriter:
     are let go (``blocks`` is None) once the writer is ruled out.  Either way
     ``_history_rows`` builds the rows of ``run``'s blocks of
     ``block_rows(dim)`` steps, one block at a time, and the bytes are the same.
+    The writer reports only whether it put the CSV in place, by its exit
+    status; where it did not, :meth:`finish` writes the CSV in process, so a
+    write error is raised in the parent as its own exception.
     """
 
     def __init__(self, problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, path: Path):
@@ -728,7 +721,7 @@ class _CsvWriter:
         self.blocks = []
         self.width = problem.dim + 9  # values per CSV row
         self.values = self.width  # the start point's row
-        self.pid = self.data = self.errors = None  # the writer's pid and the parent's pipe ends
+        self.pid = self.data = None  # the writer's pid and the parent's end of its pipe
         self.replaceable = not path.is_symlink() and (path.is_file() or not path.exists())
 
     def __call__(self, iterates: np.ndarray, records: np.ndarray) -> None:
@@ -748,7 +741,6 @@ class _CsvWriter:
         import fcntl  # POSIX only, as is fork
 
         data_r, data_w = os.pipe()
-        errors_r, errors_w = os.pipe()
         try:
             # room for the blocks that the solve sends while the writer builds
             # the rows kept before the fork: up to about 250 KB of 80-byte
@@ -760,22 +752,22 @@ class _CsvWriter:
         try:
             pid = os.fork()
         except OSError:  # no process to spare: finish writes the CSV in process
-            for fd in (data_r, data_w, errors_r, errors_w):
-                os.close(fd)
+            os.close(data_r)
+            os.close(data_w)
             return
         if pid == 0:
             os.close(data_w)
-            os.close(errors_r)
-            self._write(data_r, errors_w)  # never returns
+            self._write(data_r)  # never returns
         os.close(data_r)
-        os.close(errors_w)
-        self.pid, self.data, self.errors = pid, data_w, errors_r
+        self.pid, self.data = pid, data_w
 
     def _send(self, data: bytes) -> None:
-        if self.data is None:  # the writer has failed; stop reports why
+        if self.data is None:  # the writer has ended; finish writes the CSV in process
             return
         try:
-            _write_all(self.data, data)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self.data, view):]
         except BrokenPipeError:
             os.close(self.data)
             self.data = None
@@ -787,67 +779,52 @@ class _CsvWriter:
             def read(count: int) -> bytes:
                 data = pipe.read(count)
                 if len(data) < count:
-                    raise _Aborted
+                    raise EOFError("the run ended without the end marker")
                 return data
 
             while (k := int.from_bytes(read(8), "little", signed=True)) >= 0:
                 iterates = np.frombuffer(read(k * self.problem.dim * 8), np.float64).reshape(k, self.problem.dim)
                 yield iterates, np.frombuffer(read(k * RECORD_DTYPE.itemsize), RECORD_DTYPE)
 
-    def _write(self, data: int, errors: int) -> None:
+    def _write(self, data: int) -> None:
         """The writer process: write the CSV with :func:`_replace_csv` once the
-        run has returned, send any exception back on ``errors`` and exit."""
+        run has returned, and exit 0 once it is in place, 1 on any other outcome
+        (no end marker, an error, Ctrl-C), which leaves the CSV's path as it was."""
         code = 1
         try:
             _replace_csv(_history_rows(self.problem, self.schedule, self.start, self._received(data)), self.path)
             code = 0
-        except _Aborted:
-            pass
-        except BaseException as exc:  # each failure, Ctrl-C too, is the parent's to raise
-            try:
-                report = pickle.dumps(exc)
-                pickle.loads(report)  # an exception class with other arguments does not load
-            except Exception:
-                report = pickle.dumps(RuntimeError(f"CSV writer: {type(exc).__name__}: {exc}"))
-            _write_all(errors, report)
         finally:
-            os._exit(code)
+            os._exit(code)  # an error is not reported: finish writes again and raises it
 
     def finish(self, history: RunHistory) -> None:
-        """Complete the CSV of a run that returned: write it in process from
-        ``history``, cut again into the blocks that ``run`` handed over, or end
-        the writer's stream, wait for it and raise its exception."""
-        if self.pid is None:
-            x, records, n = history.iterates[1:], history.records, block_rows(self.problem.dim)
-            blocks = ((x[i:i + n], records[i:i + n]) for i in range(0, len(records), n))
-            rows = _history_rows(self.problem, self.schedule, self.start, blocks)
-            (_replace_csv if self.replaceable else emit_csv)(rows, self.path)
-            return
-        self._send(_END)
-        error = self.stop()
-        if error is not None:
-            raise error
+        """Complete the CSV of a run that returned: send a writer the end marker
+        and reap it; where none ran or it did not put the CSV in place (it failed
+        or was killed), remove its part file and write the CSV here from
+        ``history``, cut again into ``run``'s blocks, raising any error as its own."""
+        if (pid := self.pid) is not None:
+            self._send(_END)
+            if self.stop() == 0:
+                return
+            self.path.with_name(_PART.format(pid)).unlink(missing_ok=True)  # a killed writer leaves it
+        x, records, n = history.iterates[1:], history.records, block_rows(self.problem.dim)
+        blocks = ((x[i:i + n], records[i:i + n]) for i in range(0, len(records), n))
+        rows = _history_rows(self.problem, self.schedule, self.start, blocks)
+        (_replace_csv if self.replaceable else emit_csv)(rows, self.path)
 
-    def stop(self) -> BaseException | None:
-        """Wait for a writer still running and return its exception (None
-        without one).  Its stream ends here; without the end marker that
-        :meth:`finish` sends, the writer takes the run as failed."""
+    def stop(self) -> int | None:
+        """Close the writer's stream, reap it and return its wait status (None
+        without a writer).  Without the end marker that :meth:`finish` sends,
+        the writer takes the run as failed.  ``pid`` is kept until the writer
+        is reaped, so that a stop that Ctrl-C cut short waits again."""
         if self.pid is None:
             return None
         if self.data is not None:
-            os.close(self.data)
-            self.data = None
-        report = b""
-        try:
-            while chunk := os.read(self.errors, 1 << 16):
-                report += chunk
-        finally:
-            os.close(self.errors)
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-        if report:
-            return pickle.loads(report)
-        return OSError(f"CSV writer process ended with wait status {status}") if status else None
+            data, self.data = self.data, None
+            os.close(data)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
 
 
 def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
@@ -857,7 +834,8 @@ def run_experiment(raw_config: dict, out_dir=None) -> ExperimentResult:
     its last iterate, like any other.  The CSV is complete when this
     returns; a long run's rows may be built and written by a forked process
     while it steps (see :class:`_CsvWriter`), and no such process outlives
-    the call.
+    the call.  Where that process does not put the CSV in place, the CSV is
+    written again in process, and an error of that write is raised here.
     """
     built = build_from_config(raw_config)
     csv_path = None if out_dir is None else Path(out_dir) / built.csv_name

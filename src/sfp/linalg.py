@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "DimensionMismatch",
     "as_array",
+    "as_points",
     "as_vector",
     "as_real",
     "as_integer",
@@ -68,11 +69,11 @@ class DimensionMismatch(ValueError):
     """Vector or operator dimensions are incompatible."""
 
 
-def as_array(x, ndim: int, name: str) -> np.ndarray:
-    """A new read-only float64 copy of ``x`` with ``ndim`` (1 or 2) nonempty axes
-    and finite entries.  A ragged list, a bool array or a bool at any depth of a
-    list is refused (a bool as :func:`as_real` refuses one); ``name`` leads the message."""
-    shape = "1-D vector with >= 1 entry" if ndim == 1 else "2-D matrix"
+def _floats(x, name: str, shape: str, ndim: int | None = None) -> np.ndarray:
+    """A new float64 array of ``x``.  A ragged list is refused as not a ``shape``,
+    as is another number of axes than ``ndim`` or an empty axis where ``ndim``
+    is given; so is a bool array or a bool at any depth of a list (a bool as
+    :func:`as_real` refuses one).  ``name`` leads the message."""
     try:
         a = np.array(x, dtype=float)
     except ValueError:
@@ -81,16 +82,32 @@ def as_array(x, ndim: int, name: str) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{name} is a ragged list, not a {shape}") from None
         raise  # an entry that does not read as a number, which numpy's message names
-    if a.ndim != ndim or 0 in a.shape:
+    if ndim is not None and (a.ndim != ndim or 0 in a.shape):
         raise ValueError(f"expected a {shape}, got shape {a.shape}")
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
         entry = next((e for e in np.array(x, dtype=object).flat if type(e) in _BOOLS), None)
         if entry is not None:
             raise ValueError(f"{name} entries must be numbers, got {bool(entry)}")
+    return a
+
+
+def as_array(x, ndim: int, name: str) -> np.ndarray:
+    """A new read-only float64 copy of ``x`` with ``ndim`` (1 or 2) nonempty axes
+    and finite entries, read by :func:`_floats`, which refuses a ragged list and a bool."""
+    a = _floats(x, name, "1-D vector with >= 1 entry" if ndim == 1 else "2-D matrix", ndim)
     if not np.logical_and.reduce(np.isfinite(a), axis=None):  # .all() without its Python wrapper
         raise ValueError(f"{name} entries must all be finite")
     a.flags.writeable = False
     return a
+
+
+def as_points(x, name: str) -> np.ndarray:
+    """A point or a ``(k, dim)`` stack of points as float64: a float64 ndarray is ``x``
+    itself, with no copy and no pass over its entries; anything else is read by
+    :func:`_floats`, as :func:`as_array` reads it, at any shape and with any entries."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x
+    return _floats(x, name, "point or stack of points")
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -177,14 +194,16 @@ class LinearMap:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product, one per row of a stack; x's last axis must
-        have length ``cols``."""
+        have length ``cols``.  Anything but an ndarray is read by :func:`as_points`."""
+        x = x if isinstance(x, np.ndarray) else as_points(x, "x")
         if x.ndim == 0 or x.shape[-1] != self.matrix.shape[1]:
             raise DimensionMismatch(f"operator expects dimension {self.cols}, got shape {x.shape}")
         return matvec(self.matrix, x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Transpose-vector product, one per row of a stack; y's last axis must
-        have length ``rows``."""
+        have length ``rows``.  Anything but an ndarray is read by :func:`as_points`."""
+        y = y if isinstance(y, np.ndarray) else as_points(y, "y")
         if y.ndim == 0 or y.shape[-1] != self.matrix.shape[0]:
             raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got shape {y.shape}")
         return matvec(self.adjoint, y)

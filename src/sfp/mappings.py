@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DimensionMismatch, as_array, as_vector, matvec, norm, row_dots, row_norms, within
+from .linalg import DimensionMismatch, as_array, as_points, as_vector, matvec, norm, row_dots, row_norms, within
 
 __all__ = [
     "CLASS_TAGS",
@@ -95,8 +95,9 @@ class Mapping:
         the contract when ``fn`` raises on the stack but on none of its rows
         alone (a row's own error passes as it is), when its shape is not the
         stack's, or when its first row is not :func:`_same_point` as ``fn`` of
-        the first point alone, which costs one one-point call."""
-        x = np.asarray(x, dtype=float)
+        the first point alone, which costs one one-point call.  ``x`` is read by
+        :func:`~sfp.linalg.as_points`, which refuses a bool and a ragged list."""
+        x = as_points(x, "x")
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise DimensionMismatch(f"mapping acts on dimension {self.dim}, got shape {x.shape}")
         if x.ndim == 1:
@@ -141,8 +142,8 @@ def average(base: Mapping, lam: float) -> Mapping:
 
 def fixed_point_residual(mapping, x):
     """||T(x) - x||, the quantity an iteration drives to zero, for a point or
-    for each row of a ``(k, dim)`` stack."""
-    x = np.asarray(x, dtype=float)
+    for each row of a ``(k, dim)`` stack, read as :meth:`Mapping.__call__` reads it."""
+    x = as_points(x, "x")
     return row_norms(mapping(x) - x)
 
 

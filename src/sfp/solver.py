@@ -99,7 +99,7 @@ class SfpProblem:
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """The Q-residual A x - P_Q(A x), for each row of a stack."""
-        ax = self.A.apply(np.asarray(x, dtype=float))
+        ax = self.A.apply(x)
         return ax - self.Q.project(ax)
 
     def f_value(self, x: np.ndarray):

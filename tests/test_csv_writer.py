@@ -24,11 +24,22 @@ SRC = Path(sfp.__file__).resolve().parent.parent
 CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 needs_two_cpus = pytest.mark.skipif(len(CPUS) < 2, reason="the writer process needs a second CPU")
 
-# Counts the forks of the experiment, and after it reports whether a child
-# process is left and how many Python threads are alive.
+# Counts the forks of the experiment and the CSVs whose rows this process
+# builds (a writer's rows are built in the writer), and after it reports
+# whether a child process is left and how many Python threads are alive.
 PRELUDE = """
 import json, os, sys, threading
 from sfp import bench, cli, solver
+
+history_rows = bench._history_rows
+rows_built = []
+
+def counted_rows(*args):
+    rows_built.append(1)
+    return history_rows(*args)
+
+bench._history_rows = counted_rows
+parent = os.getpid()
 
 forks = []
 _fork = os.fork
@@ -48,7 +59,8 @@ def report(**facts):
         facts["child_left"] = True
     except ChildProcessError:
         facts["child_left"] = False
-    print(json.dumps({**facts, "forks": len(forks), "threads": threading.active_count()}))
+    print(json.dumps({**facts, "forks": len(forks), "threads": threading.active_count(),
+                      "rows_built": len(rows_built)}))
 """
 
 # The experiment's CSV, and the same rows written in process from its history.
@@ -56,7 +68,6 @@ BYTES = PRELUDE + """
 import fcntl, time
 cfg = json.loads(sys.argv[2])
 mode = sys.argv[3] if len(sys.argv) > 3 else None
-history_rows = bench._history_rows
 refused = []
 if mode == "thread":  # a second thread: the process may not fork
     gate = threading.Event()
@@ -69,7 +80,7 @@ elif mode == "slow-writer":  # a fork at the first block, and a writer that star
 
     def slow_rows(*args):
         time.sleep(2)
-        yield from history_rows(*args)
+        yield from counted_rows(*args)
 
     bench._history_rows = slow_rows
 elif mode == "pipe-size-refused":
@@ -133,6 +144,34 @@ code = cli.main(["run", sys.argv[2], "--out", out])
 report(code=code)
 """
 
+# As CLI_RUN, with a fault at the CSV's 100th row: "kill" SIGKILLs a writer
+# process there (not this process), "odd" raises an exception whose class
+# does not load from its pickle in every process.  An exception that
+# cli.main does not catch is reported as "raised".
+CLI_RUN_ROW_FAULT = PRELUDE + """
+import signal
+bench._FORK_VALUES = int(sys.argv[3])
+fault = sys.argv[4]
+
+class Odd(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"odd {a} {b}")
+
+def faulty_rows(*args):
+    for count, row in enumerate(counted_rows(*args)):
+        if count == 100 and fault == "kill" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if count == 100 and fault == "odd":
+            raise Odd(1, 2)
+        yield row
+
+bench._history_rows = faulty_rows
+try:
+    report(code=cli.main(["run", sys.argv[2], "--out", out]))
+except Exception as exc:
+    report(raised=f"{type(exc).__name__}: {exc}")
+"""
+
 
 def _pinned(script, *args):
     """The command and environment that run ``script`` with BLAS on one thread."""
@@ -177,7 +216,7 @@ class TestPipelinedCsv:
     @pytest.mark.parametrize("name", PIPELINED)
     def test_forked_writer_writes_the_in_process_bytes(self, tmp_path, name):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED[name]))
-        assert (facts["forks"], facts["child_left"], facts["threads"]) == (1, False, 1), stderr
+        assert (facts["forks"], facts["child_left"], facts["threads"], facts["rows_built"]) == (1, False, 1, 0), stderr
         written = Path(facts["csv"]).read_bytes()
         assert written == (tmp_path / "in-process.csv").read_bytes()
         assert written.count(b"\n") == facts["steps"] + 2  # the header and the start point
@@ -195,14 +234,14 @@ class TestPipelinedCsv:
     @needs_two_cpus
     def test_a_slow_writer_does_not_hold_up_the_run(self, tmp_path):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "slow-writer")
-        assert (facts["forks"], facts["child_left"]) == (1, False), stderr
+        assert (facts["forks"], facts["child_left"], facts["rows_built"]) == (1, False, 0), stderr
         assert facts["wall"] < 1.0
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
     @needs_two_cpus
     def test_a_refused_pipe_size_keeps_the_default_pipe(self, tmp_path):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["paper-s4"]), "pipe-size-refused")
-        assert (facts["refused"], facts["forks"], facts["child_left"]) == (1, 1, False), stderr
+        assert (facts["refused"], facts["forks"], facts["child_left"], facts["rows_built"]) == (1, 1, False, 0), stderr
         assert Path(facts["csv"]).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
 
     # the writer builds the rows of a wide run per block of 16 steps it is
@@ -210,7 +249,7 @@ class TestPipelinedCsv:
     @needs_two_cpus
     def test_the_rows_do_not_depend_on_the_chunk_size(self, tmp_path):
         facts, stderr = _run_pinned(BYTES, tmp_path, json.dumps(PIPELINED["box-600x400-cq"]), "one-row-chunks")
-        assert (facts["forks"], facts["child_left"], facts["threads"]) == (1, False, 1), stderr
+        assert (facts["forks"], facts["child_left"], facts["threads"], facts["rows_built"]) == (1, False, 1, 0), stderr
         written = Path(facts["csv"]).read_bytes()
         assert written == (tmp_path / "in-process.csv").read_bytes()
         assert written.count(b"\n") == facts["steps"] + 2
@@ -261,10 +300,39 @@ class TestWriterErrors:
             config = _write_config(out / "long.yaml", {**S4, "schedule": {"preset": "paper-s4"},
                                                        "stepper": {"max_iter": 100}, "output": {"csv": name}})
             facts, stderr = _run_pinned(CLI_RUN, out, config, fork_values)
-            assert (facts["code"], facts["forks"], facts["child_left"]) == (1, forks, False), stderr
+            assert (facts["code"], facts["forks"], facts["child_left"], facts["rows_built"]) == (1, forks, False,
+                                                                                                1 - forks), stderr
             assert sorted(os.listdir(out)) == ["long.yaml", name]
             written.append((out / name).read_bytes())
         assert written[0] == written[1]
+
+    # a writer that did not put the CSV in place leaves it to the parent,
+    # which removes the killed writer's part file and writes the CSV itself
+    @needs_two_cpus
+    def test_a_killed_writer_leaves_the_csv_to_the_parent(self, tmp_path):
+        written = []
+        for fork_values, forks in ((2**30, 0), (1, 1)):  # the run has 70,014 values
+            out = tmp_path / str(forks)
+            out.mkdir()
+            config = _write_config(out / "s4.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                     "stepper": {"max_iter": 5000}, "output": {"csv": "s4.csv"}})
+            facts, stderr = _run_pinned(CLI_RUN_ROW_FAULT, out, config, fork_values, "kill")
+            assert (facts.get("code"), facts["forks"], facts["child_left"], facts["rows_built"]) == (1, forks, False,
+                                                                                                    1), stderr
+            assert stderr == ""
+            assert sorted(os.listdir(out)) == ["s4.csv", "s4.yaml"]
+            written.append((out / "s4.csv").read_bytes())
+        assert written[0] == written[1]
+
+    # the parent raises the error of its own write, so an exception keeps its
+    # class even where it could not be sent from a writer as it is
+    @needs_two_cpus
+    def test_a_writer_error_keeps_its_class(self, tmp_path):
+        config = _write_config(tmp_path / "s4.yaml", {**S4, "schedule": {"preset": "paper-s4"},
+                                                      "stepper": {"max_iter": 5000}, "output": {"csv": "s4.csv"}})
+        facts, stderr = _run_pinned(CLI_RUN_ROW_FAULT, tmp_path, config, 1, "odd")
+        assert (facts.get("raised"), facts["forks"], facts["child_left"]) == ("Odd: odd 1 2", 1, False), stderr
+        assert sorted(os.listdir(tmp_path)) == ["s4.yaml"]
 
 
 class TestReplacedCsv:
@@ -281,7 +349,8 @@ class TestReplacedCsv:
                                                       "stepper": {"max_iter": 100},
                                                       "output": {"csv": "s4.csv"}})
         facts, stderr = _run_pinned(CLI_RUN, tmp_path, config, fork_values)
-        assert (facts["code"], facts["forks"], facts["child_left"]) == (1, forks, False), stderr
+        assert (facts["code"], facts["forks"], facts["child_left"], facts["rows_built"]) == (1, forks, False,
+                                                                                            1 - forks), stderr
         assert csv.read_text().count("\n") == 102
         assert stat.S_IMODE(csv.stat().st_mode) == mode
         assert sorted(os.listdir(tmp_path)) == ["s4.csv", "s4.yaml"]

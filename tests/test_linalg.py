@@ -164,6 +164,19 @@ class TestLinearMap:
         with pytest.raises(DimensionMismatch):
             m.apply_adjoint(np.ones(3))
 
+    # a list is read as Mapping and the sets read one; an ndarray is used as it is
+    def test_a_list_is_read_as_a_point(self):
+        m = LinearMap(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        assert np.array_equal(m.apply([1, 2]), m.apply(np.array([1.0, 2.0])))
+        assert np.array_equal(m.apply([[1, 2], [0, 1]]), m.apply(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        assert np.array_equal(m.apply_adjoint([1.0, 0.0, 1.0]), [6.0, 8.0])
+        with pytest.raises(ValueError, match=r"^x entries must be numbers, got True$"):
+            m.apply([True, 2.0])
+        with pytest.raises(ValueError, match=r"^y is a ragged list, not a point or stack of points$"):
+            m.apply_adjoint([[1.0], [2.0, 3.0]])
+        with pytest.raises(DimensionMismatch):
+            m.apply([1.0, 2.0, 3.0])
+
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             LinearMap(np.ones(3))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,30 @@ class TestStackContract:
         # the jump map takes stacks; a point outside [0, 1] fails alone too
         with pytest.raises(ValueError, match=r"^jump map is defined on \[0, 1\]$"):
             unit_interval_jump_map()(np.array(points))
+
+    # a point is read as linalg.as_array reads an array: a bool is not a number
+    # (True used to map as 1.0) and a ragged list is named, not numpy's text
+    @pytest.mark.parametrize("x, message", [
+        ([True], "x entries must be numbers, got True"),
+        ([[0.5], [False]], "x entries must be numbers, got False"),
+        (np.array([True]), "x entries must be numbers, got True"),
+        ([[0.5], [0.2, 0.3]], "x is a ragged list, not a point or stack of points"),
+    ], ids=["bool", "bool-in-a-stack", "bool-array", "ragged"])
+    def test_a_point_is_read_as_arrays_are(self, x, message):
+        jump = unit_interval_jump_map()
+        for evaluate in (jump, lambda x: fixed_point_residual(jump, x)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                evaluate(x)
+
+    def test_a_float64_array_reaches_fn_as_it_is(self):
+        seen = []
+        mapping = Mapping(fn=lambda x: seen.append(x) or 0.5 * x, dim=2)
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x.flags.writeable = False
+        fixed_point_residual(mapping, x)
+        mapping(x[0])
+        assert seen[0] is x and seen[-1].base is x  # the stack, and the one-point call's row
+        assert np.array_equal(mapping([[1, 2], [3, 4]]), 0.5 * x)  # a list of ints is read as floats
 
     def test_a_fn_that_raises_only_on_the_stack_breaks_the_contract(self):
         # item() takes a one-value array: each point maps alone, the stack raises
