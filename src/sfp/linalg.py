@@ -43,6 +43,7 @@ __all__ = [
 # Values per block of stacked rows of a narrow problem (see block_rows).
 BLOCK_VALUES = 1024
 _BOOLS = frozenset({bool, np.bool_})  # the types of a bool entry, which as_array refuses
+_F64 = np.dtype(float)  # as_points tests a point's dtype by identity, faster than == np.float64
 
 
 def block_rows(width: int) -> int:
@@ -101,13 +102,18 @@ def as_array(x, ndim: int, name: str) -> np.ndarray:
     return a
 
 
-def as_points(x, name: str) -> np.ndarray:
-    """A point or a ``(k, dim)`` stack of points as float64: a float64 ndarray is ``x``
-    itself, with no copy and no pass over its entries; anything else is read by
-    :func:`_floats`, as :func:`as_array` reads it, at any shape and with any entries."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float64:
-        return x
-    return _floats(x, name, "point or stack of points")
+def as_points(x, dim: int, name: str) -> np.ndarray:
+    """A point of dimension ``dim`` or a ``(k, dim)`` stack of points as float64,
+    the one reader of the points that callers give the sets, the operators and
+    the maps.  A float64 ndarray is ``x`` itself, with no copy and no pass over
+    its entries; anything else is read by :func:`_floats`, as :func:`as_array`
+    reads it, with non-finite entries kept.  Any other shape, a 0-D or 3-D array
+    included, is a :class:`DimensionMismatch`."""
+    if not (isinstance(x, np.ndarray) and x.dtype is _F64):
+        x = _floats(x, name, "point or stack of points")
+    if not (0 < x.ndim < 3 and x.shape[-1] == dim):
+        raise DimensionMismatch(f"{name} must be a point of dimension {dim} or a (k, {dim}) stack, got shape {x.shape}")
+    return x
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -193,20 +199,14 @@ class LinearMap:
         return self.matrix.shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product, one per row of a stack; x's last axis must
-        have length ``cols``.  Anything but an ndarray is read by :func:`as_points`."""
-        x = x if isinstance(x, np.ndarray) else as_points(x, "x")
-        if x.ndim == 0 or x.shape[-1] != self.matrix.shape[1]:
-            raise DimensionMismatch(f"operator expects dimension {self.cols}, got shape {x.shape}")
-        return matvec(self.matrix, x)
+        """Matrix-vector product of a point of dimension ``cols``, or one per row
+        of a ``(k, cols)`` stack; ``x`` is read by :func:`as_points`."""
+        return matvec(self.matrix, as_points(x, self.matrix.shape[1], "x"))
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Transpose-vector product, one per row of a stack; y's last axis must
-        have length ``rows``.  Anything but an ndarray is read by :func:`as_points`."""
-        y = y if isinstance(y, np.ndarray) else as_points(y, "y")
-        if y.ndim == 0 or y.shape[-1] != self.matrix.shape[0]:
-            raise DimensionMismatch(f"adjoint expects dimension {self.rows}, got shape {y.shape}")
-        return matvec(self.adjoint, y)
+        """Transpose-vector product of a point of dimension ``rows``, or one per
+        row of a ``(k, rows)`` stack; ``y`` is read by :func:`as_points`."""
+        return matvec(self.adjoint, as_points(y, self.matrix.shape[0], "y"))
 
     def operator_norm(self) -> float:
         """The spectral norm ||M||, the largest singular value (LAPACK's SVD)."""

@@ -5,10 +5,10 @@ characterization, firm nonexpansiveness and idempotence can be checked
 numerically to tight tolerances.
 
 ``project`` and :func:`membership_residual` take one point or a ``(k, dim)``
-stack of points; row i of a stacked result has the same bits as the result
-for that row alone.  A single point keeps its scalar branch (the solver's
-step projects one point per call); a stack makes the same choice per row
-with a mask.
+stack of points, read by :func:`~sfp.linalg.as_points`; row i of a stacked
+result has the same bits as the result for that row alone.  A single point
+keeps its scalar branch (the solver's step projects one point per call); a
+stack makes the same choice per row with a mask.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DimensionMismatch, LinearMap, as_integer, as_real, as_vector, matvec, norm, row_dots, row_norms
+from .linalg import LinearMap, as_integer, as_points, as_real, as_vector, matvec, norm, row_dots, row_norms
 
 __all__ = [
     "ConvexSet",
@@ -36,19 +36,15 @@ __all__ = [
 
 
 class ConvexSet:
-    """Base class: a nonempty closed convex set with an exact projection."""
+    """Base class: a nonempty closed convex set in R^dim with an exact projection,
+    whose ``project`` takes a point of dimension ``dim`` or a ``(k, dim)``
+    stack, read by :func:`~sfp.linalg.as_points` (any other shape is refused)."""
 
     kind: str = "abstract"
     dim: int
 
     def project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0 or x.shape[-1] != self.dim:
-            raise DimensionMismatch(f"{self.kind} set lives in dimension {self.dim}, got shape {x.shape}")
-        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +65,7 @@ class Box(ConvexSet):
         object.__setattr__(self, "dim", lo.size)
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         return np.clip(x, self.lower, self.upper)
 
 
@@ -91,7 +87,7 @@ class Ball(ConvexSet):
         object.__setattr__(self, "dim", c.size)
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         d = x - self.center
         dist = row_norms(d)
         if x.ndim == 1:
@@ -140,7 +136,7 @@ class Halfspace(_NormalOffset):
     kind = "halfspace"
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         excess = row_dots(x, self.normal) - self.offset
         if x.ndim == 1:
             return x.copy() if excess <= 0.0 else x - (excess / self.normal_sq) * self.normal
@@ -156,7 +152,7 @@ class Hyperplane(_NormalOffset):
     kind = "hyperplane"
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         scale = (row_dots(x, self.normal) - self.offset) / self.normal_sq
         return x - np.multiply.outer(scale, self.normal)
 
@@ -174,7 +170,7 @@ class Singleton(ConvexSet):
         object.__setattr__(self, "dim", p.size)
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         return self.point.copy() if x.ndim == 1 else np.broadcast_to(self.point, x.shape).copy()
 
 
@@ -204,7 +200,7 @@ class AffineNullspace(ConvexSet):
         object.__setattr__(self, "dim", self.map.cols)
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         if self.basis.shape[1] == 0:
             return np.zeros(x.shape)
         return matvec(self.basis, matvec(self.basis_t, x))
@@ -223,14 +219,14 @@ class WholeSpace(ConvexSet):
             raise ValueError("dimension must be >= 1")
 
     def project(self, x):
-        x = self._check(x)
+        x = as_points(x, self.dim, "x")
         return x.copy()
 
 
 def membership_residual(cset: ConvexSet, x: np.ndarray):
     """Distance from x to the set, ||x - P(x)||; ~0 iff x is a member.  For a
     stack, the distance of each row."""
-    x = np.asarray(x, dtype=float)
+    x = as_points(x, cset.dim, "x")
     return row_norms(x - cset.project(x))
 
 

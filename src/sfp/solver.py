@@ -118,7 +118,6 @@ class SfpProblem:
 
     def combined_residual(self, x: np.ndarray, lam: float) -> float:
         """max of the C-, Q- and fixed-point residuals at x."""
-        x = np.asarray(x, dtype=float)
         res_fix = fixed_point_residual(self.averaged_map(lam), x) if self.S is not None else 0.0
         return max(membership_residual(self.C, x), norm(self.residual(x)), res_fix)
 

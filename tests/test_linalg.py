@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfp.linalg import DimensionMismatch, LinearMap, as_array, as_vector, norm, row_dots
+from sfp.linalg import DimensionMismatch, LinearMap, as_array, as_points, as_vector, norm, row_dots
 
 # largest singular value of the experiment's coefficient matrix, frozen from an
 # independent eigendecomposition of A^T A (np.linalg.eigvalsh) run before the
@@ -164,18 +164,26 @@ class TestLinearMap:
         with pytest.raises(DimensionMismatch):
             m.apply_adjoint(np.ones(3))
 
-    # a list is read as Mapping and the sets read one; an ndarray is used as it is
+    # a point is read by linalg.as_points, as Mapping and the sets read one: a
+    # float64 ndarray is used as it is, anything else (a list, an int or a bool
+    # array) is read into a new float64 array, and a bool is refused
     def test_a_list_is_read_as_a_point(self):
         m = LinearMap(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         assert np.array_equal(m.apply([1, 2]), m.apply(np.array([1.0, 2.0])))
         assert np.array_equal(m.apply([[1, 2], [0, 1]]), m.apply(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        assert np.array_equal(m.apply(np.array([1, 2])), [5.0, 11.0, 17.0])
         assert np.array_equal(m.apply_adjoint([1.0, 0.0, 1.0]), [6.0, 8.0])
         with pytest.raises(ValueError, match=r"^x entries must be numbers, got True$"):
             m.apply([True, 2.0])
+        with pytest.raises(ValueError, match=r"^x entries must be numbers, got True$"):
+            m.apply(np.array([True, False]))
         with pytest.raises(ValueError, match=r"^y is a ragged list, not a point or stack of points$"):
             m.apply_adjoint([[1.0], [2.0, 3.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^x must be a point of dimension 2 or a \(k, 2\) stack, "
+                           r"got shape \(3,\)$"):
             m.apply([1.0, 2.0, 3.0])
+        for x in (np.array([1.0, 2.0]), np.ones((4, 2))):
+            assert as_points(x, 2, "x") is x
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ an evaluation one iterate at a time; these tests pin that per operation.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,17 +14,20 @@ from hypothesis import strategies as st
 
 from sfp.bench import generate_random_sfp
 from sfp.linalg import DimensionMismatch, LinearMap, matvec, norm, row_dots, row_norms
-from sfp.mappings import average, identity_map, linear_mapping, scaling_map, unit_interval_jump_map, zero_map
+from sfp.mappings import (average, fixed_point_residual, identity_map, linear_mapping, scaling_map,
+                          unit_interval_jump_map, zero_map)
 from sfp.sets import (
     AffineNullspace,
     Ball,
     Box,
+    ConvexSet,
     Halfspace,
     Hyperplane,
     Singleton,
     WholeSpace,
     membership_residual,
 )
+from sfp.solver import SfpProblem
 
 stacks = settings(derandomize=True, max_examples=30)
 shapes = {"k": st.integers(1, 6), "dim": st.integers(1, 7), "seed": st.integers(0, 2**16),
@@ -138,10 +142,53 @@ def test_jump_map_rejects_a_row_outside_its_domain():
         unit_interval_jump_map().fn(np.array([[0.5], [1.5]]))
 
 
+def _kinds(cls):
+    """The subclasses of ``cls``, at any depth, that sfp.sets defines with their own projection."""
+    kinds = set()
+    for sub in cls.__subclasses__():
+        kinds |= _kinds(sub)
+        if "project" in vars(sub) and sub.__module__ == "sfp.sets":
+            kinds.add(sub)
+    return kinds
+
+
+def _point_takers(dim):
+    """(label, function, argument name, dimension) of each function that reads
+    a point or a stack that its caller gives it."""
+    rng = np.random.default_rng(4)
+    sets = _every_set(rng, dim)
+    assert {type(s) for s in sets} == _kinds(ConvexSet)  # a new kind of set is sampled here
+    a = LinearMap(rng.standard_normal((dim + 1, dim)))
+    q = Ball(np.zeros(dim + 1), 1.0)
+    problem = SfpProblem(A=a, C=sets[0], Q=q, S=linear_mapping(np.eye(dim)))
+    return [(f"{type(s).__name__}.project", s.project, "x", dim) for s in sets] + [
+        ("membership_residual", lambda x: membership_residual(q, x), "x", dim + 1),
+        ("LinearMap.apply", a.apply, "x", dim),
+        ("LinearMap.apply_adjoint", a.apply_adjoint, "y", dim + 1),
+        ("Mapping.__call__", identity_map(dim), "x", dim),
+        ("fixed_point_residual", lambda x: fixed_point_residual(identity_map(dim), x), "x", dim),
+        ("SfpProblem.residual", problem.residual, "x", dim),
+        ("SfpProblem.combined_residual", lambda x: problem.combined_residual(x, 0.5), "x", dim),
+        ("SfpProblem.combined_residual without S", lambda x: replace(problem, S=None).combined_residual(x, 0.5),
+         "x", dim),
+    ]
+
+
 def test_stack_of_the_wrong_width_is_rejected():
-    with pytest.raises(DimensionMismatch):
-        Box(np.zeros(2), np.ones(2)).project(np.ones((3, 3)))
-    with pytest.raises(DimensionMismatch):
-        LinearMap(np.ones((2, 3))).apply(np.ones((4, 2)))
-    with pytest.raises(DimensionMismatch):
-        LinearMap(np.ones((2, 3))).apply_adjoint(np.ones((4, 3)))
+    # every point taker reads its point through linalg.as_points, so each one
+    # refuses a bool, a ragged list and a shape other than (dim,) or (k, dim)
+    # with the same exception and message
+    for label, take, name, dim in _point_takers(2):
+        shape_error = f"{name} must be a point of dimension {dim} or a (k, {dim}) stack, got shape "
+        for x, error, message in [
+            ([True] + [0.5] * (dim - 1), ValueError, f"{name} entries must be numbers, got True"),
+            (np.ones(dim, dtype=bool), ValueError, f"{name} entries must be numbers, got True"),
+            ([[0.5] * dim, [0.5] * (dim - 1)], ValueError, f"{name} is a ragged list, not a point or stack of points"),
+            (np.ones((2, 2, dim)), DimensionMismatch, f"{shape_error}(2, 2, {dim})"),
+            (np.ones(dim + 1), DimensionMismatch, f"{shape_error}({dim + 1},)"),
+            (np.ones((4, dim - 1)), DimensionMismatch, f"{shape_error}(4, {dim - 1})"),
+            (np.float64(1.0), DimensionMismatch, f"{shape_error}()"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                take(x)
+            assert (caught.type, str(caught.value)) == (error, message), (label, x)
