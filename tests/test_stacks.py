@@ -160,7 +160,7 @@ def _point_takers(dim):
     assert {type(s) for s in sets} == _kinds(ConvexSet)  # a new kind of set is sampled here
     a = LinearMap(rng.standard_normal((dim + 1, dim)))
     q = Ball(np.zeros(dim + 1), 1.0)
-    problem = SfpProblem(A=a, C=sets[0], Q=q, S=linear_mapping(np.eye(dim)))
+    problem = SfpProblem(A=a, C=sets[0], Q=q, S=identity_map(dim))
     return [(f"{type(s).__name__}.project", s.project, "x", dim) for s in sets] + [
         ("membership_residual", lambda x: membership_residual(q, x), "x", dim + 1),
         ("LinearMap.apply", a.apply, "x", dim),
