@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .linalg import LinearMap, as_integer, as_vector, block_rows, norm, row_dots, row_norms
+from .linalg import (DimensionMismatch, LinearMap, as_integer, as_points, as_vector, block_rows, norm, row_dots,
+                     row_norms)
 from .mappings import Mapping, fixed_point_residual, linear_mapping, mapping_from_name
 from .sets import (
     AffineNullspace,
@@ -616,11 +617,19 @@ def _replace_csv(rows, path: Path) -> None:
         raise
 
 
-def _csv_rows(path):
-    """Yield the header and then each row of an emitted CSV, split into strings."""
+def _csv_columns(path, keep) -> np.ndarray:
+    """The columns of an emitted CSV whose header names pass ``keep``, streamed by
+    ``np.loadtxt`` into one ``(rows, columns)`` float64 array (``(0, columns)`` for a header alone)."""
     with open(path) as lines:
-        for line in lines:
-            yield line.rstrip("\n").split(",")
+        header = lines.readline()
+        if not header:
+            raise ValueError(f"empty CSV file {str(path)!r}: no header row")
+        cols = [i for i, name in enumerate(header.rstrip("\n").split(",")) if keep(name)]
+        first_row = lines.tell()
+        if not lines.readline():  # loadtxt warns of a file with no rows
+            return np.empty((0, len(cols)))
+        lines.seek(first_row)
+        return np.loadtxt(lines, delimiter=",", usecols=cols, ndmin=2)
 
 
 def emit_convergence_svg(csv_path, path) -> None:
@@ -630,9 +639,8 @@ def emit_convergence_svg(csv_path, path) -> None:
     significant digits give back each float); anything fancier belongs in
     an external plotting tool.
     """
-    rows = _csv_rows(csv_path)
-    f_col = next(rows).index("f")
-    logs = [np.log10(max(float(row[f_col]), 1e-300)) for row in rows]
+    f_col = _csv_columns(csv_path, lambda name: name == "f")[:, 0]
+    logs = [np.log10(max(f, 1e-300)) for f in f_col.tolist()]
     width, height, margin = 640, 360, 40
     lo, hi = min(logs), max(logs)
     span = (hi - lo) or 1.0
@@ -653,14 +661,10 @@ def emit_convergence_svg(csv_path, path) -> None:
     Path(path).write_text(svg, newline="\n")
 
 
-def read_csv_iterates(path) -> list[np.ndarray]:
-    """Read back the iterate columns of an emitted CSV, ordered by n."""
-    rows = _csv_rows(path)
-    header = next(rows, None)
-    if header is None:
-        raise ValueError(f"empty CSV file {str(path)!r}: no header row")
-    x_cols = [i for i, name in enumerate(header) if name.startswith("x") and name[1:].isdigit()]
-    return [np.array([float(row[i]) for i in x_cols]) for row in rows]
+def read_csv_iterates(path) -> np.ndarray:
+    """Read back the iterate columns of an emitted CSV, ordered by n: a
+    ``(k, dim)`` float64 array, the form of ``RunHistory.iterates``."""
+    return _csv_columns(path, lambda name: name.startswith("x") and name[1:].isdigit())
 
 
 # A run whose CSV has reached this many values while it still steps is written
@@ -881,24 +885,20 @@ class Table1Report:
 def compare_to_table1(iterates) -> Table1Report:
     """Max componentwise deviation per reference row; flags half-ULP agreement.
 
-    The trajectory must start at (1, 1, 1, 1, 1) in dimension 5; anything
-    else is rejected.
+    The trajectory is a ``(k, 5)`` stack read by :func:`~sfp.linalg.as_points`
+    (any other shape is a ``DimensionMismatch``) that starts at (1, 1, 1, 1, 1).
     """
-    iterates = [np.asarray(x, dtype=float) for x in iterates]
-    if not iterates:
+    if len(iterates) == 0:
         raise ValueError("empty trajectory")
-    if iterates[0].size != 5:
-        raise ValueError("the reference table is for a 5-dimensional problem")
+    iterates = as_points(iterates, 5, "trajectory")
+    if iterates.ndim != 2:
+        raise DimensionMismatch(f"trajectory must be a (k, 5) stack of iterates, got shape {iterates.shape}")
     if not np.array_equal(iterates[0], np.ones(5)):
         raise ValueError("the reference table starts at (1, 1, 1, 1, 1)")
-    deviations, matched = {}, {}
-    for n, row in TABLE1_ROWS.items():
-        if n >= len(iterates):
-            continue
-        ref = np.array([float(s) for s in row])
-        dev = float(np.max(np.abs(iterates[n] - ref)))
-        deviations[n] = dev
-        matched[n] = dev <= TABLE1_TOLERANCE
+    reached = [n for n in TABLE1_ROWS if n < len(iterates)]
+    ref = np.array([[float(s) for s in TABLE1_ROWS[n]] for n in reached])
+    deviations = dict(zip(reached, np.max(np.abs(iterates[reached] - ref), axis=1).tolist()))
+    matched = {n: dev <= TABLE1_TOLERANCE for n, dev in deviations.items()}
     return Table1Report(deviations=deviations, matched=matched, rows_available=len(iterates))
 
 

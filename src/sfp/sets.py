@@ -201,8 +201,6 @@ class AffineNullspace(ConvexSet):
 
     def project(self, x):
         x = as_points(x, self.dim, "x")
-        if self.basis.shape[1] == 0:
-            return np.zeros(x.shape)
         return matvec(self.basis, matvec(self.basis_t, x))
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from sfp.bench import (
     run_property_suites,
     schedule_from_config,
 )
-from sfp.linalg import block_rows, norm
+from sfp.linalg import DimensionMismatch, block_rows, norm
 from sfp.mappings import average, fixed_point_residual
 from sfp.sets import Ball, Halfspace, Hyperplane, WholeSpace, check_projection_characterization, membership_residual
 from sfp.solver import Seq, StepperConfig, run
@@ -878,9 +879,15 @@ class TestExperimentAndCsv:
         for cfg in (parse_config(BASE_CONFIG), several_blocks):
             result = run_experiment(cfg, out_dir=tmp_path)
             iterates = read_csv_iterates(result.csv_path)
-            assert len(iterates) == len(result.history.iterates)
-            for a, b in zip(iterates, result.history.iterates):
-                assert np.array_equal(a, b)  # 17 significant digits give back every float
+            assert type(iterates) is np.ndarray and iterates.dtype == np.float64
+            assert iterates.shape == result.history.iterates.shape
+            # 17 significant digits give back every float, bit for bit
+            assert iterates.tobytes() == result.history.iterates.tobytes()
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("n,x1,x2,x3,f,grad_norm\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_csv_iterates(header_only).shape == (0, 3)
 
     def test_divergence_writes_partial_csv(self, tmp_path):
         cfg = {
@@ -919,6 +926,10 @@ class TestExperimentAndCsv:
         text = svg_path.read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ValueError, match=f"^empty CSV file {re.escape(repr(str(empty)))}: no header row$"):
+            emit_convergence_svg(empty, svg_path)
 
     @pytest.mark.parametrize("cfg, steps, sha256", [
         (parse_config(BASE_CONFIG), 31, "8e5faa83fb9c9d0d293a95ef187c29ebb57217e4d6bf9d7c9aeb76aa258262af"),
@@ -1156,8 +1167,26 @@ class TestTable1Comparison:
             compare_to_table1([np.zeros(5)])
 
     def test_requires_dimension_five(self):
-        with pytest.raises(ValueError, match="5-dimensional"):
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape (1, 4)")):
             compare_to_table1([np.ones(4)])
+        with pytest.raises(DimensionMismatch, match=re.escape(
+                "trajectory must be a (k, 5) stack of iterates, got shape (5,)")):
+            compare_to_table1(np.ones(5))
+
+    @pytest.mark.parametrize("iterates, error, message", [
+        ([], ValueError, "empty trajectory"),
+        (np.empty((0, 5)), ValueError, "empty trajectory"),
+        ([[True] * 5, [1.0] * 5], ValueError, "trajectory entries must be numbers, got True"),
+        ([[1.0] * 5, 1.0], ValueError, "trajectory is a ragged list, not a point or stack of points"),
+        ([np.ones(5), np.ones(4)], ValueError, "trajectory is a ragged list, not a point or stack of points"),
+        (np.ones((2, 1, 5)), DimensionMismatch,
+         "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape (2, 1, 5)"),
+    ], ids=["empty-list", "empty-array", "bool-start", "ragged", "later-row-of-width-4", "3-D"])
+    def test_a_trajectory_is_read_as_points_are(self, iterates, error, message):
+        with pytest.raises(ValueError) as raised:
+            compare_to_table1(iterates)
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_short_trajectories_report_available_rows(self):
         report = compare_to_table1([np.ones(5)])

@@ -221,7 +221,10 @@ class TestAffineNullspace:
 
     def test_full_rank_gives_origin(self):
         cs = AffineNullspace(LinearMap(np.eye(3)))
-        assert np.array_equal(cs.project(np.array([1.0, 2.0, 3.0])), np.zeros(3))
+        for x in (np.array([1.0, -2.0, 3.0]), np.array([[1.0, -2.0, 3.0], [-4.0, 5.0, -6.0]])):
+            p = cs.project(x)
+            assert p.dtype == np.float64 and p.shape == x.shape
+            assert np.array_equal(p, np.zeros(x.shape)) and not np.signbit(p).any()  # +0.0, not -0.0
 
 
 bounded = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
