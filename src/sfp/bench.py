@@ -533,8 +533,8 @@ def _max_error(x: np.ndarray, xs: np.ndarray | None) -> float:
 def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.ndarray, blocks):
     """Yield the CSV header, then one row per iterate: row 0 is ``start``, and
     ``blocks`` gives the rest as ``run`` hands them to ``on_block``, each an
-    (iterates, records) pair of k iterates and the records of the k steps
-    that made them.
+    (iterates, records) pair of k >= 1 iterates and the records of the k
+    steps that made them.
 
     Row k reads step k + 1's record, so a block's k records complete the rows
     of the iterate carried over from the block before and of every iterate of
@@ -578,8 +578,6 @@ def _history_rows(problem: SfpProblem, schedule: ParameterSchedule, start: np.nd
     # the carried row: its number, its iterate and the step that made it
     lo, x, theta_n, tau_n = 0, np.asarray(start), 0.0, 0.0
     for iterates, records in blocks:
-        if not len(records):  # a run that ended before its last block's first step
-            continue
         theta, tau = records["theta"], records["tau"]
         # copies: rows() fills them in place, and a block's records are the
         # run's own history or read-only bytes from the writer's pipe
@@ -640,6 +638,8 @@ def emit_convergence_svg(csv_path, path) -> None:
     an external plotting tool.
     """
     f_col = _csv_columns(csv_path, lambda name: name == "f")[:, 0]
+    if not len(f_col):
+        raise ValueError(f"empty CSV file {str(csv_path)!r}: no data row")
     logs = [np.log10(max(f, 1e-300)) for f in f_col.tolist()]
     width, height, margin = 640, 360, 40
     lo, hi = min(logs), max(logs)
@@ -888,8 +888,9 @@ def compare_to_table1(iterates) -> Table1Report:
     The trajectory is a ``(k, 5)`` stack read by :func:`~sfp.linalg.as_points`
     (any other shape is a ``DimensionMismatch``) that starts at (1, 1, 1, 1, 1).
     """
-    if len(iterates) == 0:
-        raise ValueError("empty trajectory")
+    with contextlib.suppress(TypeError):  # a number or a 0-D array has no len(); as_points refuses its shape
+        if len(iterates) == 0:
+            raise ValueError("empty trajectory")
     iterates = as_points(iterates, 5, "trajectory")
     if iterates.ndim != 2:
         raise DimensionMismatch(f"trajectory must be a (k, 5) stack of iterates, got shape {iterates.shape}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +27,6 @@ __all__ = [
     "SfpProblem",
     "Seq",
     "ParameterSchedule",
-    "StepParams",
     "StepperConfig",
     "RunHistory",
     "run",
@@ -132,7 +130,8 @@ class Seq:
     Rules: ``power-law`` (const + coeff / n**power; a :meth:`constant` has power
     0) and ``explicit`` (finite list of values).  ``block(lo, hi)`` gives the
     values at n = lo, ..., hi - 1.  Each number is kept as a float; a bool or
-    a value that does not read as a number is refused.
+    a value that does not read as a number is refused, and so is a field that
+    the rule does not read, set to other than its default.
     """
 
     rule: str
@@ -149,6 +148,9 @@ class Seq:
         object.__setattr__(self, "values", tuple(as_real(v, "each value") for v in self.values))
         if self.rule == "explicit" and len(self.values) == 0:
             raise ValueError("explicit sequence needs at least one value")
+        for name in ("const", "coeff", "power") if self.rule == "explicit" else ("values",):
+            if getattr(self, name) != getattr(Seq, name):  # nan differs too
+                raise ValueError(f"{name} is read only by rule {'explicit' if name == 'values' else 'power-law'!r}")
 
     @classmethod
     def constant(cls, value: float) -> "Seq":
@@ -181,15 +183,6 @@ class Seq:
                 raise ScheduleViolation(f"power-law sequence has no value at n = {lo} "
                                         f"({lo}**{power!r} overflows or is 0)") from None
         return values
-
-
-class StepParams(NamedTuple):
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
-    rho: float
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -228,8 +221,8 @@ class ParameterSchedule:
         return list(zip(alpha, beta, gamma, self.delta.block(lo, hi), self.rho.block(lo, hi),
                         self.epsilon.block(lo, hi)))
 
-    def at(self, n: int) -> StepParams:
-        return StepParams(*self.block(n, n + 1)[0])
+    def at(self, n: int) -> tuple:
+        return self.block(n, n + 1)[0]
 
 
 def _violations(rows, lo: int, need_rho: bool):
@@ -250,13 +243,13 @@ def _violations(rows, lo: int, need_rho: bool):
             yield n, "rho", "(range)", f"rho({n}) = {rho} outside (0, 4)"
 
 
-def _admissible(rows, lo: int, need_rho: bool) -> tuple[int, str | None]:
-    """How many leading ``rows`` (n = lo, lo + 1, ...) keep the hard
+def _admissible(rows: list, lo: int, need_rho: bool) -> tuple[list, str | None]:
+    """The leading ``rows`` (n = lo, lo + 1, ...) that keep the hard
     constraints, and the violation message of the row after them (None when
     all do)."""
     for n, _, condition, message in _violations(rows, lo, need_rho):
-        return n - lo, f"{condition} {message}"
-    return len(rows), None
+        return rows[:n - lo], f"{condition} {message}"
+    return rows, None
 
 
 # --- stepper configuration -------------------------------------------------
@@ -421,8 +414,7 @@ def _records(lo: int, kept: list) -> np.ndarray:
     when ``kept`` is)."""
     out = np.empty(len(kept), RECORD_DTYPE)
     out["n"] = np.arange(lo, lo + len(kept))
-    if kept:
-        out["theta"], out["tau"], out["f_u"], out["grad_norm_u"] = np.array(kept).T
+    out["theta"], out["tau"], out["f_u"], out["grad_norm_u"] = np.array(kept).reshape(-1, 4).T
     return out
 
 
@@ -525,11 +517,11 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
     ``x1`` defaults to ``x0`` (two seeds are needed by the inertial term).
 
     ``on_block``, when given, is called once per block of steps, as the block
-    ends, with the block's iterates (a ``(k, dim)`` float64 array; the start
-    point is in no block) and its k records (``RECORD_DTYPE``), record i that
-    of the step that made iterate i; k is 0 for a block that ended before its
-    first step.  In order, the blocks make up the history that ``run``
-    returns, and a hook that raises ends the run with its exception.
+    ends, with the block's iterates (a ``(k, dim)`` float64 array, k >= 1; the
+    start point is in no block) and its k records (``RECORD_DTYPE``), record i
+    that of the step that made iterate i.  In order, the blocks make up the
+    history that ``run`` returns, and a hook that raises ends the run with its
+    exception.
     ``bench.run_experiment`` streams its CSV rows this way.
 
     The step forms only the update and the record fields; :func:`monitors`
@@ -548,14 +540,15 @@ def run(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
             )
     _warn_lambda_vs_modulus(problem, schedule.lam)
     iterates, records = [x_cur[None]], []
-    for block_iterates, block_records, reason, error in _blocks(problem, schedule, config, x_prev, x_cur):
-        block = np.array(block_iterates).reshape(-1, problem.dim)
-        if on_block is not None:
-            on_block(block, block_records)
-        iterates.append(block)
-        records.append(block_records)
+    for block, block_records, reason, error in _blocks(problem, schedule, config, x_prev, x_cur):
+        if len(block_records):  # the last block may end before its first step
+            if on_block is not None:
+                on_block(block, block_records)
+            iterates.append(block)
+            records.append(block_records)
     iterates = np.concatenate(iterates)  # its blocks go before the records are joined
-    return RunHistory(iterates, np.concatenate(records).view(np.recarray), reason, error)
+    records = np.concatenate(records or [block_records])  # no block kept: the run's one block, empty
+    return RunHistory(iterates, records.view(np.recarray), reason, error)
 
 
 def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperConfig,
@@ -563,12 +556,12 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
     """The step loop of :func:`run` from the seeds (x_prev, x_cur), in blocks of
     up to ``block_rows(dim)`` steps (204 at dim 5, 16 from dim 65 to 8,192).
 
-    Yields (iterates, records, reason, error) per block: the list of iterates
-    after its steps and their record array (see :func:`_records`), then, with
-    the last block, the termination reason and error message (both None
-    before).  A block's schedule rows are formed
-    and checked once; the step computes only the trajectory, and the stop
-    tests run on each step before it is kept.
+    Yields (iterates, records, reason, error) per block: the ``(k, dim)``
+    float64 array of its k iterates and their record array (see
+    :func:`_records`), then, with the last block, the termination reason and
+    error message (both None before); only the last block may have k = 0.  A
+    block's schedule rows are formed and checked once (a first n without one
+    breaks a constraint); the stop tests run on each step before it is kept.
     """
     advance = _stepper(problem, schedule, config)
     need_rho = config.step_rule == "adaptive"
@@ -576,15 +569,13 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
     size = block_rows(problem.dim)
     n, reason, error = 1, None, None
     while reason is None:
-        try:
-            params = schedule.block(n, min(n + size, max_iter + 1))
-        except ScheduleViolation as exc:  # the first n has no value
-            yield [], np.empty(0, RECORD_DTYPE), "schedule_violation", str(exc)
-            return
         lo = n
-        count, violation = _admissible(params, lo, need_rho)
+        try:
+            params, violation = _admissible(schedule.block(n, min(n + size, max_iter + 1)), lo, need_rho)
+        except ScheduleViolation as exc:  # the first n has no value
+            params, violation = [], str(exc)
         iterates, kept = [], []
-        for p in params[:count]:
+        for p in params:
             x_next, step_kept = advance(p, x_cur, x_prev)
             if step_kept[-1] <= grad_tol:
                 res = problem.combined_residual(x_cur, schedule.lam)
@@ -602,7 +593,7 @@ def _blocks(problem: SfpProblem, schedule: ParameterSchedule, config: StepperCon
                 reason, error = "schedule_violation", violation
             elif n > max_iter:
                 reason = "max_iter"
-        yield iterates, _records(lo, kept), reason, error
+        yield np.array(iterates).reshape(-1, problem.dim), _records(lo, kept), reason, error
 
 
 # --- schedule validation -----------------------------------------------------

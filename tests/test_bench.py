@@ -234,8 +234,8 @@ class TestConfig:
             "start": {"x1": [0.5, 0.5]},
         }
         built = build_from_config(cfg)
-        assert built.schedule.at(2).beta == 0.25
-        assert built.schedule.at(3).epsilon == 0.025
+        (_, beta, *_), (*_, epsilon) = built.schedule.at(2), built.schedule.at(3)
+        assert (beta, epsilon) == (0.25, 0.025)
         result = run_experiment(cfg)
         assert result.history.steps <= 3
         without_s = {k: v for k, v in cfg["problem"].items() if k != "S"}
@@ -251,7 +251,8 @@ class TestConfig:
         built = build_from_config(cfg)
         assert built.schedule.lam == 0.7
         assert built.schedule.theta == 0.1
-        assert built.schedule.at(1).delta == 1.0  # preset value kept
+        _, _, _, delta, _, _ = built.schedule.at(1)
+        assert delta == 1.0  # preset value kept
 
     def test_unknown_schedule_key(self):
         cfg = {"problem": {"example": "s4"}, "schedule": {"preset": "cq", "omega": 1.0}}
@@ -930,6 +931,11 @@ class TestExperimentAndCsv:
         empty.write_text("")
         with pytest.raises(ValueError, match=f"^empty CSV file {re.escape(repr(str(empty)))}: no header row$"):
             emit_convergence_svg(empty, svg_path)
+        header_only = tmp_path / "header-only.csv"
+        header_only.write_text("n,x1,f\n")
+        with pytest.raises(ValueError, match=f"^empty CSV file {re.escape(repr(str(header_only)))}: no data row$"):
+            emit_convergence_svg(header_only, svg_path)
+        assert svg_path.read_text() == text  # the curve written before is left as it was
 
     @pytest.mark.parametrize("cfg, steps, sha256", [
         (parse_config(BASE_CONFIG), 31, "8e5faa83fb9c9d0d293a95ef187c29ebb57217e4d6bf9d7c9aeb76aa258262af"),
@@ -1107,8 +1113,10 @@ class TestRowsFromRecords:
         history = run(built.problem, built.schedule, built.stepper, built.x0, built.x1,
                       on_block=lambda iterates, records: handed.append((iterates.copy(), records.copy())))
         assert len(handed) > 1
-        if to_a_block_end:
-            assert history.termination_reason == "schedule_violation" and len(handed[-1][1]) == 0
+        if to_a_block_end:  # the third block, which finds no epsilon, is not handed on
+            size = block_rows(built.problem.dim)
+            assert history.termination_reason == "schedule_violation"
+            assert [len(records) for _, records in handed] == [size, size]
         x, records = history.iterates[1:], history.records
         streams = {"whole": [(x.copy(), records.copy())], "handed": handed,
                    "one-row": [(x[i:i + 1].copy(), records[i:i + 1].copy()) for i in range(history.steps)]}
@@ -1182,7 +1190,11 @@ class TestTable1Comparison:
         ([np.ones(5), np.ones(4)], ValueError, "trajectory is a ragged list, not a point or stack of points"),
         (np.ones((2, 1, 5)), DimensionMismatch,
          "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape (2, 1, 5)"),
-    ], ids=["empty-list", "empty-array", "bool-start", "ragged", "later-row-of-width-4", "3-D"])
+        (np.float64(1), DimensionMismatch, "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape ()"),
+        (1.0, DimensionMismatch, "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape ()"),
+        (np.array(1.0), DimensionMismatch, "trajectory must be a point of dimension 5 or a (k, 5) stack, got shape ()"),
+    ], ids=["empty-list", "empty-array", "bool-start", "ragged", "later-row-of-width-4", "3-D", "float64-scalar",
+            "number", "0-D"])
     def test_a_trajectory_is_read_as_points_are(self, iterates, error, message):
         with pytest.raises(ValueError) as raised:
             compare_to_table1(iterates)
@@ -1329,10 +1341,9 @@ def test_reference_preset_converges_end_to_end(s4, x_star):
     start = np.ones(5)
     steps, reached = 0, None
     for iterates, _, reason, _ in solver._blocks(s4, schedule, config, start, start):
-        if iterates:
-            hits = np.flatnonzero(np.max(np.abs(np.array(iterates) - x_star), axis=1) <= 1e-6)
-            if hits.size:
-                reached = steps + int(hits[0]) + 1
-                break
+        hits = np.flatnonzero(np.max(np.abs(iterates - x_star), axis=1) <= 1e-6)
+        if hits.size:
+            reached = steps + int(hits[0]) + 1
+            break
         steps += len(iterates)
     assert reached is not None, f"no convergence to 1e-6 within 700k steps (run ended with {reason})"

@@ -24,7 +24,6 @@ from sfp.solver import (
     ScheduleViolation,
     Seq,
     SfpProblem,
-    StepParams,
     StepperConfig,
     monitors,
     run,
@@ -38,6 +37,9 @@ F_AT_ONES = 79.14453125
 GRAD_AT_ONES = np.array([35.125, 35.875, 54.125, 106.75, 27.5])
 TAU_AT_ONES_RHO2 = 0.008992618959908036
 
+
+# the sequences of a schedule row, in the order of ParameterSchedule.block's tuples
+SCHEDULE_FIELDS = ("alpha", "beta", "gamma", "delta", "rho", "epsilon")
 
 # schedule values for property tests: finite floats mixed with the range
 # boundaries and the non-finite values
@@ -236,11 +238,11 @@ class TestStep:
         seeds = run_seeds(problem, schedule, StepperConfig(mode=mode, max_iter=7),
                           4.0 * rng.standard_normal(4), 4.0 * rng.standard_normal(4))
         for n in (1, 2, 7):
-            p = schedule.at(n)
+            alpha, beta, _, delta, rho, epsilon = schedule.at(n)
             expected, u, y = reference_step(
                 problem, mode,
-                {"alpha": p.alpha, "beta": p.beta, "delta": p.delta, "epsilon": p.epsilon},
-                schedule.theta, schedule.lam, seeds[n], seeds[n - 1], rho=p.rho,
+                {"alpha": alpha, "beta": beta, "delta": delta, "epsilon": epsilon},
+                schedule.theta, schedule.lam, seeds[n], seeds[n - 1], rho=rho,
             )
             assert norm(seeds[n + 1] - expected) <= 1e-12
 
@@ -294,7 +296,7 @@ class TestStep:
         seeds = np.vstack([np.ones(5), history.iterates])
         assert history.steps == 39
         for n, record in enumerate(history.records, start=1):
-            eps_n = schedule.at(n).epsilon
+            *_, eps_n = schedule.at(n)
             assert record.theta * norm(seeds[n] - seeds[n - 1]) <= eps_n + 1e-15
 
     def test_tau_numerator_switch(self, s4):
@@ -320,15 +322,15 @@ class TestStep:
         seeds = run_seeds(problem, schedule, StepperConfig(mode=mode, max_iter=9),
                           rng.standard_normal(3), rng.standard_normal(3))
         for n in (1, 4, 9):
-            p = schedule.at(n)
+            alpha, beta, gamma, delta, rho, epsilon = schedule.at(n)
             x_prev, x_n = seeds[n - 1], seeds[n]
             expected, u, y = reference_step(
                 problem, "proof",
-                {"alpha": p.alpha, "beta": p.beta, "delta": p.delta, "epsilon": p.epsilon},
-                schedule.theta, schedule.lam, x_n, x_prev, rho=p.rho,
+                {"alpha": alpha, "beta": beta, "delta": delta, "epsilon": epsilon},
+                schedule.theta, schedule.lam, x_n, x_prev, rho=rho,
             )
-            v = (p.beta * u + p.gamma * y) / (1.0 - p.alpha)
-            recombined = p.alpha * problem.g(x_n) + (1.0 - p.alpha) * v
+            v = (beta * u + gamma * y) / (1.0 - alpha)
+            recombined = alpha * problem.g(x_n) + (1.0 - alpha) * v
             assert norm(recombined - seeds[n + 1]) <= 1e-12
 
 
@@ -663,9 +665,9 @@ class TestRunIsStepLoop:
 def written_out_step(problem, schedule, config, n, x_n, x_prev):
     """One update with every quantity formed in the order of the scheme,
     through the public operations only; returns (x_next, record fields)."""
-    p = schedule.at(n)
+    alpha, beta, gamma, delta, rho, epsilon = schedule.at(n)
     dx = norm(x_n - x_prev)
-    theta_n = schedule.theta if dx == 0.0 else min(schedule.theta, p.epsilon / dx)
+    theta_n = schedule.theta if dx == 0.0 else min(schedule.theta, epsilon / dx)
     u = x_n + theta_n * (x_n - x_prev)
     r = problem.residual(u)
     gvec = problem.A.apply_adjoint(r)
@@ -675,9 +677,9 @@ def written_out_step(problem, schedule, config, n, x_n, x_prev):
     elif gg <= 1e-24:
         tau = 0.0
     else:
-        tau = p.rho * (problem.f_value(x_n) if config.tau_numerator == "x" else f_u) / gg
+        tau = rho * (problem.f_value(x_n) if config.tau_numerator == "x" else f_u) / gg
     t_u = problem.averaged_map(schedule.lam)(u)
-    d = p.delta
+    d = delta
     w = (1.0 - d) * (u - tau * gvec) + d * t_u
     if config.mode == "proof":
         y = problem.C.project(w)
@@ -685,19 +687,19 @@ def written_out_step(problem, schedule, config, n, x_n, x_prev):
         y = problem.C.project((1.0 - d) * u - tau * gvec) + d * t_u
     else:
         y = problem.C.project((1.0 - d) * u + d * t_u - tau * gvec)
-    x_next = p.alpha * problem.g(x_n) + p.beta * u + p.gamma * y
+    x_next = alpha * problem.g(x_n) + beta * u + gamma * y
 
     gap_y = gap_v = qne_slack = float("nan")
     xs = problem.known_solution
     if xs is not None:
         du = norm(u - xs)
         gap_y = norm(y - xs) - du
-        if 1.0 - p.alpha > 1e-300:
-            gap_v = norm((p.beta * u + p.gamma * y) / (1.0 - p.alpha) - xs) - du
+        if 1.0 - alpha > 1e-300:
+            gap_v = norm((beta * u + gamma * y) / (1.0 - alpha) - xs) - du
         qne_slack = norm(t_u - xs) - du
 
-    coef = p.gamma / (1.0 - p.alpha) if 1.0 - p.alpha > 1e-300 else 0.0
-    term1 = (1.0 - d) * coef * p.rho * (4.0 - p.rho) * f_u * f_u / gg if gg > 1e-24 else 0.0
+    coef = gamma / (1.0 - alpha) if 1.0 - alpha > 1e-300 else 0.0
+    term1 = (1.0 - d) * coef * rho * (4.0 - rho) * f_u * f_u / gg if gg > 1e-24 else 0.0
     drift = t_u - u + tau * gvec
     blend_residual = w - problem.C.project(w)
     psi = (term1 + d * (1.0 - d) * coef * float(np.dot(drift, drift))
@@ -894,6 +896,7 @@ class TestEndingsAtBlockBoundaries:
         problem, schedule, config, x0, error = _ending_case(ending, n, dim)
         lengths = []
         history = run(problem, schedule, config, x0, on_block=lambda iterates, records: lengths.append(len(records)))
+        assert all(lengths) and sum(lengths) == history.steps  # no block is empty, not even the last
         assert (history.termination_reason, history.error) == (
             "schedule_violation" if ending in ("range", "exhausted") else ending, error)
         assert history.steps == (n if ending == "max_iter" else n - 1)
@@ -914,14 +917,14 @@ class TestEndingsAtBlockBoundaries:
         self.assert_ending(ending, n)
 
     # step 24, in the middle of the second block of 16; the rows of a list
-    # end with the block, and the next block finds none
+    # end with the block, and the next block, which finds none, is not handed on
     @pytest.mark.parametrize("ending", ENDINGS)
     def test_a_wide_run_ending_in_the_middle_of_a_block(self, ending):
         block = block_rows(WIDE)
         n = block + block // 2
         steps = n if ending == "max_iter" else n - 1
         lengths = self.assert_ending(ending, n, WIDE)
-        assert lengths == [block, steps - block] + [0] * (ending == "exhausted")
+        assert lengths == [block, steps - block]
 
 
 class TestOnBlock:
@@ -930,13 +933,19 @@ class TestOnBlock:
     def test_blocks_make_up_the_history(self, ending, n):
         self.assert_blocks_make_up_the_history(ending, max(n, 2))
 
-    # blocks of 16 steps, the third cut short at step 40 (an empty fourth
-    # block finds that the list has run out)
+    # blocks of 16 steps, the third cut short at step 40 (the fourth finds
+    # that the list has run out, and is not handed on)
     @pytest.mark.parametrize("ending", ["residual_met", "divergence", "exhausted", "max_iter"])
     def test_wide_blocks_make_up_the_history(self, ending):
         blocks = self.assert_blocks_make_up_the_history(ending, 40, WIDE)
         lengths = [len(records) for _, records in blocks]
-        assert lengths == [16, 16, 8 - (ending != "max_iter")] + [0] * (ending == "exhausted")
+        assert lengths == [16, 16, 8 - (ending != "max_iter")]
+
+    # a list of 2 * 16 values runs out at the end of the second block; the
+    # third, which finds no value, is not handed on (dim 5: test_ending)
+    def test_a_wide_list_that_runs_out_at_the_end_of_a_block(self):
+        blocks = self.assert_blocks_make_up_the_history("exhausted", 2 * block_rows(WIDE) + 1, WIDE)
+        assert [len(records) for _, records in blocks] == [16, 16]
 
     @staticmethod
     def assert_blocks_make_up_the_history(ending, n, dim=5):
@@ -944,10 +953,11 @@ class TestOnBlock:
         blocks = []
         history = run(problem, schedule, config, x0, on_block=lambda *block: blocks.append(block))
         for iterates, records in blocks:
+            assert len(records) >= 1
             assert iterates.shape == (len(records), dim) and iterates.dtype == np.float64
             assert records.dtype == RECORD_DTYPE
         assert np.array_equal(np.concatenate([history.iterates[:1]] + [b[0] for b in blocks]), history.iterates)
-        assert np.concatenate([b[1] for b in blocks]).tobytes() == history.records.tobytes()
+        assert b"".join(b[1].tobytes() for b in blocks) == history.records.tobytes()
         return blocks
 
     @pytest.mark.parametrize("dim", [5, WIDE])
@@ -958,12 +968,12 @@ class TestOnBlock:
         history = run(problem, schedule, config, x0, on_block=lambda *block: blocks.append(block))
         whole = monitors(problem, schedule, config, x0, history)
         lo, x_prev, x_n = 0, x0, history.iterates[0]
-        for iterates, records in blocks[:-1]:  # the last block is empty: the list ran out
+        for iterates, records in blocks:  # the third ends where the list runs out
             block = solver.RunHistory(np.concatenate((x_n[None], iterates)), records, "max_iter")
             got = monitors(problem, schedule, config, x_prev, block)
             assert got.tobytes() == whole[lo:lo + len(records)].tobytes()
             lo, x_prev, x_n = lo + len(records), block.iterates[-2], block.iterates[-1]
-        assert lo == history.steps and len(blocks[-1][1]) == 0
+        assert lo == history.steps and [len(records) for _, records in blocks] == [block_rows(dim)] * 2 + [2]
 
     def test_a_hook_that_raises_ends_the_run(self, s4):
         schedule, mode = schedule_from_config({"preset": "paper-s4"}), PRESETS["paper-s4"][1]
@@ -1076,7 +1086,7 @@ class TestValidateSchedule:
         assert (raised is None) == (not values)
 
     @settings(derandomize=True, max_examples=50)
-    @given(values=st.dictionaries(st.sampled_from(StepParams._fields), SCHEDULE_VALUES))
+    @given(values=st.dictionaries(st.sampled_from(SCHEDULE_FIELDS), SCHEDULE_VALUES))
     @example(values={"alpha": 1e-300, "epsilon": 1e300})  # epsilon / alpha overflows a float
     def test_run_and_validation_agree_on_random_values(self, s4, values):
         # the drawn values replace those of an admissible schedule; gamma is the
@@ -1096,7 +1106,7 @@ class TestValidateSchedule:
         assert run(s4, schedule, StepperConfig(), np.ones(5)).error == "(range) " + fails[0]
 
     @settings(derandomize=True, max_examples=50)
-    @given(values=st.dictionaries(st.sampled_from(StepParams._fields), st.lists(SCHEDULE_VALUES, min_size=3, max_size=3)))
+    @given(values=st.dictionaries(st.sampled_from(SCHEDULE_FIELDS), st.lists(SCHEDULE_VALUES, min_size=3, max_size=3)))
     @example(values={"alpha": [0.1, 1.5, 0.1], "beta": [-0.1, 0.2, 0.2]})
     def test_first_flag_is_where_run_stops(self, s4, values):
         # lists of three values replace those of an admissible schedule; the
@@ -1122,7 +1132,8 @@ class TestValidateSchedule:
             alpha=Seq.explicit([0.1, 0.05]), beta=Seq.constant(0.4), gamma=None,
             delta=Seq.constant(0.5), rho=Seq.constant(2.0), epsilon=Seq.constant(0.0),
         )
-        assert schedule.at(2).alpha == 0.05
+        alpha, *_ = schedule.at(2)
+        assert alpha == 0.05
         report = validate_schedule(schedule, horizon=5)
         message = "explicit sequence exhausted at n = 3 (length 2)"
         assert run(s4, schedule, StepperConfig(), np.ones(5)).error == message
@@ -1266,6 +1277,32 @@ class TestSequences:
     def test_empty_list_refused(self, make):
         with pytest.raises(ValueError, match="^explicit sequence needs at least one value$"):
             make()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"rule": "power-law", "const": 0.5, "values": (9.0,)}, "values is read only by rule 'explicit'"),
+        ({"rule": "explicit", "values": (1.0,), "const": 0.5}, "const is read only by rule 'power-law'"),
+        ({"rule": "explicit", "values": (1.0,), "coeff": math.nan}, "coeff is read only by rule 'power-law'"),
+        ({"rule": "explicit", "values": (1.0,), "power": 2}, "power is read only by rule 'power-law'"),
+        # the numbers are read first, so a number's own message stays
+        ({"rule": "explicit", "values": (1.0,), "const": True}, "const must be a number, got True"),
+        ({"rule": "power-law", "values": (True,)}, "each value must be a number, got True"),
+        ({"rule": "explicit", "const": 0.5}, "explicit sequence needs at least one value"),
+    ], ids=["power-law-values", "explicit-const", "explicit-coeff-nan", "explicit-power", "bool-const", "bool-value",
+            "explicit-empty"])
+    def test_a_field_that_the_rule_does_not_read_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Seq(**fields)
+        # the defaults are not refused
+        assert Seq("explicit", const=0, coeff=0.0, power=1, values=(1.0,)).block(1, 3) == [1.0]
+        assert Seq("power-law", const=0.5, values=[]).block(1, 3) == [0.5, 0.5]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_a_schedule_row_is_a_plain_tuple(self, preset):
+        schedule = schedule_from_config({"preset": preset})
+        rows = schedule.block(1, 2 * BLOCK_S4)
+        for n in (1, 2, BLOCK_S4 + 1):
+            row = schedule.at(n)
+            assert type(row) is tuple and row == schedule.block(n, n + 1)[0] == rows[n - 1]
 
     def test_numbers_read_as_floats(self):
         assert Seq.constant("0.5").block(1, 3) == [0.5, 0.5]
